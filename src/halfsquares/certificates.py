@@ -31,6 +31,10 @@ class CertificateError(ValueError):
         self.monomial = monomial
 
 
+class CertificateFormatError(ValueError):
+    """Serialized certificate data violates the format contract."""
+
+
 class SosCriterionInconclusive(Exception):
     """Every negative monomial admits a distinct half-polytope pair.
 
@@ -52,6 +56,12 @@ def _fr_json(q: Fraction) -> dict:
 
 def _fr_parse(data) -> Fraction:
     return Fraction(int(data["num"]), int(data["den"]))
+
+
+def _exp_parse(data) -> MultiIndex:
+    if not isinstance(data, list) or any(type(e) is not int or e < 0 for e in data):
+        raise ValueError(f"bad exponent vector {data!r}")
+    return tuple(data)
 
 
 @dataclass(frozen=True)
@@ -110,16 +120,15 @@ class AmgmCertificate:
     @classmethod
     def from_json_dict(cls, data) -> "AmgmCertificate":
         ineqs = []
-        for item in data["inequalities"]:
-            ineqs.append(
-                AmgmInequality(
-                    target=tuple(item["target"]),
-                    shares=tuple(
-                        (tuple(s["v"]), _fr_parse(s)) for s in item["shares"]
-                    ),
-                    origin_share=_fr_parse(item["origin"]),
-                )
-            )
+        try:
+            for item in data["inequalities"]:
+                target = _exp_parse(item["target"])
+                shares = tuple((_exp_parse(s["v"]), _fr_parse(s)) for s in item["shares"])
+                if any(len(v) != len(target) for v, _ in shares):
+                    raise ValueError("share and target exponents differ in length")
+                ineqs.append(AmgmInequality(target, shares, _fr_parse(item["origin"])))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+            raise CertificateFormatError(f"bad certificate data: {err}") from err
         return cls(tuple(ineqs))
 
     @classmethod
@@ -189,7 +198,7 @@ def _feasible_weights(points, m, magnitude, capacities):
     magnitude * lambda_i <= capacity_i.  Tries affinely independent
     subsets first, then one-parameter families over n+2 points."""
     n = len(m)
-    target = [Fraction(x) for x in m] + [Fraction(1)]
+    target = list(m) + [1]
 
     def bounds_ok(subset, lam):
         return all(
@@ -198,15 +207,15 @@ def _feasible_weights(points, m, magnitude, capacities):
 
     for size in range(1, min(n + 1, len(points)) + 1):
         for subset in combinations(points, size):
-            matrix = [[Fraction(v[i]) for v in subset] for i in range(n)]
-            matrix.append([Fraction(1)] * size)
+            matrix = [[v[i] for v in subset] for i in range(n)]
+            matrix.append([1] * size)
             lam = ratmat.solve_rectangular(matrix, target)
             if lam is not None and bounds_ok(subset, lam):
                 return dict(zip(subset, lam))
     if len(points) >= n + 2:
         for subset in combinations(points, n + 2):
-            matrix = [[Fraction(v[i]) for v in subset] for i in range(n)]
-            matrix.append([Fraction(1)] * (n + 2))
+            matrix = [[v[i] for v in subset] for i in range(n)]
+            matrix.append([1] * (n + 2))
             solved = ratmat.solve_underdetermined(matrix, target)
             if solved is None:
                 continue

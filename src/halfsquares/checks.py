@@ -136,16 +136,8 @@ def check_derivative_control(
     for j in range(0, k + 1, 2):
         if j == 0:
             dj = np.clip(f.values.astype(float), 0.0, None)
-        elif f.n == 1:
-            dj = np.clip(finitediff.diff_axis(f.values, h, j), 0.0, None)
         else:
-            dj = None
-            for idx in range(directions):
-                theta = math.pi * idx / directions
-                xi = (math.cos(theta), math.sin(theta))
-                cand = finitediff.directional_derivative(f.values, h, j, xi)
-                dj = cand if dj is None else np.fmax(dj, cand)
-            dj = np.clip(dj, 0.0, None)
+            dj = np.clip(finitediff.max_directional_derivative(f.values, h, j, directions), 0.0, None)
         powered = dj ** ((k - ell + alpha) / (k - j + alpha))
         den = powered if den is None else np.fmax(den, powered)
     mask = np.isfinite(num) & np.isfinite(den)

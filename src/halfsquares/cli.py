@@ -247,15 +247,19 @@ def cmd_partial(args) -> int:
     return PASS if payload["ok"] else FAIL
 
 
-def _checker_input(args) -> SampledFunction:
-    if args.infile:
-        return _load_sampled(args.infile)
+def _fixture(args, points) -> SampledFunction:
     params = {}
     if args.fixture == "power_alpha":
         params["alpha"] = args.alpha
     elif args.fixture == "cantor" and args.iterations:
         params["iterations"] = args.iterations
-    return build_fixture(args.fixture, points=args.points, **params)
+    return build_fixture(args.fixture, points=points, **params)
+
+
+def _checker_input(args) -> SampledFunction:
+    if args.infile:
+        return _load_sampled(args.infile)
+    return _fixture(args, args.points)
 
 
 def cmd_check(args) -> int:
@@ -281,7 +285,7 @@ def cmd_check(args) -> int:
             if args.infile:
                 payload = {"constant": coarse, "ok": bool(np.isfinite(coarse))}
             else:
-                fine_f = build_fixture(args.fixture, points=2 * f.shape[0] - 1)
+                fine_f = _fixture(args, 2 * f.shape[0] - 1)
                 fine = check_derivative_control(fine_f, args.k, args.alpha, args.ell).constant
                 stability = refinement_stability(coarse, fine)
                 payload = {

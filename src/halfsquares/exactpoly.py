@@ -197,7 +197,7 @@ class SparsePolynomial:
         if not isinstance(data, dict) or set(data) != {"nvars", "terms"}:
             raise PolynomialFormatError("expected object with keys nvars, terms")
         nvars = data["nvars"]
-        if not isinstance(nvars, int) or nvars < 1:
+        if type(nvars) is not int or nvars < 1:
             raise PolynomialFormatError("nvars must be a positive integer")
         terms = {}
         previous = None
@@ -208,7 +208,7 @@ class SparsePolynomial:
             if (
                 not isinstance(exp, list)
                 or len(exp) != nvars
-                or any((not isinstance(e, int)) or e < 0 for e in exp)
+                or any(type(e) is not int or e < 0 for e in exp)
             ):
                 raise PolynomialFormatError(f"bad exponent vector {exp}")
             exp = tuple(exp)

@@ -7,6 +7,8 @@ the valid interior.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .multiindex import directional_expand
@@ -62,11 +64,6 @@ def partial(values: np.ndarray, h: float, beta) -> np.ndarray:
     return out
 
 
-def partial_margin(beta) -> int:
-    """Cells lost on each side after applying d^beta."""
-    return max((stencil_reach(o) for o in beta if o), default=0)
-
-
 def gradient_norm(values: np.ndarray, h: float) -> np.ndarray:
     parts = []
     for axis in range(values.ndim):
@@ -86,6 +83,20 @@ def nabla_norm(values: np.ndarray, h: float, ell: int) -> np.ndarray:
     return np.sqrt(total)
 
 
+def _directional_sum(values, j, xi, partial_of) -> np.ndarray:
+    """Sum of (j!/beta!) xi^beta d^beta f over |beta| = j, zero-factor terms skipped."""
+    acc = None
+    for mult, beta in directional_expand(j, values.ndim):
+        factor = float(mult) * float(np.prod(xi**np.asarray(beta)))
+        if factor == 0.0:
+            continue
+        term = factor * partial_of(beta)
+        acc = term if acc is None else acc + term
+    if acc is None:
+        acc = np.zeros_like(values, dtype=float)
+    return acc
+
+
 def directional_derivative(values: np.ndarray, h: float, j: int, xi) -> np.ndarray:
     """(xi . grad)^j via the multinomial expansion over mixed partials."""
     xi = np.asarray(xi, dtype=float)
@@ -93,13 +104,25 @@ def directional_derivative(values: np.ndarray, h: float, j: int, xi) -> np.ndarr
         raise ValueError("direction dimension mismatch")
     if j == 0:
         return values.astype(float, copy=True)
-    acc = None
-    for mult, beta in directional_expand(j, values.ndim):
-        factor = float(mult) * float(np.prod(xi**np.asarray(beta)))
-        if factor == 0.0:
-            continue
-        term = factor * partial(values, h, beta)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = np.zeros_like(values, dtype=float)
-    return acc
+    return _directional_sum(values, j, xi, lambda beta: partial(values, h, beta))
+
+
+def max_directional_derivative(values: np.ndarray, h: float, j: int, directions: int = 64) -> np.ndarray:
+    """Pointwise max over unit xi of (xi . grad)^j f for even j >= 2.
+
+    Even j gives d^j_{-xi} = d^j_xi, so on a 2D grid the angles
+    pi * i / directions cover [0, pi); on a 1D grid the one direction is
+    the axis.  The order-j partials are computed once and each
+    direction's sum runs in the order of ``directional_derivative``, so
+    the result is bit-identical to np.fmax over its outputs.
+    """
+    if values.ndim == 1:
+        return diff_axis(values, h, j)
+    partials = {beta: partial(values, h, beta) for _, beta in directional_expand(j, values.ndim)}
+    out = None
+    for idx in range(directions):
+        theta = math.pi * idx / directions
+        xi = np.asarray((math.cos(theta), math.sin(theta)))
+        cand = _directional_sum(values, j, xi, partials.__getitem__)
+        out = cand if out is None else np.fmax(out, cand)
+    return out

@@ -143,7 +143,7 @@ def _half_vertex_tuples(n: int, d: int):
     for combo in combinations(points, n):
         if max(order(q) for q in combo) != bound:
             continue
-        matrix = [[Fraction(combo[j][i]) for j in range(n)] for i in range(n)]
+        matrix = [[combo[j][i] for j in range(n)] for i in range(n)]
         if ratmat.det(matrix) == 0:
             continue
         tuples.append(combo)

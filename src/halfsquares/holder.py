@@ -37,8 +37,8 @@ class SampledFunction:
             raise ValueError("only 1- and 2-dimensional grids are supported")
         if len(self.origin) != self.values.ndim:
             raise ValueError("origin length must match dimension")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError("spacing must be positive and finite")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("all samples must be finite")
 
@@ -97,7 +97,10 @@ class SampledFunction:
             raise SampledFunctionFormatError("n must be 1 or 2 and match origin/shape")
         if math.prod(shape) != values.size:
             raise SampledFunctionFormatError("value count does not match shape")
-        return cls(origin, spacing, values)
+        try:
+            return cls(origin, spacing, values)
+        except ValueError as err:
+            raise SampledFunctionFormatError(f"bad sampled-function data: {err}") from err
 
     @classmethod
     def loads(cls, text: str) -> "SampledFunction":
@@ -307,21 +310,11 @@ def control_field(
     values = f.values
     r = np.zeros_like(values, dtype=float)
     valid = np.ones_like(values, dtype=bool)
-    used_dirs = 0
     for j in range(0, k + 1, 2):
         if j == 0:
             dj = values.astype(float)
-        elif f.n == 1:
-            dj = finitediff.diff_axis(values, h, j)
         else:
-            # even j: d^j_{-xi} = d^j_xi, so angles cover [0, pi)
-            used_dirs = directions
-            dj = None
-            for idx in range(directions):
-                theta = math.pi * idx / directions
-                xi = (math.cos(theta), math.sin(theta))
-                cand = finitediff.directional_derivative(values, h, j, xi)
-                dj = cand if dj is None else np.fmax(dj, cand)
+            dj = finitediff.max_directional_derivative(values, h, j, directions)
         finite = np.isfinite(dj)
         valid &= finite
         positive = np.clip(np.where(finite, dj, 0.0), 0.0, None)
@@ -336,7 +329,7 @@ def control_field(
         origin=f.origin,
         values=r,
         valid=valid,
-        directions=used_dirs,
+        directions=directions if f.n == 2 and k >= 2 else 0,
     )
 
 

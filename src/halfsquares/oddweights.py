@@ -77,8 +77,8 @@ def weights_for_nodes(nodes) -> list[Fraction]:
     if len(set(mags)) != len(mags):
         raise ValueError("repeated |eta|: two linearly dependent columns")
     s = len(nodes)
-    rhs = [Fraction(0)] * (s - 1) + [Fraction(1)]
-    solution = ratmat.solve(moment_matrix(nodes), rhs)
+    rhs = [0] * (s - 1) + [1]
+    solution = ratmat.solve_rectangular(moment_matrix(nodes), rhs)
     if solution is None:
         raise ValueError("singular moment matrix")
     return solution

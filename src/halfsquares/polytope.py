@@ -51,7 +51,7 @@ class SimplexPolytope:
             raise ValueError("need exactly n lattice points of dimension n")
         if any(x < 0 for q in qs for x in q):
             raise ValueError("vertex coordinates must be non-negative")
-        matrix = [[Fraction(qs[j][i]) for j in range(n)] for i in range(n)]  # columns q_j
+        matrix = [[qs[j][i] for j in range(n)] for i in range(n)]  # columns q_j
         d = ratmat.det(matrix)
         if d == 0:
             raise ValueError("vertices are linearly dependent")
@@ -121,9 +121,9 @@ class GeneralPolytope:
         for size in range(2, self.n + 2):
             for subset in combinations(gens, size):
                 # affine system: sum lambda_i s_i = point, sum lambda_i = 1
-                matrix = [[Fraction(s[i]) for s in subset] for i in range(self.n)]
-                matrix.append([Fraction(1)] * size)
-                rhs = list(point) + [Fraction(1)]
+                matrix = [[s[i] for s in subset] for i in range(self.n)]
+                matrix.append([1] * size)
+                rhs = list(point) + [1]
                 lam = ratmat.solve_rectangular(matrix, rhs)
                 if lam is not None and all(w >= 0 for w in lam):
                     return True

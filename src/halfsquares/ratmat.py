@@ -1,83 +1,85 @@
 """Exact linear algebra over the rationals for small dense systems.
 
-Plain Gaussian elimination on Fraction entries; everything here is exact,
-no floating point.  Matrices are lists of row lists.
+One fraction-free Gauss-Jordan elimination (Bareiss 1968, "Sylvester's
+identity and multistep integer-preserving Gaussian elimination") serves
+every function here: rows are scaled to integers and each update divides
+exactly by the previous pivot, so no Fraction arithmetic runs inside the
+loop.  Entries are ints or Fractions; results are Fractions, no floating
+point.  Matrices are lists of row lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
-def _to_rows(matrix):
-    return [[Fraction(x) for x in row] for row in matrix]
+def _reduce(matrix):
+    """Fraction-free reduced row echelon form of ``matrix``.
+
+    Each row is first scaled by the lcm of its entries' denominators.
+    The pivot of each column is its first nonzero entry at or below the
+    current row.  Returns (rows, pivot_cols, pivot, sign, scale): the
+    reduced integer rows, the pivot columns, the last pivot (the
+    determinant of the scaled pivot minor, and the value of every pivot
+    entry at the end), the sign of the row swaps and the product of the
+    row scales.  Dividing the rows by ``pivot`` gives the reduced row
+    echelon form.
+    """
+    rows = []
+    scale = 1
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+        scale *= den
+    m = len(rows)
+    width = len(rows[0]) if rows else 0
+    pivot_cols = []
+    pivot, sign = 1, 1
+    for col in range(width):
+        r = len(pivot_cols)
+        found = next((i for i in range(r, m) if rows[i][col]), None)
+        if found is None:
+            continue
+        if found != r:
+            rows[r], rows[found] = rows[found], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[col]
+        for i in range(m):
+            if i != r:
+                a = rows[i][col]
+                rows[i] = [(p * x - a * y) // pivot for x, y in zip(rows[i], top)]
+        pivot = p
+        pivot_cols.append(col)
+    return rows, pivot_cols, pivot, sign, scale
+
+
+def _augmented(matrix, rhs):
+    if len(rhs) != len(matrix):
+        raise ValueError("right-hand side length differs from the row count")
+    return [list(row) + [b] for row, b in zip(matrix, rhs)]
 
 
 def det(matrix) -> Fraction:
     """Determinant of a square matrix."""
-    rows = _to_rows(matrix)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            sign = -sign
-        p = rows[col][col]
-        out *= p
-        for r in range(col + 1, n):
-            factor = rows[r][col] / p
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-    return sign * out
-
-
-def solve(matrix, rhs) -> list[Fraction] | None:
-    """Solve a square system exactly; None if the matrix is singular."""
-    rows = _to_rows(matrix)
-    n = len(rows)
-    b = [Fraction(x) for x in rhs]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        p = rows[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = rows[r][col] / p
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[col][c]
-                b[r] -= factor * b[col]
-    return [b[i] / rows[i][i] for i in range(n)]
+    _, pivot_cols, pivot, sign, scale = _reduce(matrix)
+    if len(pivot_cols) < n:
+        return Fraction(0)
+    return Fraction(sign * pivot, scale)
 
 
 def inverse(matrix) -> list[list[Fraction]] | None:
     """Exact inverse of a square matrix; None if singular."""
-    rows = _to_rows(matrix)
-    n = len(rows)
-    aug = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    n = len(matrix)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    rows, pivot_cols, pivot, _, _ = _reduce(aug)
+    if pivot_cols[:n] != list(range(n)):
+        return None
+    return [[Fraction(x, pivot) for x in row[n:]] for row in rows]
 
 
 def solve_rectangular(matrix, rhs) -> list[Fraction] | None:
@@ -87,29 +89,11 @@ def solve_rectangular(matrix, rhs) -> list[Fraction] | None:
     the matrix has full column rank and the system is consistent, else
     None (rank-deficient or inconsistent).
     """
-    rows = _to_rows(matrix)
-    m = len(rows)
-    k = len(rows[0]) if rows else 0
-    aug = [rows[i] + [Fraction(rhs[i])] for i in range(m)]
-    rank = 0
-    pivots = []
-    for col in range(k):
-        pivot = next((r for r in range(rank, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None  # column rank deficient
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        p = aug[rank][col]
-        aug[rank] = [x / p for x in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if aug[r][k] != 0:
-            return None  # inconsistent
-    return [aug[i][k] for i in range(rank)]
+    k = len(matrix[0]) if matrix else 0
+    rows, pivot_cols, pivot, _, _ = _reduce(_augmented(matrix, rhs))
+    if pivot_cols != list(range(k)):
+        return None
+    return [Fraction(row[k], pivot) for row in rows[:k]]
 
 
 def solve_underdetermined(matrix, rhs):
@@ -119,72 +103,18 @@ def solve_underdetermined(matrix, rhs):
     variables set to zero and ``basis`` spans the nullspace, or None when
     the system is inconsistent.
     """
-    rows = _to_rows(matrix)
-    m = len(rows)
-    k = len(rows[0]) if rows else 0
-    aug = [rows[i] + [Fraction(rhs[i])] for i in range(m)]
-    rank = 0
-    pivot_cols = []
-    for col in range(k):
-        pivot = next((r for r in range(rank, m) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        p = aug[rank][col]
-        aug[rank] = [x / p for x in aug[rank]]
-        for r in range(m):
-            if r != rank and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if aug[r][k] != 0:
-            return None
+    k = len(matrix[0]) if matrix else 0
+    rows, pivot_cols, pivot, _, _ = _reduce(_augmented(matrix, rhs))
+    if k in pivot_cols:
+        return None
     particular = [Fraction(0)] * k
-    for r, pc in enumerate(pivot_cols):
-        particular[pc] = aug[r][k]
+    for row, pc in zip(rows, pivot_cols):
+        particular[pc] = Fraction(row[k], pivot)
     basis = []
     for fc in (c for c in range(k) if c not in pivot_cols):
         vec = [Fraction(0)] * k
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivot_cols):
-            vec[pc] = -aug[r][fc]
+        for row, pc in zip(rows, pivot_cols):
+            vec[pc] = Fraction(-row[fc], pivot)
         basis.append(vec)
     return particular, basis
-
-
-def nullspace_vector(matrix) -> list[Fraction] | None:
-    """One nonzero kernel vector of an m x k matrix with rank k - 1.
-
-    Returns None when the matrix has full column rank; used for the
-    one-parameter families that arise when a point is expressed over one
-    more generator than its affine dimension.
-    """
-    rows = _to_rows(matrix)
-    m = len(rows)
-    k = len(rows[0]) if rows else 0
-    rank = 0
-    pivot_cols = []
-    for col in range(k):
-        pivot = next((r for r in range(rank, m) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [x / p for x in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    free = [c for c in range(k) if c not in pivot_cols]
-    if not free:
-        return None
-    fc = free[0]
-    vec = [Fraction(0)] * k
-    vec[fc] = Fraction(1)
-    for r, pc in enumerate(pivot_cols):
-        vec[pc] = -rows[r][fc]
-    return vec

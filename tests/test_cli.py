@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -139,3 +140,60 @@ def test_decompose_bad_input(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")
     assert main(["decompose", "--in", str(path), "--k", "2", "--alpha", "1.0", "--out", str(tmp_path / "o.json")]) == 2
+
+
+def _exits_2_with_input_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--k", "2", "--alpha", "1.0", "--out", os.devnull],
+    ["partial", "--k", "2", "--alpha", "1.0", "--eps", "1e-3"],
+    ["check", "--kind", "seminorm"],
+])
+@pytest.mark.parametrize("changes", [
+    {"values": [1.0, float("nan")] + [1.0] * 99},
+    {"values": [float("inf")] * 101},
+    {"spacing": 0.0},
+    {"spacing": -0.01},
+], ids=["nan-sample", "inf-sample", "zero-spacing", "negative-spacing"])
+def test_bad_sampled_file_is_input_error(tmp_path, capsys, command, changes):
+    data = build_fixture("parabola", points=101).to_json_dict()
+    data.update(changes)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    _exits_2_with_input_error(capsys, command[:1] + ["--in", str(path)] + command[1:])
+
+
+@pytest.mark.parametrize("text", [
+    '{"nvars": 2, "terms": [{"exp": [true, 2], "num": "1", "den": "1"}]}',
+    '{"nvars": true, "terms": [{"exp": [2], "num": "1", "den": "1"}]}',
+], ids=["exponent", "nvars"])
+def test_bool_in_polynomial_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    _exits_2_with_input_error(capsys, ["verify", "--in", str(path)])
+
+
+@pytest.mark.parametrize("inequality", [
+    {"target": 5, "shares": [], "origin": {"num": "1", "den": "1"}},
+    {"target": [2, 2], "shares": [{"v": [True, 0], "num": "1", "den": "1"}], "origin": {"num": "0", "den": "1"}},
+    {"target": [2, 2], "shares": [{"v": [4, 0, 2], "num": "1", "den": "1"}], "origin": {"num": "0", "den": "1"}},
+    {"target": [2, 2], "shares": [], "origin": {"num": "1", "den": "0"}},
+    {"target": [2, 2], "shares": [], "origin": 1},
+], ids=["int-target", "bool-share", "share-length", "zero-den", "origin-not-object"])
+def test_malformed_certificate_is_input_error(tmp_path, capsys, inequality):
+    poly = tmp_path / "motzkin.json"
+    poly.write_text(MOTZKIN.dumps())
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"inequalities": [inequality]}))
+    _exits_2_with_input_error(capsys, ["verify", "--in", str(poly), "--cert", str(cert)])
+
+
+def test_derivative_control_refines_a_parametrized_fixture(capsys):
+    code, out = run(capsys, "check", "--kind", "derivative-control", "--fixture", "power_alpha", "--alpha", "0.5")
+    assert code in (0, 1)
+    payload = json.loads(out)
+    assert payload["parameters"]["alpha"] == 0.5 and "refined_constant" in payload

@@ -195,6 +195,9 @@ def test_sampled_function_json_round_trip():
         lambda d: d.update(shape=[4]),
         lambda d: d.pop("spacing"),
         lambda d: d.update(values=d["values"][:-1]),
+        lambda d: d.update(spacing=0.0),
+        lambda d: d.update(spacing=float("nan")),
+        lambda d: d["values"].__setitem__(3, float("nan")),
     ],
 )
 def test_sampled_function_reader_rejects_bad_data(mutate):

@@ -1,0 +1,158 @@
+"""Exact properties of the rational linear algebra in ``ratmat``.
+
+Every check is an identity over the rationals: determinants against the
+Leibniz expansion, ranks against the largest nonzero minor, solutions by
+substitution.  Together the checks pin each result down uniquely (the
+particular solution and the kernel basis by their values at the free
+columns), so any exact elimination that passes returns the same
+Fractions.  Entries are ints or Fractions; shapes cover square, wide
+(m < k) and tall (m > k) systems, with rank deficiency forced by copying
+a combination of rows.
+"""
+
+from fractions import Fraction
+from itertools import combinations, permutations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from halfsquares import ratmat
+
+ENTRY = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def matrices(draw, rows=st.integers(1, 4), cols=st.integers(1, 4)):
+    m, k = draw(rows), draw(cols)
+    a = [[draw(ENTRY) for _ in range(k)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        # row 0 a combination of two later rows: rank < m
+        i, j = draw(st.integers(1, m - 1)), draw(st.integers(1, m - 1))
+        c1, c2 = draw(ENTRY), draw(ENTRY)
+        a[0] = [c1 * x + c2 * y for x, y in zip(a[i], a[j])]
+    return a
+
+
+@st.composite
+def systems(draw):
+    a = draw(matrices())
+    b = [draw(ENTRY) for _ in a]
+    return a, b
+
+
+def square(n=st.integers(0, 4)):
+    return n.flatmap(lambda size: matrices(rows=st.just(size), cols=st.just(size)) if size else st.just([]))
+
+
+def leibniz(a) -> Fraction:
+    n = len(a)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = Fraction(-1) ** inversions
+        for i, p in enumerate(perm):
+            term *= a[i][p]
+        total += term
+    return total
+
+
+def rank(a) -> int:
+    m, k = len(a), len(a[0])
+    for r in range(min(m, k), 0, -1):
+        for rows in combinations(range(m), r):
+            for cols in combinations(range(k), r):
+                if leibniz([[a[i][j] for j in cols] for i in rows]):
+                    return r
+    return 0
+
+
+def matvec(a, x):
+    return [sum((aij * xj for aij, xj in zip(row, x)), Fraction(0)) for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def all_fractions(values) -> bool:
+    return all(type(v) is Fraction for v in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square())
+def test_det_is_the_leibniz_expansion(a):
+    d = ratmat.det(a)
+    assert type(d) is Fraction
+    assert d == leibniz(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square(st.integers(1, 4)))
+def test_inverse_exists_exactly_when_det_is_nonzero(a):
+    inv = ratmat.inverse(a)
+    if ratmat.det(a) == 0:
+        assert inv is None
+        return
+    n = len(a)
+    assert all(all_fractions(row) for row in inv)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert [matvec(a, col) for col in transpose(inv)] == transpose(identity)
+    assert [matvec(inv, col) for col in transpose(a)] == transpose(identity)
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems())
+def test_solve_underdetermined_solves_and_spans_the_kernel(system):
+    a, b = system
+    k = len(a[0])
+    solved = ratmat.solve_underdetermined(a, b)
+    if solved is None:
+        # inconsistent: some y with y^T A = 0 has y^T b != 0
+        _, left_kernel = ratmat.solve_underdetermined(transpose(a), [0] * k)
+        assert any(sum(yi * bi for yi, bi in zip(y, b)) != 0 for y in left_kernel)
+        return
+    particular, basis = solved
+    assert all_fractions(particular) and all(all_fractions(v) for v in basis)
+    assert matvec(a, particular) == b
+    assert all(matvec(a, v) == [0] * len(a) for v in basis)
+    assert len(basis) == k - rank(a)
+    # free columns are those in the span of the columns before them; the
+    # i-th basis vector is 1 at the i-th free column and 0 at the others,
+    # and the particular solution is 0 at all of them
+    free = [c for c in range(k) if rank([row[: c + 1] for row in a]) == rank([row[:c] for row in a])]
+    assert [[v[c] for c in free] for v in basis] == [[int(i == j) for j in free] for i in free]
+    assert [particular[c] for c in free] == [0] * len(free)
+
+
+@settings(max_examples=400, deadline=None)
+@given(systems())
+def test_solve_rectangular_is_none_exactly_when_the_solution_is_not_unique(system):
+    a, b = system
+    unique = ratmat.solve_rectangular(a, b)
+    solved = ratmat.solve_underdetermined(a, b)
+    if solved is None or solved[1]:
+        assert unique is None
+    else:
+        assert all_fractions(unique)
+        assert unique == solved[0]
+
+
+def test_shapes_and_entry_types():
+    # m > k, consistent, full column rank, mixed int / Fraction entries
+    a = [[1, Fraction(1, 2)], [0, 1], [2, 3]]
+    assert ratmat.solve_rectangular(a, [2, 2, 8]) == [1, 2]
+    assert ratmat.solve_rectangular(a, [2, 2, 9]) is None
+    # m < k: never a unique solution, one free column
+    particular, (direction,) = ratmat.solve_underdetermined([[1, 1, 0], [0, 1, 1]], [1, 2])
+    assert particular == [-1, 2, 0] and direction == [1, -1, 1]
+    assert ratmat.solve_rectangular([[1, 1, 0], [0, 1, 1]], [1, 2]) is None
+    assert ratmat.det([[Fraction(1, 2), 3], [Fraction(1, 3), 5]]) == Fraction(3, 2)
+    assert ratmat.det([]) == 1
+    assert ratmat.inverse([[2, 4], [1, 2]]) is None
+    with pytest.raises(ValueError):
+        ratmat.solve_rectangular(a, [2, 2])
+    with pytest.raises(ValueError):
+        ratmat.solve_underdetermined(a, [2, 2, 8, 0])
