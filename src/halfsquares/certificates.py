@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import ratmat
-from .exactpoly import SparsePolynomial
+from .exactpoly import SparsePolynomial, decimal_num_den
 from .multiindex import MultiIndex
 from .polytope import GeneralPolytope
 
@@ -55,7 +55,7 @@ def _fr_json(q: Fraction) -> dict:
 
 
 def _fr_parse(data) -> Fraction:
-    return Fraction(int(data["num"]), int(data["den"]))
+    return Fraction(*decimal_num_den(data["num"], data["den"]))
 
 
 def _exp_parse(data) -> MultiIndex:

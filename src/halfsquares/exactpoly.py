@@ -9,13 +9,45 @@ and reports degree -1.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from math import gcd
 
 from .multiindex import MultiIndex, order
+from .ratmat import over_common_denominator
 
 
 class PolynomialFormatError(ValueError):
     """Raised when serialized polynomial data violates the format contract."""
+
+
+_SIGNED_DIGITS = re.compile(r"-?[0-9]+")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def decimal_num_den(num, den) -> tuple[int, int]:
+    """The integers of a serialized fraction {"num": "-3", "den": "4"}.
+
+    ``num`` must be a string of decimal digits with an optional leading
+    minus sign and ``den`` a string of digits; anything else (a JSON
+    number, a boolean, a sign on the denominator) raises ValueError.
+    """
+    if not (
+        isinstance(num, str)
+        and _SIGNED_DIGITS.fullmatch(num)
+        and isinstance(den, str)
+        and _DIGITS.fullmatch(den)
+    ):
+        raise ValueError(f"num/den must be decimal strings, got {num!r}/{den!r}")
+    return int(num), int(den)
+
+
+def _powers(x: int, top: int) -> list[int]:
+    """[1, x, x^2, ..., x^top]."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * x)
+    return out
 
 
 class SparsePolynomial:
@@ -120,28 +152,31 @@ class SparsePolynomial:
     # -- queries ------------------------------------------------------
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point.
+
+        Integer arithmetic throughout: with the point as p / D over one
+        common denominator D and the coefficients as c_e / C over theirs,
+        the value is sum c_e * p^e * D^(deg - |e|), divided once by
+        C * D^deg.
+        """
         point = [Fraction(x) for x in point]
         if len(point) != self.nvars:
             raise ValueError("dimension mismatch")
-        max_exp = [0] * self.nvars
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                max_exp[i] = max(max_exp[i], e)
-        powers = []
-        for i, x in enumerate(point):
-            col = [Fraction(1)]
-            for _ in range(max_exp[i]):
-                col.append(col[-1] * x)
-            powers.append(col)
-        total = Fraction(0)
-        for exp, coeff in self.terms.items():
-            val = coeff
-            for i, e in enumerate(exp):
+        if not self.terms:
+            return Fraction(0)
+        nums, den = over_common_denominator(point)
+        coeffs, cden = over_common_denominator(self.terms.values())
+        deg = self.degree()
+        powers = [_powers(x, top) for x, top in zip(nums, map(max, zip(*self.terms)))]
+        den_powers = _powers(den, deg)
+        total = 0
+        for exp, coeff in zip(self.terms, coeffs):
+            val = coeff * den_powers[deg - sum(exp)]
+            for col, e in zip(powers, exp):
                 if e:
-                    val *= powers[i][e]
+                    val *= col[e]
             total += val
-        return total
+        return Fraction(total, cden * den_powers[deg])
 
     def degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
@@ -216,15 +251,13 @@ class SparsePolynomial:
                 raise PolynomialFormatError("terms must be strictly lex-sorted")
             previous = exp
             try:
-                num, den = int(item["num"]), int(item["den"])
-            except (TypeError, ValueError) as err:
-                raise PolynomialFormatError("num/den must be decimal strings") from err
+                num, den = decimal_num_den(item["num"], item["den"])
+            except ValueError as err:
+                raise PolynomialFormatError(str(err)) from err
             if den <= 0:
                 raise PolynomialFormatError("denominator must be positive")
             if num == 0:
                 raise PolynomialFormatError("zero coefficients may not be stored")
-            from math import gcd
-
             if gcd(num, den) != 1:
                 raise PolynomialFormatError("num/den must be coprime")
             terms[exp] = Fraction(num, den)

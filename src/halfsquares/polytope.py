@@ -1,10 +1,12 @@
 """Newton polytopes with exact membership tests.
 
 Simplex polytopes (origin plus n independent lattice vertices) get the
-closed-form barycentric solve; general vertex sets are decided by
-enumerating affinely independent generator subsets of size <= n+1
-(Caratheodory), which is fully exact and adequate for the small hulls
-arising from polynomial supports.
+closed-form barycentric solve.  General vertex sets are described once by
+integer equalities for their affine hull and one integer inequality per
+facet, both from exact kernels; a membership query is then a few integer
+dot products.  Finding the facets tries every generator subset of the
+hull's dimension, which suits the small supports of the catalog and the
+search; the exact route for large ones is lrs (Avis & Fukuda 1992).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from . import ratmat
 from .multiindex import MultiIndex
@@ -19,6 +22,23 @@ from .multiindex import MultiIndex
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
+
+
+def _dot(a, p):
+    return sum(x * y for x, y in zip(a, p))
+
+
+def _kernel(rows, n):
+    """Exact basis of {x in Q^n : r.x = 0 for every row r}."""
+    rows = rows or [[0] * n]
+    return ratmat.solve_underdetermined(rows, [0] * len(rows))[1]
+
+
+def _primitive(vec):
+    """The primitive integer vector with the direction of a nonzero rational one."""
+    ints, _ = ratmat.over_common_denominator(vec)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 @dataclass(frozen=True)
@@ -74,7 +94,12 @@ class SimplexPolytope:
 
 
 class GeneralPolytope:
-    """Convex hull of a finite set of non-negative lattice generators."""
+    """Convex hull of a finite set of non-negative lattice generators.
+
+    The hull is stored as its H-representation, computed once: integer
+    equalities a.x = b cutting out the affine hull and integer facet
+    inequalities a.x <= b.  Membership is then a few integer dot products.
+    """
 
     def __init__(self, generators):
         pts = sorted({tuple(int(x) for x in g) for g in generators})
@@ -85,49 +110,50 @@ class GeneralPolytope:
             raise ValueError("generators must be non-negative lattice points of equal dimension")
         self.n = n
         self.generators = tuple(pts)
-        self._member_cache: dict[tuple, bool] = {}
-        self._generator_set = {tuple(Fraction(x) for x in p) for p in pts}
         self._coord_min = tuple(min(p[i] for p in pts) for i in range(n))
         self._coord_max = tuple(max(p[i] for p in pts) for i in range(n))
-        self._sum_min = min(sum(p) for p in pts)
-        self._sum_max = max(sum(p) for p in pts)
+        p0 = pts[0]
+        diffs = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
+        normals = [_primitive(v) for v in _kernel(diffs, n)]
+        self.equalities = tuple((a, _dot(a, p0)) for a in normals)
+        self.facets = self._facets(n - len(normals), normals)
 
-    def _outside_bounds(self, point) -> bool:
-        total = Fraction(0)
-        for x, lo, hi in zip(point, self._coord_min, self._coord_max):
-            if x < lo or x > hi:
-                return True
-            total += x
-        return total < self._sum_min or total > self._sum_max
+    def _facets(self, dim, normals):
+        """Primitive integer (a, b) with a.x <= b on the hull, one per facet.
+
+        A facet of the dim-dimensional hull is spanned by dim affinely
+        independent generators; its normal within the affine hull is the
+        one-dimensional kernel of their differences and the equality
+        normals.
+        """
+        if dim == 0:
+            return ()
+        found = set()
+        for subset in combinations(self.generators, dim):
+            s0 = subset[0]
+            rows = [[a - b for a, b in zip(s, s0)] for s in subset[1:]] + normals
+            kernel = _kernel(rows, self.n)
+            if len(kernel) != 1:
+                continue
+            a = _primitive(kernel[0])
+            b = _dot(a, s0)
+            values = [_dot(a, g) for g in self.generators]
+            if max(values) == b:
+                found.add((a, b))
+            elif min(values) == b:
+                found.add((tuple(-x for x in a), -b))
+        return tuple(sorted(found))
 
     def member(self, point) -> bool:
         """Exact test point in conv(generators)."""
-        point = tuple(Fraction(x) for x in point)
+        point = [Fraction(x) for x in point]
         if len(point) != self.n:
             raise ValueError("dimension mismatch")
-        cached = self._member_cache.get(point)
-        if cached is not None:
-            return cached
-        result = self._member_uncached(point)
-        self._member_cache[point] = result
-        return result
-
-    def _member_uncached(self, point) -> bool:
-        if point in self._generator_set:
-            return True
-        if self._outside_bounds(point):
-            return False
-        gens = self.generators
-        for size in range(2, self.n + 2):
-            for subset in combinations(gens, size):
-                # affine system: sum lambda_i s_i = point, sum lambda_i = 1
-                matrix = [[s[i] for s in subset] for i in range(self.n)]
-                matrix.append([1] * size)
-                rhs = list(point) + [1]
-                lam = ratmat.solve_rectangular(matrix, rhs)
-                if lam is not None and all(w >= 0 for w in lam):
-                    return True
-        return False
+        # a.(p/den) <= b  <=>  a.p <= b*den
+        p, den = ratmat.over_common_denominator(point)
+        return all(_dot(a, p) == b * den for a, b in self.equalities) and all(
+            _dot(a, p) <= b * den for a, b in self.facets
+        )
 
     def lattice_points(self) -> list[MultiIndex]:
         """All integer points of the hull, lex-sorted."""
@@ -162,7 +188,7 @@ class GeneralPolytope:
 
         Scans the half-polytope lattice in lex order and returns the first
         pair encountered (which has t1 < t2), or None after an exhaustive
-        scan; membership results are cached across calls.
+        scan.
         """
         m = tuple(int(x) for x in m)
         lo = tuple((x + 1) // 2 for x in self._coord_min)

@@ -2,7 +2,7 @@
 
 One fraction-free Gauss-Jordan elimination (Bareiss 1968, "Sylvester's
 identity and multistep integer-preserving Gaussian elimination") serves
-every function here: rows are scaled to integers and each update divides
+every solver here: rows are scaled to integers and each update divides
 exactly by the previous pivot, so no Fraction arithmetic runs inside the
 loop.  Entries are ints or Fractions; results are Fractions, no floating
 point.  Matrices are lists of row lists.
@@ -12,6 +12,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+
+def over_common_denominator(values):
+    """(ints, den): den the lcm of the values' denominators, ints = values * den.
+
+    The values are ints or Fractions, iterated twice.
+    """
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _reduce(matrix):
@@ -29,8 +38,8 @@ def _reduce(matrix):
     rows = []
     scale = 1
     for row in matrix:
-        den = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (den // x.denominator) for x in row])
+        ints, den = over_common_denominator(row)
+        rows.append(ints)
         scale *= den
     m = len(rows)
     width = len(rows[0]) if rows else 0

@@ -1,15 +1,54 @@
-"""Independent oracles for the derivative-expansion tests.
+"""Independent oracles for the tests.
 
-Everything here differentiates explicit polynomial expressions by
+The derivative oracles differentiate explicit polynomial expressions by
 repeated single-variable differentiation, never through the term-list
-formulas under test.
+formulas under test.  The exact-arithmetic oracles are the plain
+algorithms the fast paths replaced: Fraction evaluation term by term, and
+hull membership by a Caratheodory scan over generator subsets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
+from halfsquares import ratmat
 from halfsquares.exactpoly import SparsePolynomial
+
+
+def fraction_evaluate(P: SparsePolynomial, point) -> Fraction:
+    """P at a rational point, in Fraction arithmetic term by term."""
+    point = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for exp, coeff in P.terms.items():
+        val = coeff
+        for x, e in zip(point, exp):
+            val *= x**e
+        total += val
+    return total
+
+
+def caratheodory_member(generators, point) -> bool:
+    """Exact test point in conv(generators) by Caratheodory's theorem.
+
+    The point is in the hull exactly when it is a convex combination of
+    at most n+1 affinely independent generators, so every subset of size
+    <= n+1 is tried with one exact solve of the affine system.
+    """
+    gens = sorted({tuple(int(x) for x in g) for g in generators})
+    point = [Fraction(x) for x in point]
+    n = len(point)
+    for i in range(n):
+        if not min(g[i] for g in gens) <= point[i] <= max(g[i] for g in gens):
+            return False
+    for size in range(1, n + 2):
+        for subset in combinations(gens, size):
+            # sum lambda_i s_i = point, sum lambda_i = 1
+            matrix = [[s[i] for s in subset] for i in range(n)] + [[1] * size]
+            lam = ratmat.solve_rectangular(matrix, point + [1])
+            if lam is not None and all(w >= 0 for w in lam):
+                return True
+    return False
 
 
 def poly_derivative(P: SparsePolynomial, axis: int) -> SparsePolynomial:

@@ -177,13 +177,27 @@ def test_bool_in_polynomial_is_input_error(tmp_path, capsys, text):
     _exits_2_with_input_error(capsys, ["verify", "--in", str(path)])
 
 
+@pytest.mark.parametrize("num, den", [
+    (1.5, "1"), (True, "1"), (1, "1"), ("1", 1), ("1.5", "1"), ("+1", "1"), (" 1", "1"), ("1_0", "1"),
+], ids=["float", "bool", "int", "int-den", "decimal-point", "plus-sign", "space", "underscore"])
+def test_non_decimal_string_coefficient_is_input_error(tmp_path, capsys, num, den):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"nvars": 1, "terms": [{"exp": [2], "num": num, "den": den}]}))
+    _exits_2_with_input_error(capsys, ["verify", "--in", str(path)])
+
+
 @pytest.mark.parametrize("inequality", [
     {"target": 5, "shares": [], "origin": {"num": "1", "den": "1"}},
     {"target": [2, 2], "shares": [{"v": [True, 0], "num": "1", "den": "1"}], "origin": {"num": "0", "den": "1"}},
     {"target": [2, 2], "shares": [{"v": [4, 0, 2], "num": "1", "den": "1"}], "origin": {"num": "0", "den": "1"}},
     {"target": [2, 2], "shares": [], "origin": {"num": "1", "den": "0"}},
     {"target": [2, 2], "shares": [], "origin": 1},
-], ids=["int-target", "bool-share", "share-length", "zero-den", "origin-not-object"])
+    {"target": [2, 2], "shares": [], "origin": {"num": 1.5, "den": "1"}},
+    {"target": [2, 2], "shares": [{"v": [4, 2], "num": True, "den": "1"}], "origin": {"num": "0", "den": "1"}},
+    {"target": [2, 2], "shares": [], "origin": {"num": "1", "den": 1}},
+    {"target": [2, 2], "shares": [], "origin": {"num": "1", "den": "-1"}},
+], ids=["int-target", "bool-share", "share-length", "zero-den", "origin-not-object", "float-num", "bool-num",
+        "int-den", "signed-den"])
 def test_malformed_certificate_is_input_error(tmp_path, capsys, inequality):
     poly = tmp_path / "motzkin.json"
     poly.write_text(MOTZKIN.dumps())

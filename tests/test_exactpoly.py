@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfsquares.exactpoly import PolynomialFormatError, SparsePolynomial
 from halfsquares.generate import MOTZKIN
 
-from oracles import random_polynomial
+from oracles import fraction_evaluate, random_polynomial
 
 
 def test_motzkin_evaluations():
@@ -112,8 +113,38 @@ def test_json_round_trip():
                 {"exp": [0, 1], "num": "1", "den": "1"},
             ],
         },  # not lex sorted
+        {"nvars": 1, "terms": [{"exp": [2], "num": 1.5, "den": "1"}]},  # JSON number
+        {"nvars": 1, "terms": [{"exp": [2], "num": True, "den": "1"}]},  # JSON boolean
+        {"nvars": 1, "terms": [{"exp": [2], "num": "-1", "den": "-1"}]},  # signed den
     ],
 )
 def test_json_reader_rejects_violations(payload):
     with pytest.raises(PolynomialFormatError):
         SparsePolynomial.from_json_dict(payload)
+
+
+COORDINATE = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
+@st.composite
+def polynomials_and_points(draw):
+    nvars = draw(st.integers(1, 4))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 6)] * nvars),
+        st.fractions(min_value=-20, max_value=20, max_denominator=30),
+        max_size=8,
+    ))
+    point = draw(st.tuples(*[COORDINATE] * nvars))
+    return SparsePolynomial(nvars, terms), point
+
+
+@settings(max_examples=400)
+@given(polynomials_and_points())
+def test_evaluate_matches_fraction_loop(case):
+    P, point = case
+    value = P.evaluate(point)
+    assert type(value) is Fraction
+    assert value == fraction_evaluate(P, point)

@@ -1,8 +1,12 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from halfsquares import ratmat
 from halfsquares.polytope import (
     BOUNDARY,
     EXTERIOR,
@@ -10,6 +14,8 @@ from halfsquares.polytope import (
     GeneralPolytope,
     SimplexPolytope,
 )
+
+from oracles import caratheodory_member
 
 
 def test_barycentric_motzkin_triangle():
@@ -129,3 +135,97 @@ def test_witness_pair_postconditions_random():
         assert tuple(a + b for a, b in zip(t1, t2)) == m
         assert hull.member(tuple(2 * x for x in t1))
         assert hull.member(tuple(2 * x for x in t2))
+
+
+# -- differential tests against the Caratheodory scan ---------------------
+
+COORD = st.integers(0, 4)
+
+
+@st.composite
+def supports(draw):
+    """Generator sets, with the degenerate hulls the facet description must handle."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["general", "homogeneous", "collinear", "single"]))
+    if kind == "single":
+        return [tuple(draw(COORD) for _ in range(n))]
+    if kind == "homogeneous":
+        # all on sum(x) = d, d >= 1, so the origin is not among them
+        d = draw(st.integers(1, 5))
+        pts = []
+        for _ in range(draw(st.integers(1, 6))):
+            cuts = sorted(draw(st.integers(0, d)) for _ in range(n - 1))
+            pts.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [d])))
+        return pts
+    if kind == "collinear":
+        base = [draw(COORD) for _ in range(n)]
+        step = [draw(st.integers(-2, 2)) for _ in range(n)]
+        ts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        pts = [tuple(b + t * s for b, s in zip(base, step)) for t in ts]
+        return [p for p in pts if min(p) >= 0] or [tuple(base)]
+    return draw(st.lists(st.tuples(*[COORD] * n), min_size=1, max_size=6))
+
+
+def query_points(n):
+    return st.lists(
+        st.tuples(*[st.fractions(min_value=-1, max_value=5, max_denominator=3)] * n),
+        min_size=1, max_size=20,
+    )
+
+
+def _oracle_hull(gens):
+    """The same hull, deciding membership with the Caratheodory scan."""
+    hull = GeneralPolytope(gens)
+    hull.member = functools.cache(lambda p: caratheodory_member(gens, p))
+    return hull
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_member_matches_caratheodory_scan(data):
+    gens = data.draw(supports())
+    hull = GeneralPolytope(gens)
+    points = data.draw(query_points(hull.n)) + [tuple(Fraction(x) for x in g) for g in gens]
+    for p in points:
+        assert hull.member(p) == caratheodory_member(gens, p), (gens, p)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_lattice_scans_match_caratheodory_scan(data):
+    gens = data.draw(supports())
+    hull, oracle = GeneralPolytope(gens), _oracle_hull(gens)
+    assert hull.lattice_points() == oracle.lattice_points()
+    assert hull.half_lattice_points() == oracle.half_lattice_points()
+    for _ in range(3):
+        m = tuple(data.draw(st.integers(0, 5)) for _ in range(hull.n))
+        assert hull.distinct_pair_witness(m) == oracle.distinct_pair_witness(m), (gens, m)
+
+
+def _rank(rows, n):
+    return n - len(ratmat.solve_underdetermined(rows, [0] * len(rows))[1]) if rows else 0
+
+
+@settings(max_examples=300)
+@given(supports())
+def test_facets_are_valid_and_supported(gens):
+    hull = GeneralPolytope(gens)
+    n, pts = hull.n, hull.generators
+    dim = _rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]], n)
+    assert len(hull.equalities) == n - dim
+    assert all(sum(x * y for x, y in zip(a, p)) == b for a, b in hull.equalities for p in pts)
+    assert (dim == 0) == (not hull.facets)
+    for a, b in hull.facets:
+        assert all(type(x) is int for x in a) and math.gcd(*a) == 1
+        values = [sum(x * y for x, y in zip(a, p)) for p in pts]
+        assert max(values) == b
+        tight = [p for p, v in zip(pts, values) if v == b]
+        # a facet is spanned by dim affinely independent generators
+        assert _rank([[x - y for x, y in zip(p, tight[0])] for p in tight[1:]], n) == dim - 1
+
+
+def test_homogeneous_hull_is_lower_dimensional():
+    hull = GeneralPolytope([(4, 0, 0, 2), (0, 4, 0, 2), (0, 0, 4, 2), (2, 2, 2, 0)])
+    assert hull.equalities == (((1, 1, 1, 1), 6),)
+    assert hull.member((2, 2, 1, 1)) and not hull.member((2, 2, 1, 0))
+    assert hull.member((Fraction(3, 2), Fraction(3, 2), 1, 2))

@@ -81,7 +81,7 @@ def all_fractions(values) -> bool:
     return all(type(v) is Fraction for v in values)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(square())
 def test_det_is_the_leibniz_expansion(a):
     d = ratmat.det(a)
@@ -89,7 +89,7 @@ def test_det_is_the_leibniz_expansion(a):
     assert d == leibniz(a)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(square(st.integers(1, 4)))
 def test_inverse_exists_exactly_when_det_is_nonzero(a):
     inv = ratmat.inverse(a)
@@ -103,7 +103,7 @@ def test_inverse_exists_exactly_when_det_is_nonzero(a):
     assert [matvec(inv, col) for col in transpose(a)] == transpose(identity)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(systems())
 def test_solve_underdetermined_solves_and_spans_the_kernel(system):
     a, b = system
@@ -127,7 +127,7 @@ def test_solve_underdetermined_solves_and_spans_the_kernel(system):
     assert [particular[c] for c in free] == [0] * len(free)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(systems())
 def test_solve_rectangular_is_none_exactly_when_the_solution_is_not_unique(system):
     a, b = system
