@@ -116,15 +116,31 @@ def overlap_counts(field: ControlField, balls) -> np.ndarray:
 
 
 def color_classes(balls) -> list[int]:
-    """Greedy coloring of the intersection graph in ball-index order."""
+    """Greedy coloring of the intersection graph in ball-index order.
+
+    Balls i and j intersect when |x_i - x_j| < r_i + r_j, so ball j can
+    only meet balls whose centers lie within r_j + max r of its own.  A
+    k-d tree (Bentley 1975) lists those, with slack in the query radius
+    for rounding, and the exact test decides each.  Each ball takes the
+    least color no earlier intersecting ball holds, as the plain scan over
+    all earlier balls would.
+    """
+    if not balls:
+        return []
+    from scipy.spatial import cKDTree
+
+    centers = np.array([ball.center for ball in balls], dtype=float)
+    tree = cKDTree(centers)
+    max_radius = max(ball.radius for ball in balls)
+    slack = 1e-9 * float(np.abs(centers).max())  # rounding of far-off centers
     colors: list[int] = []
     for j, ball in enumerate(balls):
-        taken = set()
-        for i in range(j):
-            other = balls[i]
-            gap = math.dist(ball.center, other.center)
-            if gap < ball.radius + other.radius:
-                taken.add(colors[i])
+        near = tree.query_ball_point(centers[j], (ball.radius + max_radius) * (1.0 + 1e-9) + slack)
+        taken = {
+            colors[i]
+            for i in near
+            if i < j and math.dist(ball.center, balls[i].center) < ball.radius + balls[i].radius
+        }
         color = 0
         while color in taken:
             color += 1

@@ -285,11 +285,9 @@ def _decompose_at(f, cf, k, alpha, nu, omega, directions) -> Decomposition:
             continue
         branch_b += 1
         if f.n == 1:
-            squares, clamp, info = _branch_b_1d(f, ball, win, psi, nu, omega, k, alpha)
+            squares, clamp, info = _branch_b_1d(f, ball, win, psi)
         else:
-            squares, clamp = _branch_b_2d(
-                f, hessian, spline, ball, win, psi, nu, omega, k, alpha, directions
-            )
+            squares, clamp = _branch_b_2d(f, hessian, spline, ball, win, psi, k, alpha, directions)
             info = ("B2",)
         branch_info.append(info)
         clamp_max = max(clamp_max, clamp)
@@ -344,7 +342,7 @@ def _locate_fiber_minimum(values, start: int, where: str) -> int:
     return arg
 
 
-def _branch_b_1d(f, ball, win, psi, nu, omega, k, alpha):
+def _branch_b_1d(f, ball, win, psi):
     coords = f.axis_coords(0)
     seg = f.values[win]
     start = win[0].start + int(np.argmin(seg))
@@ -366,7 +364,90 @@ def _branch_b_1d(f, ball, win, psi, nu, omega, k, alpha):
     return [g1, g2], clamp, ("B1", x_min, f_min)
 
 
-def _branch_b_2d(f, hessian, spline, ball, win, psi, nu, omega, k, alpha, directions):
+def _fiber_minima(f, spline, ball, eu, ev, u_grid):
+    """Minimizer and minimum of v -> f(x_j + u eu + v ev) for each u of u_grid.
+
+    Each fiber is sampled on the lattice v = h j, |j| <= n_v, which spans
+    the domain diagonal, but evaluated only on a window |j| <= w: w starts
+    a few cells past the ball radius and doubles, capped at n_v, for the
+    rows whose descent stops on the window edge or that have no in-domain
+    sample in the window.  ``spline.ev`` evaluates each point on its own,
+    descent steps only to neighbours, and the in-domain samples of a line
+    through the box are one run of the lattice, so every start, minimum,
+    edge verdict and parabolic vertex is that of the whole-lattice scan.
+    Raises _NuTooLarge when a fiber crossing the ball has no interior
+    minimum.
+    """
+    h = f.spacing
+    center = np.array(ball.center)
+    lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
+    hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
+    extent = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
+    n_v = int(extent / h) + 1
+    v_grid = h * np.arange(-n_v, n_v + 1)
+
+    x_min = np.empty(len(u_grid))
+    f_min = np.empty(len(u_grid))
+    interior_needed = np.abs(u_grid) <= ball.radius + h
+    rows = np.arange(len(u_grid))
+    w = min(n_v, int(ball.radius / h) + 4)
+    while rows.size:
+        v_win = v_grid[n_v - w : n_v + w + 1]
+        pts = (
+            center
+            + np.outer(u_grid[rows], eu).reshape(len(rows), 1, 2)
+            + np.outer(v_win, ev).reshape(1, len(v_win), 2)
+        )
+        inside = np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
+        clipped = np.clip(pts, lo, hi)
+        fiber_vals = spline.ev(clipped[..., 0], clipped[..., 1])
+        # clipped samples repeat the boundary value; poison them so descent
+        # cannot mistake the clip shelf for an interior minimum
+        fiber_vals = np.where(inside, fiber_vals, np.inf)
+
+        short_window = w < n_v
+        grow = []
+        for i, row in zip(rows, fiber_vals):
+            start = w
+            if not np.isfinite(row[start]):
+                finite_idx = np.flatnonzero(np.isfinite(row))
+                if finite_idx.size == 0:
+                    if short_window:
+                        grow.append(i)
+                        continue
+                    x_min[i] = 0.0
+                    f_min[i] = 0.0
+                    continue
+                start = int(finite_idx[np.argmin(np.abs(finite_idx - w))])
+            arg = _descend(row, start)
+            on_window_edge = arg in (0, len(v_win) - 1)
+            if on_window_edge and short_window:
+                grow.append(i)
+                continue
+            if on_window_edge or not np.isfinite(row[arg - 1]) or not np.isfinite(row[arg + 1]):
+                if interior_needed[i]:
+                    raise _NuTooLarge(f"fiber minimum hits the domain edge at ball {ball.index}")
+                x_min[i] = v_win[arg]
+                f_min[i] = max(float(row[arg]), 0.0)
+                continue
+            v_star, f_star = _parabolic_min(
+                float(v_win[arg]), h, float(row[arg - 1]), float(row[arg]), float(row[arg + 1])
+            )
+            x_min[i] = v_star
+            f_min[i] = max(f_star, 0.0)
+        rows = np.array(grow, dtype=int)
+        w = min(2 * w, n_v)
+    return x_min, f_min
+
+
+def _branch_b_2d(f, hessian, spline, ball, win, psi, k, alpha, directions):
+    """Split off the signed root of f - F along the fiber-minimum curve, recurse on F.
+
+    F(u) is the minimum of f along the fiber through x_j + u eu in the
+    distinguished direction ev, found on a window that grows only where
+    descent needs it (``_fiber_minima``).  F and its minimizer are
+    interpolated by cubic splines in u.
+    """
     h = f.spacing
     # distinguished direction: sampled argmax of the second directional derivative
     fxx = float(hessian[0][ball.index])
@@ -386,56 +467,7 @@ def _branch_b_2d(f, hessian, spline, ball, win, psi, nu, omega, k, alpha, direct
     u_max = 2.0 * ball.radius + 6.0 * h  # cutoff support plus stencil margin
     n_u = int(u_max / h) + 1
     u_grid = h * np.arange(-n_u, n_u + 1)
-
-    lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
-    hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
-    extent = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
-    n_v = int(extent / h) + 1
-    v_grid = h * np.arange(-n_v, n_v + 1)
-
-    pts = (
-        center
-        + np.outer(u_grid, eu).reshape(len(u_grid), 1, 2)
-        + np.outer(v_grid, ev).reshape(1, len(v_grid), 2)
-    )
-    inside = np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
-    clipped = np.clip(pts, lo, hi)
-    fiber_vals = spline.ev(clipped[..., 0], clipped[..., 1])
-    # clipped samples repeat the boundary value; poison them so descent
-    # cannot mistake the clip shelf for an interior minimum
-    fiber_vals = np.where(inside, fiber_vals, np.inf)
-
-    x_min = np.empty(len(u_grid))
-    f_min = np.empty(len(u_grid))
-    interior_needed = np.abs(u_grid) <= ball.radius + h
-    v_center = len(v_grid) // 2
-    for i in range(len(u_grid)):
-        row = fiber_vals[i]
-        start = v_center
-        if not np.isfinite(row[start]):
-            finite_idx = np.flatnonzero(np.isfinite(row))
-            if finite_idx.size == 0:
-                x_min[i] = 0.0
-                f_min[i] = 0.0
-                continue
-            start = int(finite_idx[np.argmin(np.abs(finite_idx - v_center))])
-        arg = _descend(row, start)
-        at_edge = (
-            arg in (0, len(v_grid) - 1)
-            or not np.isfinite(row[arg - 1])
-            or not np.isfinite(row[arg + 1])
-        )
-        if at_edge:
-            if interior_needed[i]:
-                raise _NuTooLarge(f"fiber minimum hits the domain edge at ball {ball.index}")
-            x_min[i] = v_grid[arg]
-            f_min[i] = max(float(row[arg]), 0.0)
-            continue
-        v_star, f_star = _parabolic_min(
-            float(v_grid[arg]), h, float(row[arg - 1]), float(row[arg]), float(row[arg + 1])
-        )
-        x_min[i] = v_star
-        f_min[i] = max(f_star, 0.0)
+    x_min, f_min = _fiber_minima(f, spline, ball, eu, ev, u_grid)
 
     phi = bump(u_grid / (2.0 * ball.radius))
     f_curve = CubicSpline(u_grid, f_min)

@@ -234,10 +234,12 @@ class SparsePolynomial:
         nvars = data["nvars"]
         if type(nvars) is not int or nvars < 1:
             raise PolynomialFormatError("nvars must be a positive integer")
+        if not isinstance(data["terms"], list):
+            raise PolynomialFormatError("terms must be a list")
         terms = {}
         previous = None
         for item in data["terms"]:
-            if set(item) != {"exp", "num", "den"}:
+            if not isinstance(item, dict) or set(item) != {"exp", "num", "den"}:
                 raise PolynomialFormatError("term must have keys exp, num, den")
             exp = item["exp"]
             if (

@@ -4,15 +4,22 @@ The derivative oracles differentiate explicit polynomial expressions by
 repeated single-variable differentiation, never through the term-list
 formulas under test.  The exact-arithmetic oracles are the plain
 algorithms the fast paths replaced: Fraction evaluation term by term, and
-hull membership by a Caratheodory scan over generator subsets.
+hull membership by a Caratheodory scan over generator subsets.  The
+numerical oracles are likewise the plain scans the decomposition replaced:
+ball coloring over all earlier balls, and fiber minima over the whole
+domain diagonal.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from halfsquares import ratmat
+from halfsquares.decompose import _NuTooLarge, _descend, _parabolic_min
 from halfsquares.exactpoly import SparsePolynomial
 
 
@@ -167,3 +174,77 @@ def random_polynomial(rng, nvars, degree, terms, coeff_range=(-4, 4)) -> SparseP
             c = rng.randint(*coeff_range)
         out[tuple(exp)] = Fraction(c)
     return SparsePolynomial(nvars, out)
+
+
+def pairwise_color_classes(balls) -> list[int]:
+    """Greedy coloring in ball-index order, testing every earlier ball."""
+    colors: list[int] = []
+    for j, ball in enumerate(balls):
+        taken = set()
+        for i in range(j):
+            other = balls[i]
+            gap = math.dist(ball.center, other.center)
+            if gap < ball.radius + other.radius:
+                taken.add(colors[i])
+        color = 0
+        while color in taken:
+            color += 1
+        colors.append(color)
+    return colors
+
+
+def full_diagonal_fiber_minima(f, spline, ball, eu, ev, u_grid):
+    """Fiber minima from samples along the whole domain diagonal of every fiber.
+
+    Same contract as ``decompose._fiber_minima``: returns (x_min, f_min)
+    per u of u_grid, or raises _NuTooLarge.
+    """
+    h = f.spacing
+    center = np.array(ball.center)
+    lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
+    hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
+    extent = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
+    n_v = int(extent / h) + 1
+    v_grid = h * np.arange(-n_v, n_v + 1)
+
+    pts = (
+        center
+        + np.outer(u_grid, eu).reshape(len(u_grid), 1, 2)
+        + np.outer(v_grid, ev).reshape(1, len(v_grid), 2)
+    )
+    inside = np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
+    clipped = np.clip(pts, lo, hi)
+    fiber_vals = np.where(inside, spline.ev(clipped[..., 0], clipped[..., 1]), np.inf)
+
+    x_min = np.empty(len(u_grid))
+    f_min = np.empty(len(u_grid))
+    interior_needed = np.abs(u_grid) <= ball.radius + h
+    v_center = len(v_grid) // 2
+    for i in range(len(u_grid)):
+        row = fiber_vals[i]
+        start = v_center
+        if not np.isfinite(row[start]):
+            finite_idx = np.flatnonzero(np.isfinite(row))
+            if finite_idx.size == 0:
+                x_min[i] = 0.0
+                f_min[i] = 0.0
+                continue
+            start = int(finite_idx[np.argmin(np.abs(finite_idx - v_center))])
+        arg = _descend(row, start)
+        at_edge = (
+            arg in (0, len(v_grid) - 1)
+            or not np.isfinite(row[arg - 1])
+            or not np.isfinite(row[arg + 1])
+        )
+        if at_edge:
+            if interior_needed[i]:
+                raise _NuTooLarge(f"fiber minimum hits the domain edge at ball {ball.index}")
+            x_min[i] = v_grid[arg]
+            f_min[i] = max(float(row[arg]), 0.0)
+            continue
+        v_star, f_star = _parabolic_min(
+            float(v_grid[arg]), h, float(row[arg - 1]), float(row[arg]), float(row[arg + 1])
+        )
+        x_min[i] = v_star
+        f_min[i] = max(f_star, 0.0)
+    return x_min, f_min

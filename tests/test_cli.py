@@ -177,6 +177,17 @@ def test_bool_in_polynomial_is_input_error(tmp_path, capsys, text):
     _exits_2_with_input_error(capsys, ["verify", "--in", str(path)])
 
 
+@pytest.mark.parametrize("text", [
+    '{"nvars": 1, "terms": 5}',
+    '{"nvars": 1, "terms": [5]}',
+    '{"nvars": 1, "terms": [["exp", "num", "den"]]}',
+], ids=["terms-not-list", "term-not-object", "term-is-list"])
+def test_malformed_terms_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    _exits_2_with_input_error(capsys, ["verify", "--in", str(path)])
+
+
 @pytest.mark.parametrize("num, den", [
     (1.5, "1"), (True, "1"), (1, "1"), ("1", 1), ("1.5", "1"), ("+1", "1"), (" 1", "1"), ("1_0", "1"),
 ], ids=["float", "bool", "int", "int-den", "decimal-point", "plus-sign", "space", "underscore"])

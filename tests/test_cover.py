@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfsquares.cover import (
+    CoverBall,
     build_cover,
     bump,
     color_classes,
@@ -10,6 +12,7 @@ from halfsquares.cover import (
 )
 from halfsquares.fixtures import build_fixture
 from halfsquares.holder import SampledFunction, control_field
+from oracles import pairwise_color_classes
 
 
 def field_for(fn, lo, hi, n, k=2, alpha=1.0):
@@ -65,6 +68,44 @@ def test_color_classes_disjoint_and_chain():
         for j, b in enumerate(balls[:i]):
             if colors[i] == colors[j]:
                 assert abs(a.center[0] - b.center[0]) >= a.radius + b.radius
+
+
+def _ball(center, radius):
+    return CoverBall(tuple(0 for _ in center), tuple(center), radius, radius)
+
+
+# small integer centers and dyadic radii make duplicate centers and exactly
+# tangent pairs (|x_i - x_j| == r_i + r_j, e.g. 3-4-5 triangles) common
+LATTICE_RADIUS = st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 2.5])
+
+
+@st.composite
+def ball_lists(draw):
+    n = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        coord = st.integers(-6, 6).map(float)
+        radius = LATTICE_RADIUS
+    else:
+        coord = st.floats(-10.0, 10.0, allow_nan=False)
+        radius = st.floats(1e-3, 4.0, allow_nan=False)
+    balls = draw(st.lists(st.tuples(st.tuples(*[coord] * n), radius), max_size=40))
+    return [_ball(center, r) for center, r in balls]
+
+
+@settings(max_examples=400)
+@given(ball_lists())
+def test_color_classes_match_pairwise_scan(balls):
+    assert color_classes(balls) == pairwise_color_classes(balls)
+
+
+def test_color_classes_edge_cases():
+    assert color_classes([]) == []
+    twins = [_ball((0.5, 0.5), 0.1), _ball((0.5, 0.5), 0.1)]
+    assert color_classes(twins) == [0, 1]
+    # tangent balls do not intersect, in 1D and along a 3-4-5 diagonal
+    assert color_classes([_ball((0.0,), 0.5), _ball((1.0,), 0.5)]) == [0, 0]
+    assert color_classes([_ball((0.0, 0.0), 2.5), _ball((3.0, 4.0), 2.5)]) == [0, 0]
+    assert color_classes([_ball((0.0, 0.0), 2.5), _ball((3.0, 4.0), 2.5 + 1e-12)]) == [0, 1]
 
 
 def test_partition_of_unity_identity():

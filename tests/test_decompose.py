@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from halfsquares.decompose import (
 )
 from halfsquares.fixtures import build_fixture
 from halfsquares.holder import SampledFunction
+from oracles import full_diagonal_fiber_minima
+
+# the module, which the package's decompose function shadows as an attribute
+decompose_module = importlib.import_module("halfsquares.decompose")
 
 
 def test_square_count_bounds():
@@ -173,3 +179,70 @@ def test_paraboloid_2d():
     assert rep.overlap_max <= 225
     assert rep.square_count <= square_count_bound(2)
     assert rep.partition_deviation <= 1e-10
+
+
+class _CountingSpline:
+    """Forwards ``ev`` to a spline and counts the calls."""
+
+    def __init__(self, spline):
+        self.spline = spline
+        self.calls = 0
+
+    def ev(self, x, y):
+        self.calls += 1
+        return self.spline.ev(x, y)
+
+
+def _outcome(fiber_minima, *args):
+    try:
+        return fiber_minima(*args)
+    except decompose_module._NuTooLarge as err:
+        return err
+
+
+def _corner_paraboloid():
+    """Minimum 0.2 from a corner of [-1.5, 1.5]^2: fibers start outside the domain."""
+    return SampledFunction.from_callable(
+        lambda x, y: (x - 1.3) ** 2 + (y - 1.3) ** 2, (-1.5, -1.5), 0.075, (41, 41)
+    )
+
+
+@pytest.mark.parametrize("build,needs", [
+    (lambda: build_fixture("radial_bump", points=61), ("grown",)),
+    (lambda: build_fixture("paraboloid", points=41), ()),
+    (_corner_paraboloid, ("grown", "outside_rows", "too_large")),
+], ids=["radial_bump-61", "paraboloid-41", "corner_paraboloid-41"])
+def test_fiber_window_matches_full_diagonal_scan(monkeypatch, build, needs):
+    """Every branch-B fiber search, at every nu tried, against the whole-diagonal scan.
+
+    ``needs`` names the cases each input must exercise: windows that grow,
+    fiber rows whose center lies outside the domain, and searches that
+    reject nu because a minimum sits on the domain edge.
+    """
+    local = decompose_module._fiber_minima
+    seen = {"balls": 0, "grown": 0, "outside_rows": 0, "too_large": 0}
+
+    def compare(f, spline, ball, eu, ev, u_grid):
+        counting = _CountingSpline(spline)
+        got = _outcome(local, f, counting, ball, eu, ev, u_grid)
+        want = _outcome(full_diagonal_fiber_minima, f, spline, ball, eu, ev, u_grid)
+        seen["balls"] += 1
+        seen["grown"] += counting.calls > 1
+        rows = np.array(ball.center) + np.outer(u_grid, eu)
+        lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
+        hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
+        seen["outside_rows"] += int(np.sum(np.any((rows < lo) | (rows > hi), axis=1)))
+        if isinstance(want, Exception):
+            seen["too_large"] += 1
+            assert isinstance(got, decompose_module._NuTooLarge) and str(got) == str(want)
+            raise got
+        assert not isinstance(got, Exception), got
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        return got
+
+    monkeypatch.setattr(decompose_module, "_fiber_minima", compare)
+    d = decompose(build(), 2, 1.0)
+    assert seen["balls"] >= d.branch_b > 0
+    for key in needs:
+        assert seen[key] > 0, (key, seen)

@@ -1,0 +1,25 @@
+"""Every demo script runs to completion against the package in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=[path.stem for path in DEMOS])
+def test_demo_runs(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout
