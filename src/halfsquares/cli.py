@@ -75,17 +75,18 @@ def _load_poly(path: str) -> SparsePolynomial:
 
 
 def cmd_gen_nonsos(args) -> int:
-    if args.nvars < 2 or args.degree < 4 or args.degree % 2:
-        print("need --nvars >= 2 and even --degree >= 4", file=sys.stderr)
+    try:
+        hits = direct_search(
+            args.nvars,
+            args.degree,
+            budget=args.budget,
+            seed=args.seed,
+            single_zero_coeff=1 if args.single_zero else 0,
+            max_hits=1,
+        )
+    except ValueError as err:
+        print(f"input error: {err}", file=sys.stderr)
         return BAD_INPUT
-    hits = direct_search(
-        args.nvars,
-        args.degree,
-        budget=args.budget,
-        seed=args.seed,
-        single_zero_coeff=1 if args.single_zero else 0,
-        max_hits=1,
-    )
     if not hits:
         _emit(_report({"found": False}, args))
         return FAIL

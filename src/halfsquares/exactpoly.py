@@ -51,9 +51,13 @@ def _powers(x: int, top: int) -> list[int]:
 
 
 class SparsePolynomial:
-    """Map from exponent vectors to nonzero rational coefficients."""
+    """Map from exponent vectors to nonzero rational coefficients.
 
-    __slots__ = ("nvars", "terms")
+    ``terms`` is never mutated after construction (every operation builds
+    a new polynomial), so ``evaluate`` keeps the plan it derives from it.
+    """
+
+    __slots__ = ("nvars", "terms", "_plan")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 1:
@@ -68,6 +72,7 @@ class SparsePolynomial:
             if coeff:
                 clean[exp] = clean.get(exp, Fraction(0)) + coeff
         self.terms = {e: c for e, c in clean.items() if c}
+        self._plan = None
 
     # -- constructors -------------------------------------------------
 
@@ -157,24 +162,32 @@ class SparsePolynomial:
         Integer arithmetic throughout: with the point as p / D over one
         common denominator D and the coefficients as c_e / C over theirs,
         the value is sum c_e * p^e * D^(deg - |e|), divided once by
-        C * D^deg.
+        C * D^deg.  The plan (C, deg, each variable's largest exponent,
+        and per term c_e, deg - |e| and the nonzero exponents) is built on
+        the first call.
         """
         point = [Fraction(x) for x in point]
         if len(point) != self.nvars:
             raise ValueError("dimension mismatch")
         if not self.terms:
             return Fraction(0)
+        if self._plan is None:
+            coeffs, cden = over_common_denominator(self.terms.values())
+            deg = self.degree()
+            plan = [
+                (c, deg - order(e), [(i, x) for i, x in enumerate(e) if x])
+                for e, c in zip(self.terms, coeffs)
+            ]
+            self._plan = cden, deg, list(map(max, zip(*self.terms))), plan
+        cden, deg, tops, plan = self._plan
         nums, den = over_common_denominator(point)
-        coeffs, cden = over_common_denominator(self.terms.values())
-        deg = self.degree()
-        powers = [_powers(x, top) for x, top in zip(nums, map(max, zip(*self.terms)))]
+        powers = [_powers(x, top) for x, top in zip(nums, tops)]
         den_powers = _powers(den, deg)
         total = 0
-        for exp, coeff in zip(self.terms, coeffs):
-            val = coeff * den_powers[deg - sum(exp)]
-            for col, e in zip(powers, exp):
-                if e:
-                    val *= col[e]
+        for coeff, lift, nonzero in plan:
+            val = coeff * den_powers[lift]
+            for i, e in nonzero:
+                val *= powers[i][e]
             total += val
         return Fraction(total, cden * den_powers[deg])
 

@@ -16,7 +16,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
+
+import numpy as np
 
 from . import ratmat
 from .certificates import (
@@ -130,44 +132,49 @@ def emitted_certificate(inst: GeneratorInstance) -> AmgmCertificate:
     return AmgmCertificate(tuple(inequalities))
 
 
+_CHUNK = 4096  # combinations per determinant batch: bounds the scan's memory
+
+
 def _half_vertex_tuples(n: int, d: int):
     """All unordered, linearly independent tuples of n nonzero lattice
-    points with |q|_1 <= d/2, at least one attaining d/2, lex-sorted."""
+    points with |q|_1 <= d/2, at least one attaining d/2, lex-sorted.
+    Combinations stream in chunks, each filtered by array masks."""
     bound = d // 2
-    points = [
-        p
-        for p in product(range(bound + 1), repeat=n)
-        if 0 < order(p) <= bound
-    ]
+    points = [p for p in product(range(bound + 1), repeat=n) if 0 < order(p) <= bound]
+    coords = np.array(points, dtype=np.int64).reshape(-1, n)
+    orders = coords.sum(axis=1)
+    combos = combinations(range(len(points)), n)
     tuples = []
-    for combo in combinations(points, n):
-        if max(order(q) for q in combo) != bound:
-            continue
-        matrix = [[combo[j][i] for j in range(n)] for i in range(n)]
-        if ratmat.det(matrix) == 0:
-            continue
-        tuples.append(combo)
-    return tuples
+    while True:
+        chunk = np.fromiter(
+            chain.from_iterable(islice(combos, _CHUNK)), dtype=np.intp
+        ).reshape(-1, n)
+        if not len(chunk):
+            return tuples
+        chunk = chunk[orders[chunk].max(axis=1) == bound]
+        # rows q_j: the transpose of the column matrix, same determinant
+        chunk = chunk[ratmat.det_stack(coords[chunk]) != 0]
+        tuples.extend(tuple(points[i] for i in row) for row in chunk.tolist())
 
 
 def _interior_targets(qs):
     """Lattice points strictly interior to conv{0, 2q_j} and outside the
-    half polytope (otherwise (0, m) is already a distinct pair)."""
+    half polytope (otherwise (0, m) is already a distinct pair), lex-sorted.
+
+    The weights of m are U / D with U = adj m and D = |det| (see
+    ``SimplexPolytope``): all positive is U > 0 and sum U < D, outside the
+    half polytope is 2 sum U > D.
+    """
     n = len(qs[0])
     simplex = SimplexPolytope([tuple(2 * x for x in q) for q in qs])
     hi = tuple(max(2 * q[i] for q in qs) for i in range(n))
-    half = Fraction(1, 2)
-    out = []
-    for m in product(*(range(h + 1) for h in hi)):
-        if order(m) == 0:
-            continue
-        bary = simplex.barycentric(m)
-        if any(w <= 0 for w in bary.weights):
-            continue
-        if sum(bary.weights[:-1]) <= half:
-            continue  # m lies in (1/2)C, so 0 + m would be a distinct pair
-        out.append(m)
-    return out
+    box = np.indices([h + 1 for h in hi]).reshape(n, -1).T
+    # |U| <= n max(hi) max|adj|, far inside int64 for any box that fits in memory
+    U = box @ np.array(simplex.adjugate, dtype=np.int64).T
+    total = U.sum(axis=1)
+    D = simplex.absdet
+    keep = (U > 0).all(axis=1) & (total < D) & (2 * total > D)
+    return [tuple(m) for m in box[keep].tolist()]
 
 
 def direct_search(
@@ -184,10 +191,13 @@ def direct_search(
     Deterministic for a fixed seed: tuples are enumerated exhaustively in
     lex order when there are at most ``exhaustive_limit`` of them, else
     sampled without replacement by a seeded RNG.  ``budget`` counts
-    (vertex-tuple, target) pairs examined.
+    (vertex-tuple, target) pairs examined.  Raises ValueError for a
+    negative budget or ``max_hits`` below 1.
     """
     if n < 2 or d < 4 or d % 2:
         raise ValueError("need n >= 2 and even d >= 4")
+    if budget < 0 or (max_hits is not None and max_hits < 1):
+        raise ValueError("need budget >= 0 and max_hits >= 1")
     tuples = _half_vertex_tuples(n, d)
     if len(tuples) > exhaustive_limit:
         rng = random.Random(seed)

@@ -1,12 +1,14 @@
 """Newton polytopes with exact membership tests.
 
-Simplex polytopes (origin plus n independent lattice vertices) get the
-closed-form barycentric solve.  General vertex sets are described once by
-integer equalities for their affine hull and one integer inequality per
-facet, both from exact kernels; a membership query is then a few integer
-dot products.  Finding the facets tries every generator subset of the
-hull's dimension, which suits the small supports of the catalog and the
-search; the exact route for large ones is lrs (Avis & Fukuda 1992).
+Simplex polytopes (origin plus n independent lattice vertices) keep the
+integer adjugate of their vertex matrix: barycentric weights are integer
+dot products divided once by the determinant.  General vertex sets are
+described once by integer equalities for their affine hull and one
+integer inequality per facet, both from exact kernels; a membership
+query is then a few integer dot products.  Finding the facets tries
+every generator subset of the hull's dimension, which suits the small
+supports of the catalog and the search; the exact route for large ones
+is lrs (Avis & Fukuda 1992).
 """
 
 from __future__ import annotations
@@ -60,7 +62,11 @@ class BarycentricCoords:
 
 
 class SimplexPolytope:
-    """Convex hull of the origin and n linearly independent lattice points."""
+    """Convex hull of the origin and n linearly independent lattice points.
+
+    With Q the matrix of columns q_j it keeps ``absdet`` = |det Q| and the
+    integer ``adjugate`` = |det Q| Q^-1.
+    """
 
     def __init__(self, vertices):
         qs = [tuple(int(x) for x in q) for q in vertices]
@@ -77,17 +83,22 @@ class SimplexPolytope:
             raise ValueError("vertices are linearly dependent")
         self.n = n
         self.vertices = tuple(qs)
-        self.detq = d
-        self.qinv = ratmat.inverse(matrix)
+        self.absdet = abs(d.numerator)
+        self.adjugate = tuple(
+            tuple((x * self.absdet).numerator for x in row) for row in ratmat.inverse(matrix)
+        )
 
     def barycentric(self, point) -> BarycentricCoords:
-        """Exact weights with point = sum lambda_j q_j and total weight 1."""
-        p = [Fraction(x) for x in point]
-        if len(p) != self.n:
+        """Exact weights with point = sum lambda_j q_j and total weight 1.
+
+        With the point as p / den, lambda_j = (adj_j . p) / (|det Q| den).
+        """
+        if len(point) != self.n:
             raise ValueError("dimension mismatch")
-        lam = [sum(row[j] * p[j] for j in range(self.n)) for row in self.qinv]
-        lam.append(1 - sum(lam))
-        return BarycentricCoords(tuple(lam))
+        p, den = ratmat.over_common_denominator([Fraction(x) for x in point])
+        scale = self.absdet * den
+        dots = [_dot(row, p) for row in self.adjugate]
+        return BarycentricCoords(tuple(Fraction(u, scale) for u in dots + [scale - sum(dots)]))
 
     def classify(self, point) -> str:
         return self.barycentric(point).classify()

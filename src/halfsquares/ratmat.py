@@ -5,13 +5,16 @@ identity and multistep integer-preserving Gaussian elimination") serves
 every solver here: rows are scaled to integers and each update divides
 exactly by the previous pivot, so no Fraction arithmetic runs inside the
 loop.  Entries are ints or Fractions; results are Fractions, no floating
-point.  Matrices are lists of row lists.
+point.  Matrices are lists of row lists; ``det_stack`` takes a numpy
+stack of integer matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 
 def over_common_denominator(values):
@@ -79,6 +82,38 @@ def det(matrix) -> Fraction:
     if len(pivot_cols) < n:
         return Fraction(0)
     return Fraction(sign * pivot, scale)
+
+
+def det_stack(stack) -> np.ndarray:
+    """Exact determinants of a stack of integer matrices, shape (K, n, n).
+
+    ``_reduce``'s elimination and pivot rule below the pivot, one numpy
+    step for all K.  Intermediates are products of two minors, each within
+    the Hadamard bound H = (n max|a|^2)^(n/2): int64 when 2 H^2 < 2^63,
+    else Python ints (dtype object).
+    """
+    a = np.asarray(stack)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError("need a stack of square matrices, shape (K, n, n)")
+    K, n = a.shape[:2]
+    top = max(1, int(np.abs(a).max(initial=0)))
+    a = a.astype(np.int64 if 2 * (n * top * top) ** n < 2**63 else object)
+    rows = np.arange(K)
+    pivot, sign = np.ones(K, dtype=a.dtype), np.ones(K, dtype=np.int64)
+    for k in range(n):
+        found = k + (a[:, k:, k] != 0).argmax(axis=1)  # k if there is no pivot
+        sign[found != k] *= -1
+        head = a[rows, found]
+        a[rows, found] = a[:, k]
+        a[:, k] = head
+        # a zero pivot (singular matrix) zeroes the rows below it, so the
+        # next step may divide by 1 instead and every pivot after is 0
+        a[:, k + 1:, k + 1:] = (
+            head[:, k, None, None] * a[:, k + 1:, k + 1:]
+            - a[:, k + 1:, k, None] * head[:, None, k + 1:]
+        ) // np.where(pivot == 0, 1, pivot)[:, None, None]
+        pivot = head[:, k]
+    return (sign * pivot).astype(a.dtype)
 
 
 def inverse(matrix) -> list[list[Fraction]] | None:

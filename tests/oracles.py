@@ -3,8 +3,10 @@
 The derivative oracles differentiate explicit polynomial expressions by
 repeated single-variable differentiation, never through the term-list
 formulas under test.  The exact-arithmetic oracles are the plain
-algorithms the fast paths replaced: Fraction evaluation term by term, and
-hull membership by a Caratheodory scan over generator subsets.  The
+algorithms the fast paths replaced: Fraction evaluation term by term,
+hull membership by a Caratheodory scan over generator subsets, and the
+direct search's tuple and target loops, one determinant or one Fraction
+barycentric solve per candidate.  The
 numerical oracles are likewise the plain scans the decomposition replaced:
 ball coloring over all earlier balls, and fiber minima over the whole
 domain diagonal.
@@ -14,13 +16,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from halfsquares import ratmat
 from halfsquares.decompose import _NuTooLarge, _descend, _parabolic_min
 from halfsquares.exactpoly import SparsePolynomial
+from halfsquares.multiindex import order
 
 
 def fraction_evaluate(P: SparsePolynomial, point) -> Fraction:
@@ -56,6 +59,44 @@ def caratheodory_member(generators, point) -> bool:
             if lam is not None and all(w >= 0 for w in lam):
                 return True
     return False
+
+
+def loop_half_vertex_tuples(n: int, d: int):
+    """``generate._half_vertex_tuples`` by one exact determinant per combination."""
+    bound = d // 2
+    points = [p for p in product(range(bound + 1), repeat=n) if 0 < order(p) <= bound]
+    tuples = []
+    for combo in combinations(points, n):
+        if max(order(q) for q in combo) != bound:
+            continue
+        matrix = [[combo[j][i] for j in range(n)] for i in range(n)]
+        if ratmat.det(matrix) == 0:
+            continue
+        tuples.append(combo)
+    return tuples
+
+
+def fraction_interior_targets(qs):
+    """``generate._interior_targets`` by Fraction barycentric weights.
+
+    The weights solve Q lambda = m for the columns 2q_j of Q exactly,
+    with ``ratmat.solve_rectangular``; m is kept when every weight and
+    1 - sum(weights) is positive and the weights sum past 1/2.
+    """
+    n = len(qs[0])
+    matrix = [[2 * q[i] for q in qs] for i in range(n)]
+    hi = tuple(max(2 * q[i] for q in qs) for i in range(n))
+    out = []
+    for m in product(*(range(h + 1) for h in hi)):
+        if order(m) == 0:
+            continue
+        lam = ratmat.solve_rectangular(matrix, list(m))
+        if any(w <= 0 for w in lam) or sum(lam) >= 1:
+            continue
+        if sum(lam) <= Fraction(1, 2):
+            continue
+        out.append(m)
+    return out
 
 
 def poly_derivative(P: SparsePolynomial, axis: int) -> SparsePolynomial:

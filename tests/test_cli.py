@@ -90,6 +90,13 @@ def test_gen_nonsos_invalid_parameters(tmp_path):
     assert main(["gen-nonsos", "--nvars", "2", "--degree", "7", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_gen_nonsos_negative_budget_is_input_error(tmp_path, capsys):
+    args = ["gen-nonsos", "--nvars", "2", "--degree", "6", "--budget", "-1"]
+    assert main(args + ["--out", str(tmp_path / "x")]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_table_row_filter(tmp_path, capsys):
     report_path = tmp_path / "table.json"
     code, out = run(capsys, "table", "--rows", "2x6", "--json", str(report_path))

@@ -38,6 +38,18 @@ def test_parabola_reconstruction_exact():
     assert np.max(np.abs(recon - f.values)[mask]) <= 1e-12
 
 
+def test_perturbed_square_fails_verification():
+    f = build_fixture("parabola", points=401)
+    d = decompose(f, 2, 1.0)
+    assert verify(d, f).ok
+    g = d.squares[0]
+    at = np.argmax(np.abs(g) * d.verified_mask())
+    g[at] *= 1.0 + 1e-4
+    rep = verify(d, f)
+    assert rep.reconstruction_error > rep.reconstruction_bound > 0
+    assert not rep.ok
+
+
 def test_constant_all_branch_a():
     f = build_fixture("constant", points=1001)
     d = decompose(f, 2, 1.0)

@@ -148,3 +148,36 @@ def test_evaluate_matches_fraction_loop(case):
     value = P.evaluate(point)
     assert type(value) is Fraction
     assert value == fraction_evaluate(P, point)
+
+
+def rational_points(rng, nvars, count):
+    return [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(nvars)]
+        for _ in range(count)
+    ]
+
+
+def test_evaluation_plan_serves_every_call():
+    # the first call builds the plan and the other 199 reuse it; terms of
+    # several degrees and a constant make every deg - |e| occur
+    P = random_polynomial(random.Random(5), 3, 7, 10) + Fraction(3, 4)
+    assert len({sum(e) for e in P.terms}) >= 4
+    for point in rational_points(random.Random(6), 3, 200):
+        assert P.evaluate(point) == fraction_evaluate(P, point)
+
+
+def test_polynomials_built_from_an_evaluated_one_get_their_own_plan():
+    P = SparsePolynomial(2, {(3, 1): Fraction(2, 3), (0, 2): -1, (0, 0): 5})
+    Q = SparsePolynomial(2, {(1, 4): Fraction(-1, 2), (2, 0): 3})
+    points = rational_points(random.Random(7), 2, 20)
+    assert P.evaluate(points[0]) == fraction_evaluate(P, points[0])
+    for R in (P + Q, P * Q, P * P, P + 1, -P, P.scale(3), P**3):
+        assert R.evaluate(points[0]) == fraction_evaluate(R, points[0])
+        for point in points:
+            assert R.evaluate(point) == fraction_evaluate(R, point)
+    zero = P - P
+    assert zero.is_zero()
+    for point in points[:2]:
+        value = zero.evaluate(point)
+        assert type(value) is Fraction and value == 0
+    assert P.evaluate(points[1]) == fraction_evaluate(P, points[1])

@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from halfsquares import ratmat
 from halfsquares.certificates import certify_nonnegative, certify_not_sos
 from halfsquares.exactpoly import SparsePolynomial
 from halfsquares.generate import (
     CHOI_LAM,
     MOTZKIN,
     TABLE_ROWS,
+    _half_vertex_tuples,
+    _interior_targets,
     construct_candidate,
     degree_lift,
     direct_search,
@@ -17,6 +21,8 @@ from halfsquares.generate import (
     make_instance,
     reproduce_table,
 )
+
+from oracles import fraction_interior_targets, loop_half_vertex_tuples
 
 
 def test_motzkin_instance():
@@ -92,6 +98,33 @@ def test_direct_search_bad_parameters():
         direct_search(1, 6)
     with pytest.raises(ValueError):
         direct_search(2, 5)
+    with pytest.raises(ValueError):
+        direct_search(2, 6, budget=-1)
+    with pytest.raises(ValueError):
+        direct_search(2, 6, max_hits=0)
+
+
+@pytest.mark.parametrize(
+    "n,d",
+    [(2, 4), (2, 8), (2, 12), (2, 20), (3, 4), (3, 6), (3, 8), (3, 10), (4, 4), (4, 6)],
+)
+def test_half_vertex_tuples_match_determinant_loop(n, d):
+    assert _half_vertex_tuples(n, d) == loop_half_vertex_tuples(n, d)
+
+
+@st.composite
+def independent_half_vertices(draw):
+    n = draw(st.integers(2, 4))
+    top = {2: 6, 3: 4, 4: 3}[n]  # keeps the oracle's box of (2 top + 1)^n points small
+    qs = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=n, max_size=n))
+    assume(ratmat.det([list(q) for q in qs]) != 0)
+    return qs
+
+
+@settings(max_examples=150)
+@given(independent_half_vertices())
+def test_interior_targets_match_fraction_weights(qs):
+    assert _interior_targets(qs) == fraction_interior_targets(qs)
 
 
 def test_homogenize_lift_choi_lam():

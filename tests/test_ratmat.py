@@ -7,12 +7,14 @@ particular solution and the kernel basis by their values at the free
 columns), so any exact elimination that passes returns the same
 Fractions.  Entries are ints or Fractions; shapes cover square, wide
 (m < k) and tall (m > k) systems, with rank deficiency forced by copying
-a combination of rows.
+a combination of rows.  The batched determinant is checked against the
+single one on integer stacks.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -156,3 +158,48 @@ def test_shapes_and_entry_types():
         ratmat.solve_rectangular(a, [2, 2])
     with pytest.raises(ValueError):
         ratmat.solve_underdetermined(a, [2, 2, 8, 0])
+
+
+@st.composite
+def integer_stacks(draw):
+    """Stacks of integer n x n matrices, n = 1..5, with forced singular
+    members, zero leading entries (so pivots need row swaps) and, in some
+    stacks, entries near 10^10 (past the int64 Hadamard bound)."""
+    n = draw(st.integers(1, 5))
+    top = draw(st.sampled_from([3, 10**10]))
+    entry = st.one_of(st.integers(-3, 3), st.integers(top - 5, top), st.integers(-top, -top + 5), st.just(0))
+    stack = []
+    for _ in range(draw(st.integers(0, 6))):
+        a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+        if draw(st.booleans()):
+            a[0][0] = 0
+        if n >= 2 and draw(st.booleans()):
+            i = draw(st.integers(1, n - 1))
+            a[0] = [draw(st.integers(-2, 2)) * x for x in a[i]]
+        stack.append(a)
+    return n, stack
+
+
+@settings(max_examples=300)
+@given(integer_stacks())
+def test_det_stack_matches_det(case):
+    n, stack = case
+    dets = ratmat.det_stack(np.array(stack, dtype=object).reshape(len(stack), n, n))
+    assert [int(x) for x in dets] == [ratmat.det(a) for a in stack]
+    big = any(abs(x) > 10**9 for a in stack for row in a for x in row)
+    assert dets.dtype == (object if big else np.int64)
+
+
+def test_det_stack_mixes_singular_and_nonsingular():
+    stack = [
+        [[1, 2, 3], [2, 4, 6], [0, 1, 1]],  # rows 0 and 1 dependent
+        [[0, 1, 0], [1, 0, 0], [0, 0, 5]],  # one swap: det -5
+        [[0, 0, 0], [1, 2, 3], [4, 5, 6]],  # a zero row
+        [[0, 0, 2], [0, 3, 1], [7, 1, 1]],  # two swaps needed
+        [[2, 1, 1], [1, 2, 1], [1, 1, 2]],
+    ]
+    dets = ratmat.det_stack(np.array(stack))
+    assert dets.tolist() == [ratmat.det(a) for a in stack] == [0, -5, 0, -42, 4]
+    assert ratmat.det_stack(np.zeros((0, 3, 3), dtype=np.int64)).shape == (0,)
+    with pytest.raises(ValueError):
+        ratmat.det_stack(np.zeros((2, 2, 3), dtype=np.int64))
