@@ -207,6 +207,8 @@ def decompose(
         raise ValueError("decomposition path supports k = 2 or 3 only")
     if f.n not in (1, 2):
         raise ValueError("only 1- and 2-dimensional grids are supported")
+    if f.n == 2 and min(f.shape) < 4:
+        raise ValueError("a 2D grid needs 4 points per axis for its cubic fiber spline")
     unit, scale = _normalized(f, k, alpha)
     cf = control_field(unit, k, alpha, directions=directions)
     current = NU_START if nu is None else nu
@@ -598,21 +600,25 @@ def partial_decompose(
         omega = _calibrate_omega(unit, cf, nu)
         balls = build_cover(cf, nu)
         part = partition_functions(cf, balls, nu)
-        residual = np.zeros_like(unit.values, dtype=float)
-        per_ball: list[list[np.ndarray]] = []
-        branch_a = branch_b = 0
-        values = np.clip(unit.values, 0.0, None)
-        for ball, win, psi in zip(part.balls, part.windows, part.psis):
-            threshold = omega * nu * ball.r ** (k + alpha)
-            if float(unit.values[ball.index]) >= threshold:
-                branch_a += 1
-                per_ball.append([psi * np.sqrt(values[win])])
-            else:
-                branch_b += 1
-                per_ball.append([])
-                residual[win] += psi**2 * unit.values[win]
+        bounded = [
+            float(unit.values[ball.index]) >= omega * nu * ball.r ** (k + alpha)
+            for ball in part.balls
+        ]
+        # h = sum of psi_j^2 f over the branch-B balls, in their order
+        branch_b = np.logical_not(bounded)
+        cells = part.table.select(branch_b).cells()
+        psi = part.psi[part.table.per_entry(branch_b)]
+        residual = np.zeros(unit.values.size)
+        np.add.at(residual, cells, psi**2 * unit.values.ravel()[cells])
+        residual = residual.reshape(unit.values.shape)
         # scaling by M > 0 is monotone, so this is the maximum of M h
         if float(residual.max(initial=0.0)) * scale <= eps:
+            values = np.clip(unit.values, 0.0, None)
+            per_ball = [
+                [psi * np.sqrt(values[win])] if a else []
+                for a, win, psi in zip(bounded, part.windows, part.psis)
+            ]
+            branch_a = sum(bounded)
             squares, labels = _recombine(unit.values.shape, part, per_ball)
             return _rescaled(Decomposition(
                 origin=f.origin,
@@ -626,7 +632,7 @@ def partial_decompose(
                 control=cf,
                 partition=part,
                 branch_a=branch_a,
-                branch_b=branch_b,
+                branch_b=len(bounded) - branch_a,
                 clamp_max=0.0,
                 square_labels=labels,
             ), scale)
@@ -685,11 +691,9 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
     err = float(np.max(np.abs(recon - f.values)[mask])) if mask.any() else 0.0
     f_max = float(np.max(np.abs(f.values)[mask], initial=0.0))
 
-    resolved = mask.copy()
-    h = d.spacing
-    for ball, win in zip(d.partition.balls, d.partition.windows):
-        if d.nu * ball.r < 3.0 * h:
-            resolved[win] = False
+    part = d.partition
+    coarse = np.array([d.nu * ball.r < 3.0 * d.spacing for ball in part.balls], dtype=bool)
+    resolved = mask & ~part.table.select(coarse).covered()
     if resolved.any() and not resolved.all():
         # differencing must not reach across the exclusion boundary
         from scipy.ndimage import binary_erosion
@@ -708,16 +712,11 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
         best_full = 0.0
         for axis in range(d.n):
             beta = tuple(1 if i == axis else 0 for i in range(d.n))
-            best_full = max(
-                best_full,
-                estimate_seminorm(gf, half_exp, derivative=beta, window=seminorm_window).value,
+            est = estimate_seminorm(
+                gf, half_exp, derivative=beta, window=seminorm_window, mask=resolved
             )
-            best_resolved = max(
-                best_resolved,
-                estimate_seminorm(
-                    gf, half_exp, derivative=beta, window=seminorm_window, mask=resolved
-                ).value,
-            )
+            best_full = max(best_full, est.unmasked)
+            best_resolved = max(best_resolved, est.value)
         derivative_seminorms.append(best_resolved)
         derivative_seminorms_full.append(best_full)
 

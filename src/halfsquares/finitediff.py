@@ -48,7 +48,10 @@ def diff_axis(values: np.ndarray, h: float, order: int, axis: int = 0) -> np.nda
         shifted = [slice(None)] * values.ndim
         shifted[axis] = slice(reach + off, n - reach + off)
         acc = acc + coeff * values[tuple(shifted)]
-    out[tuple(interior)] = acc / h**order
+    try:
+        out[tuple(interior)] = acc / h**order
+    except OverflowError:
+        raise ValueError(f"grid step {h!r} to the power {order} overflows") from None
     return out
 
 

@@ -41,6 +41,8 @@ class SampledFunction:
             raise ValueError("spacing must be positive and finite")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("all samples must be finite")
+        if self.values.size == 0:
+            raise ValueError("the grid has no samples")
 
     @property
     def n(self) -> int:
@@ -86,10 +88,12 @@ class SampledFunction:
     @classmethod
     def from_json_dict(cls, data) -> "SampledFunction":
         try:
-            n = int(data["n"])
+            n = data["n"]
             origin = tuple(float(x) for x in data["origin"])
             spacing = float(data["spacing"])
-            shape = tuple(int(s) for s in data["shape"])
+            shape = tuple(data["shape"])
+            if type(n) is not int or any(type(s) is not int for s in shape):
+                raise ValueError("n and shape must be integers")
             values = np.asarray(data["values"], dtype=float).reshape(shape)
         except (KeyError, TypeError, ValueError) as err:
             raise SampledFunctionFormatError(f"bad sampled-function data: {err}") from err
@@ -113,11 +117,16 @@ class SampledFunction:
 
 @dataclass
 class HolderEstimate:
-    """Empirical [f]_alpha over sampled pairs, optionally pointwise."""
+    """Empirical [f]_alpha over sampled pairs, optionally pointwise.
+
+    With a mask, ``value`` is the supremum over pairs inside it and
+    ``unmasked`` the supremum over all pairs; without one they agree.
+    """
 
     alpha: float
     value: float
     window: float
+    unmasked: float = 0.0
     pointwise: np.ndarray | None = None
     pointwise_windows: dict = field(default_factory=dict)
 
@@ -180,10 +189,12 @@ def estimate_seminorm(
 
     ``derivative`` is an optional multi-index applied by central
     differences first, and ``mask`` optionally restricts the pair scan to
-    a sub-region (cells outside it are ignored).  The pointwise variant
-    scans shrinking windows of 3, 5 and 9 grid steps around each point
-    and reports the smallest-window value, approximating the
-    limsup-based local semi-norm.
+    a sub-region (cells outside it are ignored).  One walk over the pair
+    offsets gives both the masked and the unmasked supremum, each ending
+    when no longer pair can beat it.  The pointwise variant scans
+    shrinking windows of 3, 5 and 9 grid steps around each point and
+    reports the smallest-window value, approximating the limsup-based
+    local semi-norm.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -193,8 +204,6 @@ def estimate_seminorm(
         values = finitediff.partial(values, h, tuple(derivative))
         if not np.isfinite(values).any():
             raise ValueError("grid too small for the requested derivative")
-    if mask is not None:
-        values = np.where(mask, values, np.nan)
     extent = max((s - 1) * h for s in f.shape)
     if window is None:
         window = extent * math.sqrt(f.n)
@@ -202,31 +211,40 @@ def estimate_seminorm(
     if max_steps < 1:
         raise ValueError("window is smaller than one grid step")
 
-    best = 0.0
-    finite_all = values[np.isfinite(values)]
-    if finite_all.size == 0:
-        return HolderEstimate(alpha=alpha, value=0.0, window=window)
-    gap_bound = float(finite_all.max() - finite_all.min())
-    clean = finite_all.size == values.size
+    # the supremum over all pairs, then over the pairs with both ends in the mask
+    regions = [None] if mask is None else [None, np.asarray(mask, dtype=bool)]
+    finite = np.isfinite(values)
+    kept = [values[finite if region is None else finite & region] for region in regions]
+    bounds = [float(v.max() - v.min()) if v.size else -math.inf for v in kept]
+    clean = [v.size == values.size for v in kept]
+    best = [0.0] * len(regions)
     for steps, off in _offset_rings(f.n, max_steps):
-        if steps >= max(f.shape) or gap_bound / (h * steps) ** alpha <= best:
-            break  # no pair of this ring or beyond is on the grid or beats the supremum
+        # a supremum that no pair of this ring or beyond can beat is final
+        live = [k for k, bound in enumerate(bounds) if bound / (h * steps) ** alpha > best[k]]
+        if steps >= max(f.shape) or not live:
+            break
         dist = h * math.hypot(*off)
         a, b = _shifted_views(values, off)
         if a.size == 0:
             continue
         gaps = np.abs(a - b)
-        if clean:
-            gap = float(np.max(gaps))
-        else:
-            finite = np.isfinite(gaps)
-            if not finite.any():
-                continue
-            gap = float(np.max(gaps[finite]))
-        best = max(best, gap / dist**alpha)
+        finite = None if all(clean[k] for k in live) else np.isfinite(gaps)
+        for k in live:
+            if clean[k]:
+                gap = float(np.max(gaps))
+            else:
+                pairs = finite if regions[k] is None else finite & np.logical_and(
+                    *_shifted_views(regions[k], off)
+                )
+                if not pairs.any():
+                    continue
+                gap = float(np.max(gaps, where=pairs, initial=-math.inf))
+            best[k] = max(best[k], gap / dist**alpha)
 
-    estimate = HolderEstimate(alpha=alpha, value=best, window=window)
+    estimate = HolderEstimate(alpha=alpha, value=best[-1], window=window, unmasked=best[0])
     if pointwise:
+        if mask is not None:
+            values = np.where(mask, values, np.nan)
         windows = {}
         for w in (9, 5, 3):
             windows[w] = _pointwise_seminorm(values, h, alpha, w, f.n)

@@ -8,8 +8,10 @@ hull membership by a Caratheodory scan over generator subsets, and the
 direct search's tuple and target loops, one determinant or one Fraction
 barycentric solve per candidate.  The
 numerical oracles are likewise the plain scans the decomposition replaced:
-ball coloring over all earlier balls, and fiber minima over the whole
-domain diagonal.
+ball coloring over all earlier balls, fiber minima over the whole domain
+diagonal, the cover layer ball by ball (greedy scan over a grid mask, one
+window of bumps, overlap counts and k-d tree query per ball), and one
+Hoelder pair scan per semi-norm.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from itertools import combinations, product
 import numpy as np
 
 from halfsquares import ratmat
+from halfsquares.cover import CoverBall, PartitionOfUnity, WindowTable, bump
 from halfsquares.decompose import _NuTooLarge, _descend, _parabolic_min
+from halfsquares.holder import _offset_rings, _shifted_views
 from halfsquares.exactpoly import SparsePolynomial
 from halfsquares.multiindex import order
 
@@ -289,3 +293,184 @@ def full_diagonal_fiber_minima(f, spline, ball, eu, ev, u_grid):
         x_min[i] = v_star
         f_min[i] = max(f_star, 0.0)
     return x_min, f_min
+
+
+def _window(shape, index, steps):
+    return tuple(
+        slice(max(0, i - steps), min(s, i + steps + 1)) for i, s in zip(index, shape)
+    )
+
+
+def _distance_grid(field, window, center):
+    axes = []
+    for axis, sl in enumerate(window):
+        coords = field.origin[axis] + field.spacing * np.arange(sl.start, sl.stop)
+        axes.append(coords - center[axis])
+    if len(axes) == 1:
+        return np.abs(axes[0])
+    du, dv = np.meshgrid(*axes, indexing="ij")
+    return np.hypot(du, dv)
+
+
+def loop_build_cover(field, nu, min_radius_cells=4.0):
+    """``cover.build_cover`` by a grid mask updated ball by ball, in any dimension."""
+    from scipy.ndimage import distance_transform_edt
+
+    r = field.values
+    h = field.spacing
+    positive = field.positive_mask()
+    zero_dist = distance_transform_edt(positive, sampling=h)
+    covered = ~positive
+    balls = []
+    flat = covered.ravel()
+    size = flat.size
+    pos = 0
+    while True:
+        nxt = int(np.argmin(flat[pos:])) + pos if pos < size else size
+        if nxt >= size or flat[nxt]:
+            break
+        pos = nxt
+        index = np.unravel_index(nxt, covered.shape)
+        rj = float(r[index])
+        center = tuple(field.origin[axis] + h * index[axis] for axis in range(r.ndim))
+        floor = min(min_radius_cells * h, 0.5 * float(zero_dist[index]))
+        radius = max(nu * rj, floor)
+        balls.append(CoverBall(tuple(int(i) for i in index), center, rj, radius))
+        steps = int(radius / 2.0 / h) + 1
+        win = _window(covered.shape, index, steps)
+        dist = _distance_grid(field, win, center)
+        covered[win] |= dist <= radius / 2.0 + 1e-12 * radius
+        flat = covered.ravel()
+    return balls
+
+
+def loop_overlap_counts(field, balls):
+    """``cover.overlap_counts`` by one window update per ball."""
+    counts = np.zeros_like(field.values, dtype=int)
+    h = field.spacing
+    for ball in balls:
+        steps = int(ball.radius / h) + 1
+        win = _window(counts.shape, ball.index, steps)
+        dist = _distance_grid(field, win, ball.center)
+        counts[win] += dist < ball.radius
+    return counts
+
+
+def loop_color_classes(balls):
+    """``cover.color_classes`` by one k-d tree query per ball."""
+    if not balls:
+        return []
+    from scipy.spatial import cKDTree
+
+    centers = np.array([ball.center for ball in balls], dtype=float)
+    tree = cKDTree(centers)
+    max_radius = max(ball.radius for ball in balls)
+    slack = 1e-9 * float(np.abs(centers).max())
+    colors = []
+    for j, ball in enumerate(balls):
+        near = tree.query_ball_point(centers[j], (ball.radius + max_radius) * (1.0 + 1e-9) + slack)
+        taken = {
+            colors[i]
+            for i in near
+            if i < j and math.dist(ball.center, balls[i].center) < ball.radius + balls[i].radius
+        }
+        color = 0
+        while color in taken:
+            color += 1
+        colors.append(color)
+    return colors
+
+
+def loop_partition_functions(field, balls, nu):
+    """``cover.partition_functions`` with one window of bumps and updates per ball.
+
+    psi_j are separate arrays; the flat ``psi`` and the window table the
+    consumers read are assembled from them.
+    """
+    h = field.spacing
+    shape = field.values.shape
+    weights = []
+    windows = []
+    denom = np.zeros(shape, dtype=float)
+    for ball in balls:
+        steps = int(ball.radius / h) + 1
+        win = _window(shape, ball.index, steps)
+        dist = _distance_grid(field, win, ball.center)
+        w = bump(dist / ball.radius)
+        weights.append(w)
+        windows.append(win)
+        denom[win] += w**2
+    positive = field.positive_mask()
+    if balls and float(denom[positive].min(initial=np.inf)) < 1.0 - 1e-9:
+        raise RuntimeError("partition normalization below one at a covered point; cover is broken")
+    root = np.sqrt(denom, out=np.zeros_like(denom), where=denom > 0)
+    psis = []
+    total = np.zeros(shape, dtype=float)
+    for win, w in zip(windows, weights):
+        psi = np.zeros_like(w)
+        np.divide(w, root[win], out=psi, where=root[win] > 0)
+        psis.append(psi)
+        total[win] += psi**2
+    lo = np.array([[sl.start for sl in win] for win in windows], dtype=np.intp).reshape(-1, len(shape))
+    hi = np.array([[sl.stop for sl in win] for win in windows], dtype=np.intp).reshape(-1, len(shape))
+    return PartitionOfUnity(
+        balls=list(balls),
+        windows=windows,
+        psis=psis,
+        colors=loop_color_classes(balls),
+        sum_squares=total,
+        nu=nu,
+        table=WindowTable(lo, hi, shape),
+        psi=np.concatenate([p.ravel() for p in psis]) if psis else np.zeros(0),
+    )
+
+
+def single_scan_seminorm(f, alpha, derivative=None, window=None, mask=None) -> float:
+    """``holder.estimate_seminorm(...).value`` by its own pair scan, masked or not."""
+    from halfsquares import finitediff
+
+    h = f.spacing
+    values = f.values
+    if derivative is not None and order(tuple(derivative)) > 0:
+        values = finitediff.partial(values, h, tuple(derivative))
+    if mask is not None:
+        values = np.where(mask, values, np.nan)
+    if window is None:
+        window = max((s - 1) * h for s in f.shape) * math.sqrt(f.n)
+    max_steps = int(window / h + 1e-9)
+    best = 0.0
+    finite_all = values[np.isfinite(values)]
+    if finite_all.size == 0:
+        return 0.0
+    gap_bound = float(finite_all.max() - finite_all.min())
+    clean = finite_all.size == values.size
+    for steps, off in _offset_rings(f.n, max_steps):
+        if steps >= max(f.shape) or gap_bound / (h * steps) ** alpha <= best:
+            break
+        dist = h * math.hypot(*off)
+        a, b = _shifted_views(values, off)
+        if a.size == 0:
+            continue
+        gaps = np.abs(a - b)
+        if clean:
+            gap = float(np.max(gaps))
+        else:
+            finite = np.isfinite(gaps)
+            if not finite.any():
+                continue
+            gap = float(np.max(gaps[finite]))
+        best = max(best, gap / dist**alpha)
+    return best
+
+
+def loop_resolved_mask(d):
+    """``verify``'s resolved region: windows of balls under 3 cells cleared ball by ball."""
+    from scipy.ndimage import binary_erosion
+
+    resolved = d.verified_mask().copy()
+    for ball, win in zip(d.partition.balls, d.partition.windows):
+        if d.nu * ball.r < 3.0 * d.spacing:
+            resolved[win] = False
+    if resolved.any() and not resolved.all():
+        resolved = binary_erosion(resolved, structure=np.ones((3,) * d.n, dtype=bool), iterations=3)
+    return resolved

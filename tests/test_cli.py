@@ -229,3 +229,47 @@ def test_derivative_control_refines_a_parametrized_fixture(capsys):
     assert code in (0, 1)
     payload = json.loads(out)
     assert payload["parameters"]["alpha"] == 0.5 and "refined_constant" in payload
+
+
+def _sampled_file(tmp_path, **changes):
+    data = build_fixture("parabola", points=101).to_json_dict()
+    data.update(changes)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--k", "2", "--alpha", "1.0", "--out", os.devnull],
+    ["partial", "--k", "2", "--alpha", "1.0", "--eps", "1e-3"],
+])
+@pytest.mark.parametrize("changes", [
+    {"shape": [0], "values": []},
+    {"n": 1.5},
+    {"shape": [100.5]},
+    {"shape": [True], "values": [1.0]},
+], ids=["empty-grid", "fractional-n", "fractional-shape", "bool-shape"])
+def test_degenerate_grid_is_input_error(tmp_path, capsys, command, changes):
+    path = _sampled_file(tmp_path, **changes)
+    _exits_2_with_input_error(capsys, command[:1] + ["--in", path] + command[1:])
+
+
+def _fails_with_message(capsys, argv, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_decompose_of_a_2d_grid_below_four_points_per_axis_fails(tmp_path, capsys):
+    path = _sampled_file(tmp_path, n=2, origin=[0.0, 0.0], shape=[3, 3], values=[1.0] * 9)
+    argv = ["decompose", "--in", path, "--k", "2", "--alpha", "1.0", "--out", os.devnull]
+    _fails_with_message(capsys, argv, "4 points per axis")
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--k", "2", "--alpha", "1.0", "--out", os.devnull],
+    ["partial", "--k", "2", "--alpha", "1.0", "--eps", "1e-3"],
+])
+def test_overflowing_grid_step_fails(tmp_path, capsys, command):
+    path = _sampled_file(tmp_path, spacing=1e300)
+    _fails_with_message(capsys, command[:1] + ["--in", path] + command[1:], "overflows")

@@ -1,18 +1,32 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_array_equal
 
 from halfsquares.cover import (
     CoverBall,
+    WindowTable,
     build_cover,
     bump,
     color_classes,
     overlap_counts,
     partition_functions,
 )
+from halfsquares.decompose import decompose, partial_decompose, verify
 from halfsquares.fixtures import build_fixture
-from halfsquares.holder import SampledFunction, control_field
-from oracles import pairwise_color_classes
+from halfsquares.holder import ControlField, SampledFunction, control_field
+from oracles import (
+    loop_build_cover,
+    loop_color_classes,
+    loop_overlap_counts,
+    loop_partition_functions,
+    pairwise_color_classes,
+)
+
+# the module, which the package's decompose function shadows as an attribute
+decompose_module = importlib.import_module("halfsquares.decompose")
 
 
 def field_for(fn, lo, hi, n, k=2, alpha=1.0):
@@ -160,3 +174,106 @@ def test_invalid_nu():
     cf = field_for(lambda x: np.ones_like(x), 0.0, 1.0, 101)
     with pytest.raises(ValueError):
         build_cover(cf, 0.0)
+
+
+@st.composite
+def control_fields(draw):
+    """Random control fields: i.i.d. values, r = 0 gaps, NaN stencil margins."""
+    n = draw(st.integers(1, 2))
+    # up to 1000 cells in 1D: several batches of balls per table
+    sides = st.integers(1, 1000) if n == 1 else st.integers(1, 30)
+    shape = tuple(draw(sides) for _ in range(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = draw(st.sampled_from([0.01, 0.05, 1 / 3, 1.0]))
+    origin = tuple(draw(st.floats(-5.0, 5.0, allow_nan=False)) for _ in shape)
+    # radii from under a cell (the floor applies) to tens of cells at nu = 1
+    values = draw(st.sampled_from([0.0, 0.5, 4.0, 30.0])) * h * rng.uniform(0.2, 1.5, shape)
+    values[rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.3]))] = 0.0
+    valid = np.ones(shape, dtype=bool)
+    margin = draw(st.integers(0, 2))
+    if margin:
+        valid[tuple(slice(margin, -margin) for _ in shape)] = False
+        valid = ~valid
+    values[~valid] = np.nan
+    return ControlField(k=2, alpha=1.0, spacing=h, origin=origin, values=values, valid=valid)
+
+
+def _window_cells(shape, windows):
+    grid = np.arange(int(np.prod(shape))).reshape(shape)
+    return np.concatenate([grid[win].ravel() for win in windows] + [np.zeros(0, dtype=int)])
+
+
+def _assert_same_partition(part, want):
+    assert part.balls == want.balls
+    assert part.windows == want.windows
+    assert part.colors == want.colors
+    assert len(part.psis) == len(want.psis)
+    for got, expected in zip(part.psis, want.psis):
+        assert got.shape == expected.shape
+        assert_array_equal(got, expected)
+    assert_array_equal(part.psi, want.psi)
+    assert_array_equal(part.sum_squares, want.sum_squares)
+
+
+@settings(max_examples=300)
+@given(control_fields(), st.integers(0, 6))
+def test_cover_kernels_match_per_ball_loops(cf, halvings):
+    nu = 0.5**halvings
+    balls = build_cover(cf, nu)
+    assert balls == loop_build_cover(cf, nu)
+    assert color_classes(balls) == loop_color_classes(balls)
+    assert_array_equal(overlap_counts(cf, balls), loop_overlap_counts(cf, balls))
+    part = partition_functions(cf, balls, nu)
+    _assert_same_partition(part, loop_partition_functions(cf, balls, nu))
+    assert all(got.base is part.psi for got in part.psis)
+    # the table's cells and mask are those of the windows
+    shape = cf.values.shape
+    assert_array_equal(part.table.cells(), _window_cells(shape, part.windows))
+    keep = np.arange(len(balls)) % 3 == 0
+    kept = [win for win, k in zip(part.windows, keep) if k]
+    mask = np.zeros(shape, dtype=bool)
+    for win in kept:
+        mask[win] = True
+    assert_array_equal(part.table.select(keep).covered(), mask)
+    assert_array_equal(part.table.select(keep).cells(), _window_cells(shape, kept))
+
+
+def test_empty_window_table():
+    none = np.zeros((0, 2), dtype=np.intp)
+    table = WindowTable(none, none, (5, 4))
+    assert table.cells().size == 0
+    assert not table.covered().any()
+
+
+def _same_decomposition(fast, slow):
+    assert fast.nu == slow.nu and fast.omega == slow.omega
+    assert fast.square_labels == slow.square_labels
+    assert len(fast.squares) == len(slow.squares)
+    for a, b in zip(fast.squares, slow.squares):
+        assert_array_equal(a, b)
+    assert_array_equal(fast.residual, slow.residual)
+    assert fast.branch_info == slow.branch_info
+    _assert_same_partition(fast.partition, slow.partition)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: (decompose, build_fixture("parabola", points=401), 2, ()),
+    lambda: (decompose, build_fixture("bony", points=1001), 3, ()),
+    lambda: (partial_decompose, build_fixture("bony", points=1001), 3, (1e-3,)),
+    lambda: (partial_decompose, build_fixture("parabola", points=2001), 2, (1e-3,)),
+    lambda: (decompose, build_fixture("paraboloid", points=41), 2, ()),
+    lambda: (decompose, build_fixture("radial_bump", points=41), 2, ()),
+], ids=["parabola", "bony", "partial-bony", "partial-parabola", "paraboloid", "radial_bump"])
+def test_decompositions_match_per_ball_oracles(monkeypatch, run):
+    method, f, k, extra = run()
+    fast = method(f, k, 1.0, *extra)
+    fast_report = verify(fast, f)
+    for name, oracle in (
+        ("build_cover", loop_build_cover),
+        ("partition_functions", loop_partition_functions),
+        ("overlap_counts", loop_overlap_counts),
+    ):
+        monkeypatch.setattr(decompose_module, name, oracle)
+    slow = method(f, k, 1.0, *extra)
+    _same_decomposition(fast, slow)
+    assert verify(slow, f) == fast_report

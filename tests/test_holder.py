@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from halfsquares.decompose import decompose, verify
 from halfsquares.fixtures import build_fixture
 from halfsquares.holder import (
     SampledFunction,
@@ -13,6 +15,7 @@ from halfsquares.holder import (
     estimate_seminorm,
     holder_norm,
 )
+from oracles import loop_resolved_mask, single_scan_seminorm
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -216,3 +219,59 @@ def test_fixture_values():
     cantor = build_fixture("cantor", points=82)
     assert cantor.values[0] == 0.0 and cantor.values[-1] == 1.0
     assert np.all(np.diff(cantor.values) >= 0)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.25, 0.5, 1.0]),
+    st.sampled_from(["none", "first", "last", "second"]),
+    st.sampled_from([0.0, 0.3, 0.9, 1.0]),
+    st.sampled_from([None, 2, 5]),
+)
+def test_one_scan_gives_masked_and_unmasked_seminorms(n, seed, alpha, derivative, keep, window_steps):
+    """Both suprema equal separate scans, with NaN derivative margins and any mask."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(s) for s in rng.integers(3, 60 if n == 1 else 14, n))
+    f = SampledFunction((0.0,) * n, 0.1, rng.standard_normal(shape).cumsum(axis=0))
+    beta = {
+        "none": None,
+        "first": (1,) + (0,) * (n - 1),
+        "last": (0,) * (n - 1) + (1,),
+        "second": (2,) + (0,) * (n - 1),
+    }[derivative]
+    window = None if window_steps is None else window_steps * f.spacing
+    mask = rng.random(shape) < keep
+    try:
+        est = estimate_seminorm(f, alpha, derivative=beta, window=window, mask=mask)
+    except ValueError:  # the grid is too small for the derivative
+        return
+    assert est.value == single_scan_seminorm(f, alpha, beta, window, mask=mask)
+    assert est.unmasked == single_scan_seminorm(f, alpha, beta, window)
+    assert estimate_seminorm(f, alpha, derivative=beta, window=window).value == est.unmasked
+
+
+@pytest.mark.parametrize("name, points, k, window_cells", [
+    ("parabola", 401, 2, None),
+    ("smooth_bump", 1501, 3, None),
+    ("paraboloid", 41, 2, 10),
+    ("radial_bump", 41, 2, 10),
+])
+def test_verify_seminorms_match_separate_scans(name, points, k, window_cells):
+    f = build_fixture(name, points=points)
+    d = decompose(f, k, 1.0)
+    window = None if window_cells is None else window_cells * f.spacing
+    rep = verify(d, f, seminorm_window=window)
+    resolved = loop_resolved_mask(d)
+    assert rep.resolved_fraction == float(resolved.sum()) / float(d.verified_mask().sum())
+    axes = [tuple(int(i == a) for i in range(d.n)) for a in range(d.n)]
+    full, masked = [], []
+    for g in d.squares:
+        gf = SampledFunction(d.origin, d.spacing, g)
+        full.append(max(single_scan_seminorm(gf, rep.half_exponent, b, window) for b in axes))
+        masked.append(
+            max(single_scan_seminorm(gf, rep.half_exponent, b, window, mask=resolved) for b in axes)
+        )
+    assert rep.derivative_seminorms_full == full
+    assert rep.derivative_seminorms == masked
