@@ -1,13 +1,20 @@
 """Constructive sum-of-squares decomposition of sampled functions.
 
-Per cover ball the branch test compares f at the center with
-omega * nu * r^(k+alpha).  Bounded-below balls contribute psi_j sqrt(f);
-the others locate the interior minimizer along the distinguished
-direction, split off psi_j * sgn * sqrt(f - F), and handle the remainder
-F either as a constant (one dimension) or by recursing on the fiber
-minimum curve (two dimensions, one recursion level).  Squares from balls
-of one color class have disjoint supports and are summed, which keeps
-the final square count bounded by the dimensional constant.
+Both entry points run one construction on f / M, M the sampled
+C^(k,alpha) norm of f: nu is halved from 1/4 until the control field r
+varies slowly at scale nu and the cover at nu is accepted.  Its branch
+test puts ball j in branch A when f(x_j) >= omega * nu * r_j^(k+alpha).
+``decompose`` accepts when every other (branch-B) ball has an interior
+minimum; ``partial_decompose`` is the same construction with another
+stopping rule: the residual the branch-B balls leave is at most eps.
+
+Branch-A balls contribute psi_j sqrt(f); the others locate the interior
+minimizer along the distinguished direction, split off
+psi_j * sgn * sqrt(f - F), and handle the remainder F either as a
+constant (one dimension) or by recursing on the fiber minimum curve (two
+dimensions, one recursion level).  Squares from balls of one color class
+have disjoint supports and are summed, which keeps the final square
+count bounded by the dimensional constant.
 """
 
 from __future__ import annotations
@@ -34,6 +41,11 @@ NU_START = 0.25
 # and the 2D fiber recursions, keeps nu = 0.25; the floor only ends the
 # halving loop on inputs whose control field varies slowly at no scale.
 NU_FLOOR = 1e-6
+# partial_decompose searches no minimizers, so its nu may shrink far below
+# the full decomposition's working range; this floor only ends the loop.
+PARTIAL_NU_FLOOR = 1e-12
+# sampled directions of the control field and of a 2D ball's fiber direction
+DIRECTIONS = 64
 # Largest sup |sum g^2 - f| / max |f| that verify accepts.  The fixtures
 # reach 2.5e-9 (radial_bump-121^2); times their max |f| (7.8 at most) it is
 # below criterion 8's absolute 1e-6 and criterion 9's 1e-4.
@@ -45,7 +57,7 @@ class DecompositionError(RuntimeError):
 
 
 class _NuTooLarge(Exception):
-    """Internal: a branch-B ball has no interior minimum at this nu."""
+    """Internal: the attempt at this nu rejects its cover."""
 
 
 @dataclass
@@ -188,7 +200,6 @@ def decompose(
     alpha: float,
     nu: float | None = None,
     omega: float | None = None,
-    directions: int = 64,
 ) -> Decomposition:
     """Decompose a sampled non-negative function into half-regular squares.
 
@@ -209,26 +220,75 @@ def decompose(
         raise ValueError("only 1- and 2-dimensional grids are supported")
     if f.n == 2 and min(f.shape) < 4:
         raise ValueError("a 2D grid needs 4 points per axis for its cubic fiber spline")
+    return _search_nu(f, k, alpha, _decompose_at, NU_FLOOR, nu, omega)
+
+
+def partial_decompose(f: SampledFunction, k: int, alpha: float, eps: float) -> Decomposition:
+    """Squares from bounded-below balls only, plus a small residual.
+
+    The construction of ``decompose`` with another stopping rule: the
+    branch-B balls get no minimizer and no squares, and nu is halved until
+    the residual h = sum over them of psi_j^2 f is at most eps; then
+    0 <= h <= eps pointwise and f - h is the square sum.  With no
+    minimizers to find, nu may shrink down to PARTIAL_NU_FLOOR.  As in
+    ``decompose`` the construction runs on f / M and is scaled back, so
+    partial_decompose(c f, eps = c eps) is sqrt(c) partial_decompose(f, eps)
+    with residual c h.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+
+    def attempt(unit, scale, cf, nu, omega):
+        part, bounded = _cover(unit, cf, nu, omega)
+        # h = sum of psi_j^2 f over the branch-B balls, in their order
+        branch_b = np.logical_not(bounded)
+        cells = part.table.select(branch_b).cells()
+        psi = part.psi[part.table.per_entry(branch_b)]
+        residual = np.zeros(unit.values.size)
+        np.add.at(residual, cells, psi**2 * unit.values.ravel()[cells])
+        # scaling by M > 0 is monotone, so this is the maximum of M h; NaN rejects
+        worst = float(residual.max(initial=0.0)) * scale
+        if not worst <= eps:
+            raise _NuTooLarge(f"residual {worst:.3g} exceeds eps={eps}")
+        values = np.clip(unit.values, 0.0, None)
+        per_ball = [
+            _ball_squares(("A",), psi_j, None, values[win])[0] if a else []
+            for a, win, psi_j in zip(bounded, part.windows, part.psis)
+        ]
+        residual = residual.reshape(unit.values.shape)
+        return _assembled(unit, cf, nu, omega, part, bounded, per_ball, residual, 0.0, [])
+
+    return _search_nu(f, k, alpha, attempt, PARTIAL_NU_FLOOR)
+
+
+def _search_nu(f, k, alpha, attempt, floor, nu=None, omega=None) -> Decomposition:
+    """The one nu loop: the decomposition ``attempt`` accepts, scaled back to f.
+
+    nu is halved from NU_START, down to ``floor``, until the control field
+    of f / M varies slowly at nu and ``attempt(f / M, M, cf, nu, omega)``
+    returns instead of raising _NuTooLarge.  A given nu is the only one
+    tried; a given omega replaces the calibration.  Of a rejected attempt
+    only the reason is kept: its exception's traceback would hold the
+    rejected cover's arrays through the next attempt.
+    """
     unit, scale = _normalized(f, k, alpha)
-    cf = control_field(unit, k, alpha, directions=directions)
+    cf = control_field(unit, k, alpha, directions=DIRECTIONS)
     current = NU_START if nu is None else nu
-    last_err: Exception | None = None
-    while current >= NU_FLOOR:
+    reason = None
+    while current >= floor:
         report = check_slow_variation(cf, current, fail_fast=True)
         if report.ok:
             w = _calibrate_omega(unit, cf, current) if omega is None else omega
             try:
-                return _rescaled(_decompose_at(unit, cf, k, alpha, current, w, directions), scale)
+                return _rescaled(attempt(unit, scale, cf, current, w), scale)
             except _NuTooLarge as err:
-                last_err = err
+                reason = str(err)
         else:
-            last_err = RuntimeError(
-                f"slow variation fails at nu={current}: ratio {report.worst_ratio:.3f}"
-            )
+            reason = f"slow variation fails at nu={current}: ratio {report.worst_ratio:.3f}"
         if nu is not None:
-            raise DecompositionError(f"decomposition failed at fixed nu={nu}: {last_err}")
+            raise DecompositionError(f"decomposition failed at fixed nu={nu}: {reason}")
         current /= 2.0
-    raise DecompositionError(f"nu underflowed {NU_FLOOR} ({last_err})")
+    raise DecompositionError(f"nu underflowed {floor} ({reason})")
 
 
 def _normalized(f: SampledFunction, k: int, alpha: float) -> tuple[SampledFunction, float]:
@@ -257,66 +317,86 @@ def _rescaled(d: Decomposition, scale: float) -> Decomposition:
     return d
 
 
-def _decompose_at(f, cf, k, alpha, nu, omega, directions) -> Decomposition:
-    balls = build_cover(cf, nu)
-    part = partition_functions(cf, balls, nu)
-    threshold_scale = omega * nu
-    per_ball_squares: list[list[np.ndarray]] = []
+def _cover(f, cf, nu, omega):
+    """The partition of unity at nu and each ball's branch test (True: branch A)."""
+    part = partition_functions(cf, build_cover(cf, nu), nu)
+    threshold, power = omega * nu, cf.k + cf.alpha
+    return part, [float(f.values[ball.index]) >= threshold * ball.r**power for ball in part.balls]
+
+
+def _decompose_at(f, scale, cf, nu, omega) -> Decomposition:
+    """The full decomposition of f at nu; rejects nu when a branch-B ball
+    has no interior minimum.  f is already normalized, so ``scale`` is unused."""
+    part, bounded = _cover(f, cf, nu, omega)
+    values = np.clip(f.values, 0.0, None)
+    if f.n == 1:
+        coords = f.axis_coords(0)
+    else:
+        spline = RectBivariateSpline(f.axis_coords(0), f.axis_coords(1), f.values, kx=3, ky=3)
+        hessian = [fd_partial(f.values, f.spacing, beta) for beta in ((2, 0), (1, 1), (0, 2))]
+
+    per_ball: list[list[np.ndarray]] = []
     branch_info: list[tuple] = []
     clamp_max = 0.0
-    branch_a = branch_b = 0
-    values = np.clip(f.values, 0.0, None)
-
-    if f.n == 1:
-        spline = None
-        hessian = None
-    else:
-        spline = RectBivariateSpline(
-            f.axis_coords(0), f.axis_coords(1), f.values, kx=3, ky=3
-        )
-        h = f.spacing
-        hessian = (
-            fd_partial(f.values, h, (2, 0)),
-            fd_partial(f.values, h, (1, 1)),
-            fd_partial(f.values, h, (0, 2)),
-        )
-
-    for ball, win, psi in zip(part.balls, part.windows, part.psis):
-        fc = float(f.values[ball.index])
-        threshold = threshold_scale * ball.r ** (k + alpha)
-        if fc >= threshold:
-            branch_a += 1
-            branch_info.append(("A",))
-            per_ball_squares.append([psi * np.sqrt(values[win])])
-            continue
-        branch_b += 1
-        if f.n == 1:
-            squares, clamp, info = _branch_b_1d(f, ball, win, psi)
+    for ball, win, psi, bounded_below in zip(part.balls, part.windows, part.psis, bounded):
+        if bounded_below:
+            info = ("A",)
+            squares, clamp = _ball_squares(info, psi, None, values[win])
+        elif f.n == 1:
+            info = ("B1", *_fiber_minimum_1d(f, coords, ball, win))
+            squares, clamp = _ball_squares(info, psi, coords[win[0]], f.values[win])
         else:
-            squares, clamp = _branch_b_2d(f, hessian, spline, ball, win, psi, k, alpha, directions)
             info = ("B2",)
+            squares, clamp = _branch_b_2d(f, hessian, spline, ball, win, psi, cf.k, cf.alpha)
         branch_info.append(info)
         clamp_max = max(clamp_max, clamp)
-        per_ball_squares.append(squares)
+        per_ball.append(squares)
+    residual = np.zeros_like(f.values, dtype=float)
+    return _assembled(f, cf, nu, omega, part, bounded, per_ball, residual, clamp_max, branch_info)
 
-    squares, labels = _recombine(f.values.shape, part, per_ball_squares)
+
+def _assembled(f, cf, nu, omega, part, bounded, per_ball, residual, clamp_max, branch_info):
+    """The decomposition of f from per-ball squares and branch tests."""
+    squares, labels = _recombine(f.values.shape, part.colors, part.windows, per_ball)
+    branch_a = sum(bounded)
     return Decomposition(
         origin=f.origin,
         spacing=f.spacing,
-        k=k,
-        alpha=alpha,
+        k=cf.k,
+        alpha=cf.alpha,
         nu=nu,
         omega=omega,
         squares=squares,
-        residual=np.zeros_like(f.values, dtype=float),
         control=cf,
         partition=part,
         branch_a=branch_a,
-        branch_b=branch_b,
+        branch_b=len(bounded) - branch_a,
+        residual=residual,
         clamp_max=clamp_max,
         square_labels=labels,
         branch_info=branch_info,
     )
+
+
+def _ball_squares(info, psi, v, fv):
+    """The squares of a branch-A or branch-B1 ball and the clamp they needed.
+
+    ``psi``, the coordinates ``v`` and the values ``fv`` of f are given at
+    the same points.  A: psi sqrt(f), fv clipped at 0 by the caller.
+    B1: psi sgn(v - x_min) sqrt(f - f_min)_+ and psi sqrt(f_min).
+    """
+    if info[0] == "A":
+        return [psi * np.sqrt(fv)], 0.0
+    _, x_min, f_min = info
+    g1, clamp = _signed_root(psi, v, x_min, fv, f_min)
+    return [g1, psi * math.sqrt(f_min)], clamp
+
+
+def _signed_root(psi, v, v_min, fv, f_min):
+    """psi sgn(v - v_min) sqrt(fv - f_min)_+ and the largest f_min - fv clipped away."""
+    diff = fv - f_min
+    clamp = max(0.0, float(-diff.min(initial=0.0)))
+    return psi * np.sign(v - v_min) * np.sqrt(np.clip(diff, 0.0, None)), clamp
 
 
 def _descend(values, start: int) -> int:
@@ -341,18 +421,13 @@ def _descend(values, start: int) -> int:
             return i
 
 
-def _locate_fiber_minimum(values, start: int, where: str) -> int:
-    arg = _descend(values, start)
-    if arg in (0, len(values) - 1):
-        raise _NuTooLarge(f"minimum hits the domain edge at {where}")
-    return arg
-
-
-def _branch_b_1d(f, ball, win, psi):
-    coords = f.axis_coords(0)
-    seg = f.values[win]
-    start = win[0].start + int(np.argmin(seg))
-    arg = _locate_fiber_minimum(f.values, start, f"ball {ball.index}")
+def _fiber_minimum_1d(f, coords, ball, win):
+    """(x_min, f_min) downhill of the lowest sample of a 1D ball's window,
+    refined by a parabola; _NuTooLarge when descent reaches the domain edge."""
+    start = win[0].start + int(np.argmin(f.values[win]))
+    arg = _descend(f.values, start)
+    if arg in (0, len(f.values) - 1):
+        raise _NuTooLarge(f"minimum hits the domain edge at ball {ball.index}")
     x_min, f_min = _parabolic_min(
         float(coords[arg]),
         f.spacing,
@@ -360,14 +435,7 @@ def _branch_b_1d(f, ball, win, psi):
         float(f.values[arg]),
         float(f.values[arg + 1]),
     )
-    f_min = max(f_min, 0.0)
-    window_vals = f.values[win]
-    window_coords = coords[win[0]]
-    diff = window_vals - f_min
-    clamp = max(0.0, float(-diff.min(initial=0.0)))
-    g1 = psi * np.sign(window_coords - x_min) * np.sqrt(np.clip(diff, 0.0, None))
-    g2 = psi * math.sqrt(f_min)
-    return [g1, g2], clamp, ("B1", x_min, f_min)
+    return x_min, max(f_min, 0.0)
 
 
 def _fiber_minima(f, spline, ball, eu, ev, u_grid):
@@ -446,7 +514,7 @@ def _fiber_minima(f, spline, ball, eu, ev, u_grid):
     return x_min, f_min
 
 
-def _branch_b_2d(f, hessian, spline, ball, win, psi, k, alpha, directions):
+def _branch_b_2d(f, hessian, spline, ball, win, psi, k, alpha):
     """Split off the signed root of f - F along the fiber-minimum curve, recurse on F.
 
     F(u) is the minimum of f along the fiber through x_j + u eu in the
@@ -460,8 +528,8 @@ def _branch_b_2d(f, hessian, spline, ball, win, psi, k, alpha, directions):
     fxy = float(hessian[1][ball.index])
     fyy = float(hessian[2][ball.index])
     best_theta, best_val = 0.0, -math.inf
-    for idx in range(directions):
-        theta = math.pi * idx / directions
+    for idx in range(DIRECTIONS):
+        theta = math.pi * idx / DIRECTIONS
         c, s = math.cos(theta), math.sin(theta)
         val = c * c * fxx + 2 * c * s * fxy + s * s * fyy
         if val > best_val:
@@ -480,31 +548,25 @@ def _branch_b_2d(f, hessian, spline, ball, win, psi, k, alpha, directions):
     x_curve = CubicSpline(u_grid, x_min)
 
     # main square on the ball window
-    xx, yy = np.meshgrid(
-        f.axis_coords(0)[win[0]], f.axis_coords(1)[win[1]], indexing="ij"
-    )
+    xx, yy = np.meshgrid(f.axis_coords(0)[win[0]], f.axis_coords(1)[win[1]], indexing="ij")
     du = (xx - center[0]) * eu[0] + (yy - center[1]) * eu[1]
     dv = (xx - center[0]) * ev[0] + (yy - center[1]) * ev[1]
-    f_on_curve = f_curve(du)
-    diff = f.values[win] - f_on_curve
-    clamp = max(0.0, float(-diff.min(initial=0.0)))
-    g1 = psi * np.sign(dv - x_curve(du)) * np.sqrt(np.clip(diff, 0.0, None))
+    g1, clamp = _signed_root(psi, dv, x_curve(du), f.values[win], f_curve(du))
     squares = [g1]
 
     # recurse on the cutoff extension of the fiber-minimum curve; the
     # sub-squares are composed with the rotation by re-evaluating their
-    # closed forms at the rotated coordinate, not by resampling arrays
-    sub = decompose(
-        SampledFunction((float(u_grid[0]),), h, np.clip(phi * f_min, 0.0, None)),
-        k,
-        alpha,
-    )
+    # closed forms at the rotated coordinate, not by resampling arrays.
+    # A curve that is zero at every sample decomposes into no squares.
+    curve = np.clip(phi * f_min, 0.0, None)
+    if not curve.any():
+        return squares, clamp
+    sub = decompose(SampledFunction((float(u_grid[0]),), h, curve), k, alpha)
 
     def f_of_u(u):
         return np.clip(bump(u / (2.0 * ball.radius)) * f_curve(u), 0.0, None)
 
-    flat_du = du.ravel()
-    for g_sub in evaluate_1d_squares(sub, flat_du, f_of_u):
+    for g_sub in evaluate_1d_squares(sub, du.ravel(), f_of_u):
         squares.append(psi * g_sub.reshape(du.shape))
     return squares, max(clamp, sub.clamp_max)
 
@@ -522,122 +584,33 @@ def evaluate_1d_squares(d: Decomposition, points: np.ndarray, f_of_u) -> list[np
     if d.n != 1:
         raise ValueError("only one-dimensional decompositions can be re-evaluated")
     points = np.asarray(points, dtype=float)
-    weights = []
-    for ball in d.partition.balls:
-        weights.append(bump(np.abs(points - ball.center[0]) / ball.radius))
+    weights = [bump(np.abs(points - ball.center[0]) / ball.radius) for ball in d.partition.balls]
     denom = np.sqrt(sum(w**2 for w in weights)) if weights else np.zeros_like(points)
     fu = np.clip(np.asarray(f_of_u(points), dtype=float), 0.0, None)
-    acc: dict[tuple[int, int], np.ndarray] = {}
-
-    def add(key, contribution):
-        if key not in acc:
-            acc[key] = np.zeros_like(points)
-        acc[key] += contribution
-
-    for ball_idx, (ball, w) in enumerate(zip(d.partition.balls, weights)):
+    per_ball_squares = []
+    for w, info in zip(weights, d.branch_info, strict=True):
+        # psi off the grid, where no window table holds it
         psi = np.zeros_like(points)
         np.divide(w, denom, out=psi, where=denom > 0)
-        color = d.partition.colors[ball_idx]
-        info = d.branch_info[ball_idx]
-        if info[0] == "A":
-            add((color, 0), psi * np.sqrt(fu))
-        elif info[0] == "B1":
-            _, x_min, f_min = info
-            add(
-                (color, 0),
-                psi * np.sign(points - x_min) * np.sqrt(np.clip(fu - f_min, 0.0, None)),
-            )
-            add((color, 1), psi * math.sqrt(f_min))
-        else:
-            raise ValueError(f"cannot re-evaluate branch {info[0]}")
-    return [acc.get(label, np.zeros_like(points)) for label in d.square_labels]
+        per_ball_squares.append(_ball_squares(info, psi, points, fu)[0])
+    whole = [Ellipsis] * len(per_ball_squares)
+    squares, labels = _recombine(points.shape, d.partition.colors, whole, per_ball_squares)
+    by_label = dict(zip(labels, squares))
+    return [by_label.get(label, np.zeros_like(points)) for label in d.square_labels]
 
 
-def _recombine(shape, part: PartitionOfUnity, per_ball_squares):
-    """Sum per-ball squares of equal slot within each color class."""
+def _recombine(shape, colors, windows, per_ball_squares):
+    """Sum per-ball squares of equal slot within each color class, each on
+    its ball's window; the nonzero sums and their (class, slot) labels."""
     acc: dict[tuple[int, int], np.ndarray] = {}
-    for ball_idx, squares in enumerate(per_ball_squares):
-        color = part.colors[ball_idx]
-        win = part.windows[ball_idx]
+    for color, win, squares in zip(colors, windows, per_ball_squares):
         for slot, g in enumerate(squares):
             key = (color, slot)
             if key not in acc:
                 acc[key] = np.zeros(shape, dtype=float)
             acc[key][win] += g
-    labels = sorted(acc)
-    squares = [acc[key] for key in labels if np.any(acc[key])]
-    labels = [key for key in labels if np.any(acc[key])]
-    return squares, labels
-
-
-def partial_decompose(
-    f: SampledFunction,
-    k: int,
-    alpha: float,
-    eps: float,
-    directions: int = 64,
-    nu_floor: float = 1e-12,
-) -> Decomposition:
-    """Squares from bounded-below balls only, plus a small residual.
-
-    nu is shrunk until the residual h = sum over branch-B balls of
-    psi_j^2 f stays below eps; then 0 <= h <= eps pointwise and
-    f - h is the square sum.  No minimizers are needed here, so nu may
-    shrink far below the full decomposition's working range; the floor
-    only guards against a non-terminating loop.  As in ``decompose`` the
-    construction runs on f / M and is scaled back, so partial_decompose(c f,
-    eps = c eps) is sqrt(c) partial_decompose(f, eps) with residual c h.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    unit, scale = _normalized(f, k, alpha)
-    cf = control_field(unit, k, alpha, directions=directions)
-    nu = NU_START
-    while nu >= nu_floor:
-        if not check_slow_variation(cf, nu, fail_fast=True).ok:
-            nu /= 2.0
-            continue
-        omega = _calibrate_omega(unit, cf, nu)
-        balls = build_cover(cf, nu)
-        part = partition_functions(cf, balls, nu)
-        bounded = [
-            float(unit.values[ball.index]) >= omega * nu * ball.r ** (k + alpha)
-            for ball in part.balls
-        ]
-        # h = sum of psi_j^2 f over the branch-B balls, in their order
-        branch_b = np.logical_not(bounded)
-        cells = part.table.select(branch_b).cells()
-        psi = part.psi[part.table.per_entry(branch_b)]
-        residual = np.zeros(unit.values.size)
-        np.add.at(residual, cells, psi**2 * unit.values.ravel()[cells])
-        residual = residual.reshape(unit.values.shape)
-        # scaling by M > 0 is monotone, so this is the maximum of M h
-        if float(residual.max(initial=0.0)) * scale <= eps:
-            values = np.clip(unit.values, 0.0, None)
-            per_ball = [
-                [psi * np.sqrt(values[win])] if a else []
-                for a, win, psi in zip(bounded, part.windows, part.psis)
-            ]
-            branch_a = sum(bounded)
-            squares, labels = _recombine(unit.values.shape, part, per_ball)
-            return _rescaled(Decomposition(
-                origin=f.origin,
-                spacing=f.spacing,
-                k=k,
-                alpha=alpha,
-                nu=nu,
-                omega=omega,
-                squares=squares,
-                residual=residual,
-                control=cf,
-                partition=part,
-                branch_a=branch_a,
-                branch_b=len(bounded) - branch_a,
-                clamp_max=0.0,
-                square_labels=labels,
-            ), scale)
-        nu /= 2.0
-    raise DecompositionError(f"nu underflowed {nu_floor} before the residual reached {eps}")
+    labels = [key for key in sorted(acc) if np.any(acc[key])]
+    return [acc[key] for key in labels], labels
 
 
 @dataclass

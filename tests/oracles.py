@@ -10,8 +10,11 @@ barycentric solve per candidate.  The
 numerical oracles are likewise the plain scans the decomposition replaced:
 ball coloring over all earlier balls, fiber minima over the whole domain
 diagonal, the cover layer ball by ball (greedy scan over a grid mask, one
-window of bumps, overlap counts and k-d tree query per ball), and one
-Hoelder pair scan per semi-norm.
+window of bumps, overlap counts and k-d tree query per ball), one
+Hoelder pair scan per semi-norm, and the decomposition with a nu loop of
+its own for each entry point and the branch squares written out where
+each path builds them (grid balls, partial squares, re-evaluation at
+arbitrary points), recursing on every 2D fiber curve, zero or not.
 """
 
 from __future__ import annotations
@@ -24,8 +27,30 @@ import numpy as np
 
 from halfsquares import ratmat
 from halfsquares.cover import CoverBall, PartitionOfUnity, WindowTable, bump
-from halfsquares.decompose import _NuTooLarge, _descend, _parabolic_min
-from halfsquares.holder import _offset_rings, _shifted_views
+from scipy.interpolate import CubicSpline, RectBivariateSpline
+
+from halfsquares.decompose import (
+    NU_FLOOR,
+    NU_START,
+    Decomposition,
+    DecompositionError,
+    _NuTooLarge,
+    _calibrate_omega,
+    _descend,
+    _fiber_minima,
+    _normalized,
+    _parabolic_min,
+    _rescaled,
+)
+from halfsquares.cover import build_cover, partition_functions
+from halfsquares.finitediff import partial as fd_partial
+from halfsquares.holder import (
+    SampledFunction,
+    _offset_rings,
+    _shifted_views,
+    check_slow_variation,
+    control_field,
+)
 from halfsquares.exactpoly import SparsePolynomial
 from halfsquares.multiindex import order
 
@@ -474,3 +499,261 @@ def loop_resolved_mask(d):
     if resolved.any() and not resolved.all():
         resolved = binary_erosion(resolved, structure=np.ones((3,) * d.n, dtype=bool), iterations=3)
     return resolved
+
+
+def loop_decompose(f, k, alpha, nu=None, omega=None):
+    """``decompose`` by its own nu loop and per-branch square code."""
+    unit, scale = _normalized(f, k, alpha)
+    cf = control_field(unit, k, alpha, directions=64)
+    current = NU_START if nu is None else nu
+    last_err = None
+    while current >= NU_FLOOR:
+        report = check_slow_variation(cf, current, fail_fast=True)
+        if report.ok:
+            w = _calibrate_omega(unit, cf, current) if omega is None else omega
+            try:
+                return _rescaled(_loop_decompose_at(unit, cf, k, alpha, current, w), scale)
+            except _NuTooLarge as err:
+                last_err = err
+        else:
+            last_err = RuntimeError(
+                f"slow variation fails at nu={current}: ratio {report.worst_ratio:.3f}"
+            )
+        if nu is not None:
+            raise DecompositionError(f"decomposition failed at fixed nu={nu}: {last_err}")
+        current /= 2.0
+    raise DecompositionError(f"nu underflowed {NU_FLOOR} ({last_err})")
+
+
+def _loop_decompose_at(f, cf, k, alpha, nu, omega):
+    balls = build_cover(cf, nu)
+    part = partition_functions(cf, balls, nu)
+    threshold_scale = omega * nu
+    per_ball_squares = []
+    branch_info = []
+    clamp_max = 0.0
+    branch_a = branch_b = 0
+    values = np.clip(f.values, 0.0, None)
+
+    if f.n == 2:
+        spline = RectBivariateSpline(f.axis_coords(0), f.axis_coords(1), f.values, kx=3, ky=3)
+        h = f.spacing
+        hessian = (
+            fd_partial(f.values, h, (2, 0)),
+            fd_partial(f.values, h, (1, 1)),
+            fd_partial(f.values, h, (0, 2)),
+        )
+
+    for ball, win, psi in zip(part.balls, part.windows, part.psis):
+        fc = float(f.values[ball.index])
+        threshold = threshold_scale * ball.r ** (k + alpha)
+        if fc >= threshold:
+            branch_a += 1
+            branch_info.append(("A",))
+            per_ball_squares.append([psi * np.sqrt(values[win])])
+            continue
+        branch_b += 1
+        if f.n == 1:
+            squares, clamp, info = _loop_branch_b_1d(f, ball, win, psi)
+        else:
+            squares, clamp = _loop_branch_b_2d(f, hessian, spline, ball, win, psi, k, alpha)
+            info = ("B2",)
+        branch_info.append(info)
+        clamp_max = max(clamp_max, clamp)
+        per_ball_squares.append(squares)
+
+    squares, labels = _loop_recombine(f.values.shape, part, per_ball_squares)
+    return Decomposition(
+        origin=f.origin,
+        spacing=f.spacing,
+        k=k,
+        alpha=alpha,
+        nu=nu,
+        omega=omega,
+        squares=squares,
+        residual=np.zeros_like(f.values, dtype=float),
+        control=cf,
+        partition=part,
+        branch_a=branch_a,
+        branch_b=branch_b,
+        clamp_max=clamp_max,
+        square_labels=labels,
+        branch_info=branch_info,
+    )
+
+
+def _loop_branch_b_1d(f, ball, win, psi):
+    coords = f.axis_coords(0)
+    seg = f.values[win]
+    start = win[0].start + int(np.argmin(seg))
+    arg = _descend(f.values, start)
+    if arg in (0, len(f.values) - 1):
+        raise _NuTooLarge(f"minimum hits the domain edge at ball {ball.index}")
+    x_min, f_min = _parabolic_min(
+        float(coords[arg]),
+        f.spacing,
+        float(f.values[arg - 1]),
+        float(f.values[arg]),
+        float(f.values[arg + 1]),
+    )
+    f_min = max(f_min, 0.0)
+    window_vals = f.values[win]
+    window_coords = coords[win[0]]
+    diff = window_vals - f_min
+    clamp = max(0.0, float(-diff.min(initial=0.0)))
+    g1 = psi * np.sign(window_coords - x_min) * np.sqrt(np.clip(diff, 0.0, None))
+    g2 = psi * math.sqrt(f_min)
+    return [g1, g2], clamp, ("B1", x_min, f_min)
+
+
+def _loop_branch_b_2d(f, hessian, spline, ball, win, psi, k, alpha):
+    h = f.spacing
+    fxx = float(hessian[0][ball.index])
+    fxy = float(hessian[1][ball.index])
+    fyy = float(hessian[2][ball.index])
+    best_theta, best_val = 0.0, -math.inf
+    for idx in range(64):
+        theta = math.pi * idx / 64
+        c, s = math.cos(theta), math.sin(theta)
+        val = c * c * fxx + 2 * c * s * fxy + s * s * fyy
+        if val > best_val:
+            best_theta, best_val = theta, val
+    ev = np.array([math.cos(best_theta), math.sin(best_theta)])
+    eu = np.array([-ev[1], ev[0]])
+    center = np.array(ball.center)
+
+    u_max = 2.0 * ball.radius + 6.0 * h
+    n_u = int(u_max / h) + 1
+    u_grid = h * np.arange(-n_u, n_u + 1)
+    x_min, f_min = _fiber_minima(f, spline, ball, eu, ev, u_grid)
+
+    phi = bump(u_grid / (2.0 * ball.radius))
+    f_curve = CubicSpline(u_grid, f_min)
+    x_curve = CubicSpline(u_grid, x_min)
+
+    xx, yy = np.meshgrid(f.axis_coords(0)[win[0]], f.axis_coords(1)[win[1]], indexing="ij")
+    du = (xx - center[0]) * eu[0] + (yy - center[1]) * eu[1]
+    dv = (xx - center[0]) * ev[0] + (yy - center[1]) * ev[1]
+    f_on_curve = f_curve(du)
+    diff = f.values[win] - f_on_curve
+    clamp = max(0.0, float(-diff.min(initial=0.0)))
+    g1 = psi * np.sign(dv - x_curve(du)) * np.sqrt(np.clip(diff, 0.0, None))
+    squares = [g1]
+
+    sub = loop_decompose(
+        SampledFunction((float(u_grid[0]),), h, np.clip(phi * f_min, 0.0, None)),
+        k,
+        alpha,
+    )
+
+    def f_of_u(u):
+        return np.clip(bump(u / (2.0 * ball.radius)) * f_curve(u), 0.0, None)
+
+    flat_du = du.ravel()
+    for g_sub in pointwise_evaluate_1d_squares(sub, flat_du, f_of_u):
+        squares.append(psi * g_sub.reshape(du.shape))
+    return squares, max(clamp, sub.clamp_max)
+
+
+def pointwise_evaluate_1d_squares(d, points, f_of_u):
+    """``decompose.evaluate_1d_squares`` with its branch squares written out."""
+    if d.n != 1:
+        raise ValueError("only one-dimensional decompositions can be re-evaluated")
+    points = np.asarray(points, dtype=float)
+    weights = []
+    for ball in d.partition.balls:
+        weights.append(bump(np.abs(points - ball.center[0]) / ball.radius))
+    denom = np.sqrt(sum(w**2 for w in weights)) if weights else np.zeros_like(points)
+    fu = np.clip(np.asarray(f_of_u(points), dtype=float), 0.0, None)
+    acc = {}
+
+    def add(key, contribution):
+        if key not in acc:
+            acc[key] = np.zeros_like(points)
+        acc[key] += contribution
+
+    for ball_idx, (ball, w) in enumerate(zip(d.partition.balls, weights)):
+        psi = np.zeros_like(points)
+        np.divide(w, denom, out=psi, where=denom > 0)
+        color = d.partition.colors[ball_idx]
+        info = d.branch_info[ball_idx]
+        if info[0] == "A":
+            add((color, 0), psi * np.sqrt(fu))
+        elif info[0] == "B1":
+            _, x_min, f_min = info
+            add(
+                (color, 0),
+                psi * np.sign(points - x_min) * np.sqrt(np.clip(fu - f_min, 0.0, None)),
+            )
+            add((color, 1), psi * math.sqrt(f_min))
+        else:
+            raise ValueError(f"cannot re-evaluate branch {info[0]}")
+    return [acc.get(label, np.zeros_like(points)) for label in d.square_labels]
+
+
+def _loop_recombine(shape, part, per_ball_squares):
+    acc = {}
+    for ball_idx, squares in enumerate(per_ball_squares):
+        color = part.colors[ball_idx]
+        win = part.windows[ball_idx]
+        for slot, g in enumerate(squares):
+            key = (color, slot)
+            if key not in acc:
+                acc[key] = np.zeros(shape, dtype=float)
+            acc[key][win] += g
+    labels = sorted(acc)
+    squares = [acc[key] for key in labels if np.any(acc[key])]
+    labels = [key for key in labels if np.any(acc[key])]
+    return squares, labels
+
+
+def loop_partial_decompose(f, k, alpha, eps):
+    """``partial_decompose`` by its own nu loop, cover and branch test."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    unit, scale = _normalized(f, k, alpha)
+    cf = control_field(unit, k, alpha, directions=64)
+    nu = NU_START
+    while nu >= 1e-12:
+        if not check_slow_variation(cf, nu, fail_fast=True).ok:
+            nu /= 2.0
+            continue
+        omega = _calibrate_omega(unit, cf, nu)
+        balls = build_cover(cf, nu)
+        part = partition_functions(cf, balls, nu)
+        bounded = [
+            float(unit.values[ball.index]) >= omega * nu * ball.r ** (k + alpha)
+            for ball in part.balls
+        ]
+        branch_b = np.logical_not(bounded)
+        cells = part.table.select(branch_b).cells()
+        psi = part.psi[part.table.per_entry(branch_b)]
+        residual = np.zeros(unit.values.size)
+        np.add.at(residual, cells, psi**2 * unit.values.ravel()[cells])
+        residual = residual.reshape(unit.values.shape)
+        if float(residual.max(initial=0.0)) * scale <= eps:
+            values = np.clip(unit.values, 0.0, None)
+            per_ball = [
+                [psi * np.sqrt(values[win])] if a else []
+                for a, win, psi in zip(bounded, part.windows, part.psis)
+            ]
+            branch_a = sum(bounded)
+            squares, labels = _loop_recombine(unit.values.shape, part, per_ball)
+            return _rescaled(Decomposition(
+                origin=f.origin,
+                spacing=f.spacing,
+                k=k,
+                alpha=alpha,
+                nu=nu,
+                omega=omega,
+                squares=squares,
+                residual=residual,
+                control=cf,
+                partition=part,
+                branch_a=branch_a,
+                branch_b=len(bounded) - branch_a,
+                clamp_max=0.0,
+                square_labels=labels,
+            ), scale)
+        nu /= 2.0
+    raise DecompositionError(f"nu underflowed 1e-12 before the residual reached {eps}")

@@ -1,7 +1,9 @@
 import importlib
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from halfsquares.decompose import (
     DecompositionError,
@@ -13,6 +15,7 @@ from halfsquares.decompose import (
 )
 from halfsquares.fixtures import build_fixture
 from halfsquares.holder import SampledFunction
+import oracles
 from oracles import full_diagonal_fiber_minima
 
 # the module, which the package's decompose function shadows as an attribute
@@ -258,3 +261,140 @@ def test_fiber_window_matches_full_diagonal_scan(monkeypatch, build, needs):
     assert seen["balls"] >= d.branch_b > 0
     for key in needs:
         assert seen[key] > 0, (key, seen)
+
+
+def _assert_same_decomposition(got, want):
+    assert got.square_labels == want.square_labels
+    assert len(got.squares) == len(want.squares)
+    for g, w in zip(got.squares, want.squares):
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(got.residual, want.residual)
+    assert (got.nu, got.omega, got.clamp_max, got.scale) == (want.nu, want.omega, want.clamp_max, want.scale)
+    assert (got.branch_a, got.branch_b) == (want.branch_a, want.branch_b)
+    assert got.branch_info == want.branch_info
+    np.testing.assert_array_equal(got.partition.psi, want.partition.psi)
+    assert got.partition.colors == want.partition.colors
+
+
+@pytest.mark.parametrize("name,points,k", [
+    ("parabola", 401, 2),
+    ("parabola", 2001, 2),
+    ("bony", 2001, 3),
+    ("bony", 4001, 3),
+    ("smooth_bump", 3001, 2),
+    ("smooth_bump", 1501, 3),
+    ("constant", 1001, 2),
+    ("paraboloid", 41, 2),
+    ("paraboloid", 121, 2),
+    ("radial_bump", 61, 2),
+    ("radial_bump", 121, 2),
+])
+def test_decompose_matches_two_loop_oracle(monkeypatch, name, points, k):
+    """The one nu loop and per-ball evaluator give the squares of the code with
+    a loop per entry point and the branch squares written out per path.
+
+    The oracle recurses on every 2D fiber curve; ``decompose`` recurses on
+    none that is zero at every sample, and that changes no square.
+    """
+    zero_inputs = {"core": 0, "oracle": 0}
+
+    def counting(fn, key):
+        def wrapper(g, *args, **kwargs):
+            zero_inputs[key] += not np.any(g.values)
+            return fn(g, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(decompose_module, "decompose", counting(decompose_module.decompose, "core"))
+    monkeypatch.setattr(oracles, "loop_decompose", counting(oracles.loop_decompose, "oracle"))
+    f = build_fixture(name, points=points)
+    got = decompose_module.decompose(f, k, 1.0)
+    want = oracles.loop_decompose(f, k, 1.0)
+    _assert_same_decomposition(got, want)
+    assert verify(got, f) == verify(want, f)
+    assert zero_inputs["core"] == 0
+    if name == "radial_bump":
+        assert zero_inputs["oracle"] > 0
+
+
+@pytest.mark.parametrize("name,points,k,eps", [
+    ("bony", 4001, 3, 1e-3),
+    ("bony", 4001, 3, 1e-4),
+    ("bony", 2001, 3, 1e-4),
+    ("parabola", 2001, 2, 1e-3),
+    ("constant", 1001, 2, 1e-6),
+])
+def test_partial_decompose_matches_own_loop_oracle(name, points, k, eps):
+    f = build_fixture(name, points=points)
+    got = partial_decompose(f, k, 1.0, eps)
+    want = oracles.loop_partial_decompose(f, k, 1.0, eps)
+    _assert_same_decomposition(got, want)
+    assert verify(got, f) == verify(want, f)
+
+
+@pytest.mark.parametrize("name,points,k", [("parabola", 401, 2), ("bony", 2001, 3)])
+def test_evaluate_1d_squares_matches_pointwise_oracle(name, points, k):
+    f = build_fixture(name, points=points)
+    d = decompose(f, k, 1.0)
+    coords = f.axis_coords(0)
+    points = np.random.default_rng(7).uniform(coords[0], coords[-1], 3 * points)
+    fn = lambda u: np.interp(u, coords, f.values)
+    got = evaluate_1d_squares(d, points, fn)
+    want = oracles.pointwise_evaluate_1d_squares(d, points, fn)
+    assert len(got) == len(want) == len(d.squares)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("build,run", [
+    (lambda: build_fixture("bony", points=2001), lambda f: partial_decompose(f, 3, 1.0, 1e-4)),
+    (_corner_paraboloid, lambda f: decompose(f, 2, 1.0)),
+], ids=["partial-bony-2001", "corner_paraboloid-41"])
+def test_rejected_nu_frees_its_cover(monkeypatch, build, run):
+    """While the next nu is tried, nothing holds the cover of a rejected one."""
+    f = build()
+    partition_functions = decompose_module.partition_functions
+    covers = []
+
+    def recording(cf, balls, nu):
+        top = cf.values.shape == f.shape  # not a 2D fiber recursion
+        if top:
+            assert all(ref() is None for ref in covers), "a rejected cover is still alive"
+        part = partition_functions(cf, balls, nu)
+        if top:
+            covers.append(weakref.ref(part))
+        return part
+
+    monkeypatch.setattr(decompose_module, "partition_functions", recording)
+    d = run(f)
+    assert len(covers) >= 2 and d.nu < decompose_module.NU_START
+
+
+@settings(max_examples=60)
+@given(
+    coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+    c=st.floats(0.0, 1.0),
+    points=st.integers(101, 401),
+    k=st.sampled_from([2, 3]),
+    eps=st.floats(1e-5, 1e-2),
+)
+def test_partial_decompose_bounds_residual_and_reconstructs(coeffs, c, points, k, eps):
+    """0 <= h <= eps and sum g^2 + h = f on the verified region, for f = p^2 + c.
+
+    Where a ball is centred on a sample at which f is zero or all but zero,
+    that ball fails the branch test at every nu, and its radius does not
+    shrink below 4 cells; an eps below f a few cells away is then out of
+    reach, and nu runs down to its floor.  Those inputs are set aside.
+    """
+    x = np.linspace(-1.0, 1.0, points)
+    f = SampledFunction((-1.0,), 2.0 / (points - 1), np.polyval(coeffs, x) ** 2 + c)
+    try:
+        p = partial_decompose(f, k, 1.0, eps)
+    except DecompositionError as err:
+        assert "exceeds eps" in str(err)
+        reject()
+    assert float(p.residual.min()) >= 0.0
+    assert float(p.residual.max()) <= eps
+    mask = p.verified_mask()
+    gap = float(np.max(np.abs(p.reconstruction() - f.values)[mask], initial=0.0))
+    assert gap <= 1e-12 * float(f.values.max())
