@@ -12,9 +12,13 @@ Branch-A balls contribute psi_j sqrt(f); the others locate the interior
 minimizer along the distinguished direction, split off
 psi_j * sgn * sqrt(f - F), and handle the remainder F either as a
 constant (one dimension) or by recursing on the fiber minimum curve (two
-dimensions, one recursion level).  Squares from balls of one color class
-have disjoint supports and are summed, which keeps the final square
-count bounded by the dimensional constant.
+dimensions, one recursion level).  In two dimensions the branch-B balls
+are taken in blocks of FIBER_BLOCK, in ball order: the fiber rows of a
+block are searched together, one ``spline.ev`` call per round, and the
+fiber curves of its balls come from one cubic spline per u-grid length;
+the squares are then built ball by ball.  Squares from balls of one
+color class have disjoint supports and are summed, which keeps the final
+square count bounded by the dimensional constant.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
+from scipy.interpolate import CubicSpline, PPoly, RectBivariateSpline
 
 from .cover import OVERLAP_BOUND_BASE, PartitionOfUnity, bump, build_cover, overlap_counts, partition_functions
 from .finitediff import partial as fd_partial
@@ -46,6 +50,16 @@ NU_FLOOR = 1e-6
 PARTIAL_NU_FLOOR = 1e-12
 # sampled directions of the control field and of a 2D ball's fiber direction
 DIRECTIONS = 64
+# (cos, sin) of the fiber directions theta = pi idx / DIRECTIONS
+_DIRECTION_TABLE = np.array(
+    [(math.cos(t), math.sin(t)) for t in (math.pi * idx / DIRECTIONS for idx in range(DIRECTIONS))]
+)
+# Branch-B balls of a 2D cover are taken this many at a time: one fiber
+# search and one fiber spline per u-grid length serve a block, and nothing
+# of a block outlives it.  On radial_bump-121^2 all 957 balls in one block
+# peak at 20.8 MB of traced allocations against 7.5 MB for blocks of 64,
+# which is within 0.2 MB of one ball at a time.
+FIBER_BLOCK = 64
 # Largest sup |sum g^2 - f| / max |f| that verify accepts.  The fixtures
 # reach 2.5e-9 (radial_bump-121^2); times their max |f| (7.8 at most) it is
 # below criterion 8's absolute 1e-6 and criterion 9's 1e-4.
@@ -124,19 +138,22 @@ class Decomposition:
         }
 
 
-def _parabolic_min(x0: float, h: float, fm: float, f0: float, fp: float):
-    """Vertex of the parabola through (x0 - h, fm), (x0, f0), (x0 + h, fp).
+def _parabolic_min(x0, h, fm, f0, fp):
+    """Vertex of the parabola through (x0 - h, fm), (x0, f0), (x0 + h, fp),
+    elementwise.
 
     Assumes f0 <= min(fm, fp); returns (x*, f*) clamped to the bracket
-    and never above the sampled minimum.
+    and never above the sampled minimum.  (fm - fp)^2 is taken by ``pow``,
+    as a Python float's ``**`` takes it, so that each vertex is the
+    one-point float evaluation to the last bit; a product rounds
+    differently.
     """
     curv = fm - 2.0 * f0 + fp
-    if curv <= 0.0:
-        return x0, f0
-    shift = 0.5 * (fm - fp) / curv
-    shift = max(-1.0, min(1.0, shift))
-    f_star = f0 - 0.125 * (fm - fp) ** 2 / curv
-    return x0 + shift * h, min(f_star, f0)
+    flat = curv <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.clip(0.5 * (fm - fp) / curv, -1.0, 1.0)
+        f_star = f0 - 0.125 * np.float_power(fm - fp, 2.0) / curv
+    return np.where(flat, x0, x0 + shift * h), np.where(flat, f0, np.minimum(f_star, f0))
 
 
 def _calibrate_omega(f: SampledFunction, cf: ControlField, nu: float) -> float:
@@ -331,9 +348,9 @@ def _decompose_at(f, scale, cf, nu, omega) -> Decomposition:
     values = np.clip(f.values, 0.0, None)
     if f.n == 1:
         coords = f.axis_coords(0)
+        branch_b = _fiber_minima_1d(f, coords, part, bounded)
     else:
-        spline = RectBivariateSpline(f.axis_coords(0), f.axis_coords(1), f.values, kx=3, ky=3)
-        hessian = [fd_partial(f.values, f.spacing, beta) for beta in ((2, 0), (1, 1), (0, 2))]
+        branch_b = _branch_b_2d(f, part, bounded, cf.k, cf.alpha)
 
     per_ball: list[list[np.ndarray]] = []
     branch_info: list[tuple] = []
@@ -343,11 +360,11 @@ def _decompose_at(f, scale, cf, nu, omega) -> Decomposition:
             info = ("A",)
             squares, clamp = _ball_squares(info, psi, None, values[win])
         elif f.n == 1:
-            info = ("B1", *_fiber_minimum_1d(f, coords, ball, win))
+            info = ("B1", *next(branch_b))
             squares, clamp = _ball_squares(info, psi, coords[win[0]], f.values[win])
         else:
             info = ("B2",)
-            squares, clamp = _branch_b_2d(f, hessian, spline, ball, win, psi, cf.k, cf.alpha)
+            squares, clamp = next(branch_b)
         branch_info.append(info)
         clamp_max = max(clamp_max, clamp)
         per_ball.append(squares)
@@ -399,176 +416,226 @@ def _signed_root(psi, v, v_min, fv, f_min):
     return psi * np.sign(v - v_min) * np.sqrt(np.clip(diff, 0.0, None)), clamp
 
 
-def _descend(values, start: int) -> int:
-    """Walk downhill from ``start`` to the nearest discrete local minimum.
+def _fiber_minima_1d(f, coords, part, bounded):
+    """(x_min, f_min) of each branch-B ball of a 1D cover, in ball order.
 
-    Descent cannot leave the well the starting point sits in, which keeps
-    the located minimizer local in the sense of the construction; where
-    the second derivative is bounded below along the whole fiber this is
-    its unique minimum.
+    Each ball descends from the lowest sample of its window, all balls at
+    once, and each minimum is refined by a parabola.  Raises _NuTooLarge
+    at the first ball whose descent reaches the domain edge.
     """
-    i = start
-    last = len(values) - 1
-    while True:
-        left = values[i - 1] if i > 0 else math.inf
-        right = values[i + 1] if i < last else math.inf
-        here = values[i]
-        if left < here and left <= right:
-            i -= 1
-        elif right < here:
-            i += 1
-        else:
-            return i
-
-
-def _fiber_minimum_1d(f, coords, ball, win):
-    """(x_min, f_min) downhill of the lowest sample of a 1D ball's window,
-    refined by a parabola; _NuTooLarge when descent reaches the domain edge."""
-    start = win[0].start + int(np.argmin(f.values[win]))
-    arg = _descend(f.values, start)
-    if arg in (0, len(f.values) - 1):
+    branch_b = [(ball, win) for ball, win, a in zip(part.balls, part.windows, bounded) if not a]
+    lowest = [win[0].start + int(np.argmin(f.values[win])) for _, win in branch_b]
+    start = np.array(lowest, dtype=int)
+    padded = np.pad(f.values, 1, constant_values=np.inf)
+    arg = _descend_rows(np.broadcast_to(padded, (start.size, padded.size)), start + 1) - 1
+    at_edge = (arg == 0) | (arg == f.values.size - 1)
+    if at_edge.any():
+        ball = branch_b[int(np.argmax(at_edge))][0]
         raise _NuTooLarge(f"minimum hits the domain edge at ball {ball.index}")
-    x_min, f_min = _parabolic_min(
-        float(coords[arg]),
-        f.spacing,
-        float(f.values[arg - 1]),
-        float(f.values[arg]),
-        float(f.values[arg + 1]),
-    )
-    return x_min, max(f_min, 0.0)
+    fm, f0, fp = f.values[arg - 1], f.values[arg], f.values[arg + 1]
+    x_min, f_min = _parabolic_min(coords[arg], f.spacing, fm, f0, fp)
+    return zip(x_min.tolist(), np.maximum(f_min, 0.0).tolist())
 
 
-def _fiber_minima(f, spline, ball, eu, ev, u_grid):
-    """Minimizer and minimum of v -> f(x_j + u eu + v ev) for each u of u_grid.
+def _branch_b_2d(f, part, bounded, k, alpha):
+    """(squares, clamp) of each branch-B ball of a 2D cover, in ball order.
 
-    Each fiber is sampled on the lattice v = h j, |j| <= n_v, which spans
-    the domain diagonal, but evaluated only on a window |j| <= w: w starts
-    a few cells past the ball radius and doubles, capped at n_v, for the
-    rows whose descent stops on the window edge or that have no in-domain
-    sample in the window.  ``spline.ev`` evaluates each point on its own,
-    descent steps only to neighbours, and the in-domain samples of a line
-    through the box are one run of the lattice, so every start, minimum,
-    edge verdict and parabolic vertex is that of the whole-lattice scan.
-    Raises _NuTooLarge when a fiber crossing the ball has no interior
-    minimum.
+    A ball splits off the signed root of f - F along its fiber-minimum
+    curve and recurses on F.  F(u) is the minimum of f along the fiber
+    through x_j + u eu in the distinguished direction ev, the first
+    sampled argmax of the second directional derivative at x_j; F and its
+    minimizer are interpolated by cubic splines in u.  The balls are taken
+    FIBER_BLOCK at a time: one fiber search (``_block_fiber_minima``) and
+    one spline per u-grid length (``_fiber_curves``) serve a block.  When
+    a fiber crossing some ball has no interior minimum, the block's balls
+    before it still get their squares, recursion included, before
+    _NuTooLarge is raised, so a recursion that fails first still wins.
     """
     h = f.spacing
-    center = np.array(ball.center)
+    spline = RectBivariateSpline(f.axis_coords(0), f.axis_coords(1), f.values, kx=3, ky=3)
+    hessian = [fd_partial(f.values, h, beta) for beta in ((2, 0), (1, 1), (0, 2))]
+    c, s = _DIRECTION_TABLE.T
+    members = np.flatnonzero(np.logical_not(bounded))
+    for first in range(0, members.size, FIBER_BLOCK):
+        block = members[first : first + FIBER_BLOCK]
+        balls = [part.balls[j] for j in block]
+        at = tuple(np.array([ball.index for ball in balls]).T)
+        fxx, fxy, fyy = (d2[at][:, None] for d2 in hessian)
+        ev = _DIRECTION_TABLE[np.argmax(c * c * fxx + 2 * c * s * fxy + s * s * fyy, axis=1)]
+        eu = np.column_stack((-ev[:, 1], ev[:, 0]))
+        # u spans the cutoff support plus a stencil margin
+        n_us = [int((2.0 * ball.radius + 6.0 * h) / h) + 1 for ball in balls]
+        u_grids = [h * np.arange(-n_u, n_u + 1) for n_u in n_us]
+        minima, rejected = _block_fiber_minima(f, spline, balls, eu, ev, u_grids)
+        curves = _fiber_curves(u_grids, minima)
+        for i, (_, f_min) in enumerate(minima):
+            j, ball, u_grid, (f_curve, x_curve) = block[i], balls[i], u_grids[i], curves[i]
+            win, psi = part.windows[j], part.psis[j]
+            # main square on the ball window
+            dx = (f.axis_coords(0)[win[0]] - ball.center[0])[:, None]
+            dy = (f.axis_coords(1)[win[1]] - ball.center[1])[None, :]
+            du = dx * eu[i, 0] + dy * eu[i, 1]
+            dv = dx * ev[i, 0] + dy * ev[i, 1]
+            g1, clamp = _signed_root(psi, dv, x_curve(du), f.values[win], f_curve(du))
+            squares = [g1]
+            # recurse on the cutoff extension of the fiber-minimum curve; the
+            # sub-squares are composed with the rotation by re-evaluating their
+            # closed forms at the rotated coordinate, not by resampling arrays.
+            # A curve that is zero at every sample decomposes into no squares.
+            width = 2.0 * ball.radius
+            curve = np.clip(bump(u_grid / width) * f_min, 0.0, None)
+            if curve.any():
+                sub = decompose(SampledFunction((float(u_grid[0]),), h, curve), k, alpha)
+
+                def f_of_u(u):
+                    return np.clip(bump(u / width) * f_curve(u), 0.0, None)
+
+                for g_sub in evaluate_1d_squares(sub, du.ravel(), f_of_u):
+                    squares.append(psi * g_sub.reshape(du.shape))
+                clamp = max(clamp, sub.clamp_max)
+            yield squares, clamp
+        if rejected is not None:
+            raise _NuTooLarge(f"fiber minimum hits the domain edge at ball {balls[rejected].index}")
+
+
+def _block_fiber_minima(f, spline, balls, eu, ev, u_grids):
+    """Minimizer and minimum of v -> f(x_j + u eu_j + v ev_j) for each u of
+    each ball's u grid, over a block of balls at once.
+
+    Each fiber row is sampled on the lattice v = h i, |i| <= n_v, which
+    spans the domain diagonal, but evaluated only on a window |i| <= w of
+    its own: w starts a few cells past its ball's radius and doubles,
+    capped at n_v, while the row's descent stops on the window edge or the
+    window holds no in-domain sample.  A round evaluates the windows of
+    all open rows with one ``spline.ev`` call and descends on all of them
+    at once in a table padded with +inf, which stands for the end of the
+    row (``_descend_rows``).  ``spline.ev`` evaluates each point on
+    its own, descent steps only to lower neighbours, and the in-domain
+    samples of a line through the box are one run of the lattice, so
+    every start, minimum, edge verdict and parabolic vertex is that of the
+    whole-lattice scan of the fiber alone.
+
+    Returns the (x_min, f_min) rows of the balls before the first ball
+    crossed by a fiber with no interior minimum, and that ball's position
+    in ``balls``, or None when there is none.  Rows of that ball and of
+    later ones are dropped as soon as it is known.
+    """
+    h = f.spacing
     lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
     hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
     extent = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
     n_v = int(extent / h) + 1
     v_grid = h * np.arange(-n_v, n_v + 1)
 
-    x_min = np.empty(len(u_grid))
-    f_min = np.empty(len(u_grid))
-    interior_needed = np.abs(u_grid) <= ball.radius + h
-    rows = np.arange(len(u_grid))
-    w = min(n_v, int(ball.radius / h) + 4)
+    # one row per (ball, u): its owner, base point x_j + u eu, direction and window
+    sizes = [len(u_grid) for u_grid in u_grids]
+    owner = np.repeat(np.arange(len(balls)), sizes)
+    u = np.concatenate(u_grids)
+    centers = np.array([ball.center for ball in balls])
+    base = centers[owner] + u[:, None] * eu[owner]
+    direction = ev[owner]
+    interior_needed = np.abs(u) <= np.array([ball.radius for ball in balls])[owner] + h
+    half = np.array([min(n_v, int(ball.radius / h) + 4) for ball in balls])[owner]
+
+    x_min = np.empty(u.size)
+    f_min = np.empty(u.size)
+    rejected = len(balls)
+    rows = np.arange(u.size)
     while rows.size:
-        v_win = v_grid[n_v - w : n_v + w + 1]
-        pts = (
-            center
-            + np.outer(u_grid[rows], eu).reshape(len(rows), 1, 2)
-            + np.outer(v_win, ev).reshape(1, len(v_win), 2)
-        )
+        w = half[rows]
+        wide = int(w.max())
+        width = 2 * w + 1
+        entry = np.repeat(np.arange(rows.size), width)
+        offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width + w, width)
+        pts = base[rows[entry]] + v_grid[n_v + offset][:, None] * direction[rows[entry]]
         inside = np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
         clipped = np.clip(pts, lo, hi)
-        fiber_vals = spline.ev(clipped[..., 0], clipped[..., 1])
         # clipped samples repeat the boundary value; poison them so descent
         # cannot mistake the clip shelf for an interior minimum
-        fiber_vals = np.where(inside, fiber_vals, np.inf)
+        fiber_vals = np.where(inside, spline.ev(clipped[:, 0], clipped[:, 1]), np.inf)
+        # column wide + 1 + i holds lattice offset i; columns 0 and -1 stay +inf
+        table = np.full((rows.size, 2 * wide + 3), np.inf)
+        table[entry, wide + 1 + offset] = fiber_vals
+        # free the point arrays before the descent allocates its own
+        del pts, inside, clipped, fiber_vals, entry, offset
 
-        short_window = w < n_v
-        grow = []
-        for i, row in zip(rows, fiber_vals):
-            start = w
-            if not np.isfinite(row[start]):
-                finite_idx = np.flatnonzero(np.isfinite(row))
-                if finite_idx.size == 0:
-                    if short_window:
-                        grow.append(i)
-                        continue
-                    x_min[i] = 0.0
-                    f_min[i] = 0.0
-                    continue
-                start = int(finite_idx[np.argmin(np.abs(finite_idx - w))])
-            arg = _descend(row, start)
-            on_window_edge = arg in (0, len(v_win) - 1)
-            if on_window_edge and short_window:
-                grow.append(i)
-                continue
-            if on_window_edge or not np.isfinite(row[arg - 1]) or not np.isfinite(row[arg + 1]):
-                if interior_needed[i]:
-                    raise _NuTooLarge(f"fiber minimum hits the domain edge at ball {ball.index}")
-                x_min[i] = v_win[arg]
-                f_min[i] = max(float(row[arg]), 0.0)
-                continue
-            v_star, f_star = _parabolic_min(
-                float(v_win[arg]), h, float(row[arg - 1]), float(row[arg]), float(row[arg + 1])
-            )
-            x_min[i] = v_star
-            f_min[i] = max(f_star, 0.0)
-        rows = np.array(grow, dtype=int)
-        w = min(2 * w, n_v)
-    return x_min, f_min
+        finite = np.isfinite(table)
+        sampled = finite.any(axis=1)
+        # the finite column nearest the window centre, the lower one on a tie
+        gap = np.abs(np.arange(table.shape[1]) - (wide + 1))
+        start = np.argmin(np.where(finite, gap, table.shape[1]), axis=1)
+        pos = _descend_rows(table, start)
+        arg = pos - (wide + 1)
+        pick = np.arange(rows.size)
+        here, left, right = table[pick, pos], table[pick, pos - 1], table[pick, pos + 1]
+
+        grow = (np.abs(arg) == w) | ~sampled
+        grow &= w < n_v
+        edge = sampled & ~grow & ((np.abs(arg) == w) | ~np.isfinite(left) | ~np.isfinite(right))
+        vertex = sampled & ~grow & ~edge
+        empty = ~sampled & ~grow
+        x_min[rows[empty]] = 0.0
+        f_min[rows[empty]] = 0.0
+        x_min[rows[edge]] = v_grid[n_v + arg[edge]]
+        f_min[rows[edge]] = np.maximum(here[edge], 0.0)
+        v_star, f_star = _parabolic_min(
+            v_grid[n_v + arg[vertex]], h, left[vertex], here[vertex], right[vertex]
+        )
+        x_min[rows[vertex]] = v_star
+        f_min[rows[vertex]] = np.maximum(f_star, 0.0)
+        fails = rows[edge & interior_needed[rows]]
+        if fails.size:
+            rejected = min(rejected, int(owner[fails].min()))
+        rows = rows[grow]
+        half[rows] = np.minimum(2 * half[rows], n_v)
+        rows = rows[owner[rows] < rejected]
+
+    done = np.cumsum(sizes)[:rejected]
+    minima = list(zip(np.split(x_min, done)[:rejected], np.split(f_min, done)[:rejected]))
+    return minima, (rejected if rejected < len(balls) else None)
 
 
-def _branch_b_2d(f, hessian, spline, ball, win, psi, k, alpha):
-    """Split off the signed root of f - F along the fiber-minimum curve, recurse on F.
+def _descend_rows(table, start):
+    """Walk each row of ``table`` downhill from its column ``start`` to the
+    nearest discrete local minimum; the columns it stops at.
 
-    F(u) is the minimum of f along the fiber through x_j + u eu in the
-    distinguished direction ev, found on a window that grows only where
-    descent needs it (``_fiber_minima``).  F and its minimizer are
-    interpolated by cubic splines in u.
+    A step goes to the lower neighbour, the left one on a tie, and only
+    to a strictly lower value, so descent cannot leave the well the start
+    sits in: the located minimizer is local in the sense of the
+    construction, and where the second derivative is bounded below along
+    the whole row it is the row's unique minimum.  The first and last
+    columns must be +inf, which stands for the end of the row; a row that
+    starts on +inf stays there.
     """
-    h = f.spacing
-    # distinguished direction: sampled argmax of the second directional derivative
-    fxx = float(hessian[0][ball.index])
-    fxy = float(hessian[1][ball.index])
-    fyy = float(hessian[2][ball.index])
-    best_theta, best_val = 0.0, -math.inf
-    for idx in range(DIRECTIONS):
-        theta = math.pi * idx / DIRECTIONS
-        c, s = math.cos(theta), math.sin(theta)
-        val = c * c * fxx + 2 * c * s * fxy + s * s * fyy
-        if val > best_val:
-            best_theta, best_val = theta, val
-    ev = np.array([math.cos(best_theta), math.sin(best_theta)])  # fiber direction
-    eu = np.array([-ev[1], ev[0]])
-    center = np.array(ball.center)
+    pos = start.copy()
+    moving = np.flatnonzero(np.isfinite(table[np.arange(pos.size), pos]))
+    while moving.size:
+        p = pos[moving]
+        left, here, right = table[moving, p - 1], table[moving, p], table[moving, p + 1]
+        to_left = (left < here) & (left <= right)
+        to_right = ~to_left & (right < here)
+        pos[moving] += to_right.astype(int) - to_left.astype(int)
+        moving = moving[to_left | to_right]
+    return pos
 
-    u_max = 2.0 * ball.radius + 6.0 * h  # cutoff support plus stencil margin
-    n_u = int(u_max / h) + 1
-    u_grid = h * np.arange(-n_u, n_u + 1)
-    x_min, f_min = _fiber_minima(f, spline, ball, eu, ev, u_grid)
 
-    phi = bump(u_grid / (2.0 * ball.radius))
-    f_curve = CubicSpline(u_grid, f_min)
-    x_curve = CubicSpline(u_grid, x_min)
+def _fiber_curves(u_grids, minima):
+    """(F, x_min) of each ball of ``minima`` as cubic splines in u.
 
-    # main square on the ball window
-    xx, yy = np.meshgrid(f.axis_coords(0)[win[0]], f.axis_coords(1)[win[1]], indexing="ij")
-    du = (xx - center[0]) * eu[0] + (yy - center[1]) * eu[1]
-    dv = (xx - center[0]) * ev[0] + (yy - center[1]) * ev[1]
-    g1, clamp = _signed_root(psi, dv, x_curve(du), f.values[win], f_curve(du))
-    squares = [g1]
-
-    # recurse on the cutoff extension of the fiber-minimum curve; the
-    # sub-squares are composed with the rotation by re-evaluating their
-    # closed forms at the rotated coordinate, not by resampling arrays.
-    # A curve that is zero at every sample decomposes into no squares.
-    curve = np.clip(phi * f_min, 0.0, None)
-    if not curve.any():
-        return squares, clamp
-    sub = decompose(SampledFunction((float(u_grid[0]),), h, curve), k, alpha)
-
-    def f_of_u(u):
-        return np.clip(bump(u / (2.0 * ball.radius)) * f_curve(u), 0.0, None)
-
-    for g_sub in evaluate_1d_squares(sub, du.ravel(), f_of_u):
-        squares.append(psi * g_sub.reshape(du.shape))
-    return squares, max(clamp, sub.clamp_max)
+    Balls of equal u-grid length share one CubicSpline whose columns are
+    their f_min and x_min; each ball reads its own two columns.
+    """
+    by_length: dict[int, list[int]] = {}
+    for i in range(len(minima)):
+        by_length.setdefault(len(u_grids[i]), []).append(i)
+    curves = [None] * len(minima)
+    for group in by_length.values():
+        columns = [col for i in group for col in (minima[i][1], minima[i][0])]  # f_min, x_min
+        spline = CubicSpline(u_grids[group[0]], np.column_stack(columns))
+        for slot, i in enumerate(group):
+            coeffs = spline.c[..., 2 * slot], spline.c[..., 2 * slot + 1]
+            curves[i] = tuple(PPoly.construct_fast(c, spline.x) for c in coeffs)
+    return curves
 
 
 def evaluate_1d_squares(d: Decomposition, points: np.ndarray, f_of_u) -> list[np.ndarray]:

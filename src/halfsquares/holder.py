@@ -37,6 +37,8 @@ class SampledFunction:
             raise ValueError("only 1- and 2-dimensional grids are supported")
         if len(self.origin) != self.values.ndim:
             raise ValueError("origin length must match dimension")
+        if not all(math.isfinite(o) for o in self.origin):
+            raise ValueError("origin must be finite")
         if not 0 < self.spacing < math.inf:
             raise ValueError("spacing must be positive and finite")
         if not np.all(np.isfinite(self.values)):

@@ -9,7 +9,9 @@ direct search's tuple and target loops, one determinant or one Fraction
 barycentric solve per candidate.  The
 numerical oracles are likewise the plain scans the decomposition replaced:
 ball coloring over all earlier balls, fiber minima over the whole domain
-diagonal, the cover layer ball by ball (greedy scan over a grid mask, one
+diagonal, the windowed fiber search, its descent, its parabola and the
+two fiber splines one ball at a time in Python floats, the cover layer ball by
+ball (greedy scan over a grid mask, one
 window of bumps, overlap counts and k-d tree query per ball), one
 Hoelder pair scan per semi-norm, and the decomposition with a nu loop of
 its own for each entry point and the branch squares written out where
@@ -36,10 +38,7 @@ from halfsquares.decompose import (
     DecompositionError,
     _NuTooLarge,
     _calibrate_omega,
-    _descend,
-    _fiber_minima,
     _normalized,
-    _parabolic_min,
     _rescaled,
 )
 from halfsquares.cover import build_cover, partition_functions
@@ -263,10 +262,119 @@ def pairwise_color_classes(balls) -> list[int]:
     return colors
 
 
+def descend(values, start: int) -> int:
+    """Walk downhill from ``start`` to the nearest discrete local minimum,
+    one step at a time in Python; out of range counts as +inf."""
+    i = start
+    last = len(values) - 1
+    while True:
+        left = values[i - 1] if i > 0 else math.inf
+        right = values[i + 1] if i < last else math.inf
+        here = values[i]
+        if left < here and left <= right:
+            i -= 1
+        elif right < here:
+            i += 1
+        else:
+            return i
+
+
+def parabolic_min(x0: float, h: float, fm: float, f0: float, fp: float):
+    """Vertex of the parabola through (x0 - h, fm), (x0, f0), (x0 + h, fp),
+    one point in Python floats.
+
+    Assumes f0 <= min(fm, fp); returns (x*, f*) clamped to the bracket
+    and never above the sampled minimum.
+    """
+    curv = fm - 2.0 * f0 + fp
+    if curv <= 0.0:
+        return x0, f0
+    shift = 0.5 * (fm - fp) / curv
+    shift = max(-1.0, min(1.0, shift))
+    f_star = f0 - 0.125 * (fm - fp) ** 2 / curv
+    return x0 + shift * h, min(f_star, f0)
+
+
+def per_ball_fiber_minima(f, spline, ball, eu, ev, u_grid):
+    """Minimizer and minimum of v -> f(x_j + u eu + v ev) for each u of u_grid.
+
+    Each fiber is sampled on the lattice v = h j, |j| <= n_v, which spans
+    the domain diagonal, but evaluated only on a window |j| <= w: w starts
+    a few cells past the ball radius and doubles, capped at n_v, for the
+    rows whose descent stops on the window edge or that have no in-domain
+    sample in the window.  ``spline.ev`` evaluates each point on its own,
+    descent steps only to neighbours, and the in-domain samples of a line
+    through the box are one run of the lattice, so every start, minimum,
+    edge verdict and parabolic vertex is that of the whole-lattice scan.
+    Raises _NuTooLarge when a fiber crossing the ball has no interior
+    minimum.
+    """
+    h = f.spacing
+    center = np.array(ball.center)
+    lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
+    hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
+    extent = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
+    n_v = int(extent / h) + 1
+    v_grid = h * np.arange(-n_v, n_v + 1)
+
+    x_min = np.empty(len(u_grid))
+    f_min = np.empty(len(u_grid))
+    interior_needed = np.abs(u_grid) <= ball.radius + h
+    rows = np.arange(len(u_grid))
+    w = min(n_v, int(ball.radius / h) + 4)
+    while rows.size:
+        v_win = v_grid[n_v - w : n_v + w + 1]
+        pts = (
+            center
+            + np.outer(u_grid[rows], eu).reshape(len(rows), 1, 2)
+            + np.outer(v_win, ev).reshape(1, len(v_win), 2)
+        )
+        inside = np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
+        clipped = np.clip(pts, lo, hi)
+        fiber_vals = spline.ev(clipped[..., 0], clipped[..., 1])
+        # clipped samples repeat the boundary value; poison them so descent
+        # cannot mistake the clip shelf for an interior minimum
+        fiber_vals = np.where(inside, fiber_vals, np.inf)
+
+        short_window = w < n_v
+        grow = []
+        for i, row in zip(rows, fiber_vals):
+            start = w
+            if not np.isfinite(row[start]):
+                finite_idx = np.flatnonzero(np.isfinite(row))
+                if finite_idx.size == 0:
+                    if short_window:
+                        grow.append(i)
+                        continue
+                    x_min[i] = 0.0
+                    f_min[i] = 0.0
+                    continue
+                start = int(finite_idx[np.argmin(np.abs(finite_idx - w))])
+            arg = descend(row, start)
+            on_window_edge = arg in (0, len(v_win) - 1)
+            if on_window_edge and short_window:
+                grow.append(i)
+                continue
+            if on_window_edge or not np.isfinite(row[arg - 1]) or not np.isfinite(row[arg + 1]):
+                if interior_needed[i]:
+                    raise _NuTooLarge(f"fiber minimum hits the domain edge at ball {ball.index}")
+                x_min[i] = v_win[arg]
+                f_min[i] = max(float(row[arg]), 0.0)
+                continue
+            v_star, f_star = parabolic_min(
+                float(v_win[arg]), h, float(row[arg - 1]), float(row[arg]), float(row[arg + 1])
+            )
+            x_min[i] = v_star
+            f_min[i] = max(f_star, 0.0)
+        rows = np.array(grow, dtype=int)
+        w = min(2 * w, n_v)
+    return x_min, f_min
+
+
 def full_diagonal_fiber_minima(f, spline, ball, eu, ev, u_grid):
     """Fiber minima from samples along the whole domain diagonal of every fiber.
 
-    Same contract as ``decompose._fiber_minima``: returns (x_min, f_min)
+    Same contract as ``per_ball_fiber_minima``: returns (x_min, f_min)
     per u of u_grid, or raises _NuTooLarge.
     """
     h = f.spacing
@@ -300,7 +408,7 @@ def full_diagonal_fiber_minima(f, spline, ball, eu, ev, u_grid):
                 f_min[i] = 0.0
                 continue
             start = int(finite_idx[np.argmin(np.abs(finite_idx - v_center))])
-        arg = _descend(row, start)
+        arg = descend(row, start)
         at_edge = (
             arg in (0, len(v_grid) - 1)
             or not np.isfinite(row[arg - 1])
@@ -312,7 +420,7 @@ def full_diagonal_fiber_minima(f, spline, ball, eu, ev, u_grid):
             x_min[i] = v_grid[arg]
             f_min[i] = max(float(row[arg]), 0.0)
             continue
-        v_star, f_star = _parabolic_min(
+        v_star, f_star = parabolic_min(
             float(v_grid[arg]), h, float(row[arg - 1]), float(row[arg]), float(row[arg + 1])
         )
         x_min[i] = v_star
@@ -586,10 +694,10 @@ def _loop_branch_b_1d(f, ball, win, psi):
     coords = f.axis_coords(0)
     seg = f.values[win]
     start = win[0].start + int(np.argmin(seg))
-    arg = _descend(f.values, start)
+    arg = descend(f.values, start)
     if arg in (0, len(f.values) - 1):
         raise _NuTooLarge(f"minimum hits the domain edge at ball {ball.index}")
-    x_min, f_min = _parabolic_min(
+    x_min, f_min = parabolic_min(
         float(coords[arg]),
         f.spacing,
         float(f.values[arg - 1]),
@@ -625,7 +733,7 @@ def _loop_branch_b_2d(f, hessian, spline, ball, win, psi, k, alpha):
     u_max = 2.0 * ball.radius + 6.0 * h
     n_u = int(u_max / h) + 1
     u_grid = h * np.arange(-n_u, n_u + 1)
-    x_min, f_min = _fiber_minima(f, spline, ball, eu, ev, u_grid)
+    x_min, f_min = per_ball_fiber_minima(f, spline, ball, eu, ev, u_grid)
 
     phi = bump(u_grid / (2.0 * ball.radius))
     f_curve = CubicSpline(u_grid, f_min)

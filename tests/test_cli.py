@@ -254,6 +254,22 @@ def test_degenerate_grid_is_input_error(tmp_path, capsys, command, changes):
     _exits_2_with_input_error(capsys, command[:1] + ["--in", path] + command[1:])
 
 
+@pytest.mark.parametrize("command", [
+    ["decompose", "--k", "2", "--alpha", "1.0", "--out", os.devnull],
+    ["partial", "--k", "2", "--alpha", "1.0", "--eps", "1e-3"],
+])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_origin_is_input_error(tmp_path, capsys, command, n, bad):
+    """A non-finite origin is rejected on reading, before any search runs on
+    coordinates that are all NaN or infinite."""
+    data = build_fixture("parabola" if n == 1 else "paraboloid", points=21).to_json_dict()
+    data["origin"][0] = bad
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(data))
+    _exits_2_with_input_error(capsys, command[:1] + ["--in", str(path)] + command[1:])
+
+
 def _fails_with_message(capsys, argv, message):
     assert main(argv) == 1
     err = capsys.readouterr().err

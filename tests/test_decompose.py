@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -197,14 +198,16 @@ def test_paraboloid_2d():
 
 
 class _CountingSpline:
-    """Forwards ``ev`` to a spline and counts the calls."""
+    """Forwards ``ev`` to a spline and counts the calls and the points."""
 
     def __init__(self, spline):
         self.spline = spline
         self.calls = 0
+        self.points = 0
 
     def ev(self, x, y):
         self.calls += 1
+        self.points += np.size(x)
         return self.spline.ev(x, y)
 
 
@@ -222,45 +225,154 @@ def _corner_paraboloid():
     )
 
 
+def _compare_block_with_balls(block_minima, oracle, seen, same_windows=False):
+    """``_block_fiber_minima`` that checks each call against ``oracle`` run
+    ball by ball: equal rows for every ball before the one that rejects nu,
+    that ball rejecting in the oracle, every ball accepted when none is.
+    With ``same_windows`` the oracle samples the same windows, so a block
+    that rejects no ball must pass ``spline.ev`` as many points."""
+
+    def compare(f, spline, balls, eu, ev, u_grids):
+        counting = _CountingSpline(spline)
+        minima, rejected = block_minima(f, counting, balls, eu, ev, u_grids)
+        seen["blocks"] += 1
+        seen["grown"] += counting.calls > 1
+        assert len(minima) == (len(balls) if rejected is None else rejected)
+        lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
+        hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
+        oracle_points = 0
+        for i, ball in enumerate(balls[: len(minima) + 1]):
+            one = _CountingSpline(spline)
+            want = _outcome(oracle, f, one, ball, eu[i], ev[i], u_grids[i])
+            oracle_points += one.points
+            seen["balls"] += 1
+            rows = np.array(ball.center) + np.outer(u_grids[i], eu[i])
+            seen["outside_rows"] += int(np.sum(np.any((rows < lo) | (rows > hi), axis=1)))
+            if i == rejected:
+                seen["too_large"] += 1
+                assert isinstance(want, decompose_module._NuTooLarge), i
+                assert str(want) == f"fiber minimum hits the domain edge at ball {ball.index}"
+                continue
+            assert not isinstance(want, Exception), (i, want)
+            np.testing.assert_array_equal(minima[i][0], want[0])
+            np.testing.assert_array_equal(minima[i][1], want[1])
+        if same_windows and rejected is None:
+            assert counting.points == oracle_points
+        return minima, rejected
+
+    return compare
+
+
 @pytest.mark.parametrize("build,needs", [
     (lambda: build_fixture("radial_bump", points=61), ("grown",)),
     (lambda: build_fixture("paraboloid", points=41), ()),
     (_corner_paraboloid, ("grown", "outside_rows", "too_large")),
 ], ids=["radial_bump-61", "paraboloid-41", "corner_paraboloid-41"])
 def test_fiber_window_matches_full_diagonal_scan(monkeypatch, build, needs):
-    """Every branch-B fiber search, at every nu tried, against the whole-diagonal scan.
+    """Every block fiber search, at every nu tried, against the whole-diagonal
+    scan of each of its balls.
 
     ``needs`` names the cases each input must exercise: windows that grow,
     fiber rows whose center lies outside the domain, and searches that
     reject nu because a minimum sits on the domain edge.
     """
-    local = decompose_module._fiber_minima
-    seen = {"balls": 0, "grown": 0, "outside_rows": 0, "too_large": 0}
-
-    def compare(f, spline, ball, eu, ev, u_grid):
-        counting = _CountingSpline(spline)
-        got = _outcome(local, f, counting, ball, eu, ev, u_grid)
-        want = _outcome(full_diagonal_fiber_minima, f, spline, ball, eu, ev, u_grid)
-        seen["balls"] += 1
-        seen["grown"] += counting.calls > 1
-        rows = np.array(ball.center) + np.outer(u_grid, eu)
-        lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
-        hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
-        seen["outside_rows"] += int(np.sum(np.any((rows < lo) | (rows > hi), axis=1)))
-        if isinstance(want, Exception):
-            seen["too_large"] += 1
-            assert isinstance(got, decompose_module._NuTooLarge) and str(got) == str(want)
-            raise got
-        assert not isinstance(got, Exception), got
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        return got
-
-    monkeypatch.setattr(decompose_module, "_fiber_minima", compare)
+    seen = dict.fromkeys(("blocks", "balls", "grown", "outside_rows", "too_large"), 0)
+    compare = _compare_block_with_balls(
+        decompose_module._block_fiber_minima, full_diagonal_fiber_minima, seen
+    )
+    monkeypatch.setattr(decompose_module, "_block_fiber_minima", compare)
     d = decompose(build(), 2, 1.0)
     assert seen["balls"] >= d.branch_b > 0
     for key in needs:
         assert seen[key] > 0, (key, seen)
+
+
+def test_parabolic_min_matches_scalar_form_bit_for_bit():
+    """The elementwise vertex equals the one-point Python-float form on every
+    row, flat and curved, with minima at the bracket edges and inside."""
+    rng = np.random.default_rng(3)
+    f0 = rng.uniform(-1.0, 1.0, 20_000)
+    fm = f0 + rng.choice([0.0, 1e-12, 1.0], f0.size) * rng.uniform(0.0, 2.0, f0.size)
+    fp = f0 + rng.choice([0.0, 1e-12, 1.0], f0.size) * rng.uniform(0.0, 2.0, f0.size)
+    x0 = rng.uniform(-3.0, 3.0, f0.size)
+    h = 0.0123
+    x_star, f_star = decompose_module._parabolic_min(x0, h, fm, f0, fp)
+    rows = zip(x0.tolist(), fm.tolist(), f0.tolist(), fp.tolist())
+    want = [oracles.parabolic_min(x, h, m, c, p) for x, m, c, p in rows]
+    np.testing.assert_array_equal(x_star, [x for x, _ in want])
+    np.testing.assert_array_equal(f_star, [y for _, y in want])
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_fiber_search_memory_stays_near_per_ball_search():
+    """The traced peak of a decompose of radial_bump-121^2 stays within 1 MB
+    of the per-ball oracle's, so the block of FIBER_BLOCK balls bounds what
+    the fiber search holds at once.  (All 957 branch-B balls in one block
+    peak about 13 MB higher.)"""
+    f = build_fixture("radial_bump", points=121)
+    decompose(f, 2, 1.0)  # imports and caches that a first run allocates
+    block = _traced_peak(lambda: decompose(f, 2, 1.0))
+    per_ball = _traced_peak(lambda: oracles.loop_decompose(f, 2, 1.0))
+    assert block <= per_ball + 1_000_000, (block, per_ball)
+
+
+def _bumps_and_quadratics(draw_terms, points):
+    """A non-negative grid on [-1, 1]^2: shifted quadratics plus radial bumps."""
+    h = 2.0 / (points - 1)
+    axis = -1.0 + h * np.arange(points)
+    xx, yy = np.meshgrid(axis, axis, indexing="ij")
+    values = np.zeros_like(xx)
+    for kind, a, cx, cy, size in draw_terms:
+        rho2 = ((xx - cx) ** 2 + (yy - cy) ** 2) / size**2
+        if kind == "quadratic":
+            values += a * rho2
+        else:
+            inside = rho2 < 1.0
+            values[inside] += a * np.exp(1.0 / (rho2[inside] - 1.0))
+    return SampledFunction((-1.0, -1.0), h, values)
+
+
+_terms = st.lists(
+    st.tuples(
+        st.sampled_from(["quadratic", "bump"]),
+        st.floats(0.1, 3.0),
+        st.floats(-1.2, 1.2),
+        st.floats(-1.2, 1.2),
+        st.floats(0.3, 1.5),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=30)
+@given(terms=_terms, points=st.integers(12, 30))
+def test_block_fiber_minima_match_per_ball_search(terms, points):
+    """On random non-negative grids, every block fiber search of a decompose
+    equals the per-ball windowed search: the same rows bit for bit, the same
+    ball rejecting nu, and, in blocks where none does, the same number of
+    points passed to ``spline.ev``.  (A block that rejects also samples the
+    first window of its later balls, which one ball at a time never reaches.)
+    """
+    f = _bumps_and_quadratics(terms, points)
+    seen = dict.fromkeys(("blocks", "balls", "grown", "outside_rows", "too_large"), 0)
+    compare = _compare_block_with_balls(
+        decompose_module._block_fiber_minima, oracles.per_ball_fiber_minima, seen, same_windows=True
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decompose_module, "_block_fiber_minima", compare)
+        try:
+            decompose(f, 2, 1.0)
+        except DecompositionError:
+            pass
 
 
 def _assert_same_decomposition(got, want):
@@ -288,13 +400,19 @@ def _assert_same_decomposition(got, want):
     ("paraboloid", 121, 2),
     ("radial_bump", 61, 2),
     ("radial_bump", 121, 2),
+    ("corner_paraboloid", 41, 2),
 ])
 def test_decompose_matches_two_loop_oracle(monkeypatch, name, points, k):
-    """The one nu loop and per-ball evaluator give the squares of the code with
-    a loop per entry point and the branch squares written out per path.
+    """The one nu loop, the block fiber search and the per-ball evaluator give
+    the squares of the code with a loop per entry point, the fiber search
+    and fiber splines one ball at a time, and the branch squares written
+    out per path.
 
     The oracle recurses on every 2D fiber curve; ``decompose`` recurses on
-    none that is zero at every sample, and that changes no square.
+    none that is zero at every sample, and that changes no square.  The
+    radial bumps have branch-B balls for several blocks; corner_paraboloid
+    rejects nu in the fiber search, in blocks with balls after the one
+    that rejects.
     """
     zero_inputs = {"core": 0, "oracle": 0}
 
@@ -307,7 +425,7 @@ def test_decompose_matches_two_loop_oracle(monkeypatch, name, points, k):
 
     monkeypatch.setattr(decompose_module, "decompose", counting(decompose_module.decompose, "core"))
     monkeypatch.setattr(oracles, "loop_decompose", counting(oracles.loop_decompose, "oracle"))
-    f = build_fixture(name, points=points)
+    f = _corner_paraboloid() if name == "corner_paraboloid" else build_fixture(name, points=points)
     got = decompose_module.decompose(f, k, 1.0)
     want = oracles.loop_decompose(f, k, 1.0)
     _assert_same_decomposition(got, want)
@@ -315,6 +433,34 @@ def test_decompose_matches_two_loop_oracle(monkeypatch, name, points, k):
     assert zero_inputs["core"] == 0
     if name == "radial_bump":
         assert zero_inputs["oracle"] > 0
+        assert got.branch_b > decompose_module.FIBER_BLOCK
+    if name == "corner_paraboloid":
+        assert got.nu < decompose_module.NU_START
+
+
+def _edge_minimum_1d(vanish_at):
+    """(x - 0.3)^2 (x - vanish_at)^2 on [0, 1], which falls to the right end
+    when it vanishes just past it."""
+    return SampledFunction.from_callable(
+        lambda x: (x - 0.3) ** 2 * (x - vanish_at) ** 2, (0.0,), 0.005, (201,)
+    )
+
+
+@pytest.mark.parametrize("build,message", [
+    (_corner_paraboloid, "fiber minimum hits the domain edge at ball"),
+    (lambda: _edge_minimum_1d(1.02), "minimum hits the domain edge at ball (196,)"),
+], ids=["corner_paraboloid-41", "edge_minimum-201"])
+def test_fixed_nu_rejected_in_fiber_search_fails_like_oracle(build, message):
+    """At a given nu that the minimum search rejects, decompose fails with
+    the per-ball oracle's message; in 1D the balls before the one that
+    reaches the domain edge have interior minima."""
+    f = build()
+    with pytest.raises(DecompositionError) as want:
+        oracles.loop_decompose(f, 2, 1.0, nu=0.25)
+    with pytest.raises(DecompositionError) as got:
+        decompose(f, 2, 1.0, nu=0.25)
+    assert str(got.value) == str(want.value)
+    assert message in str(got.value)
 
 
 @pytest.mark.parametrize("name,points,k,eps", [
