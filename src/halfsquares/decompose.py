@@ -110,10 +110,20 @@ class Decomposition:
         return len(self.squares)
 
     def reconstruction(self) -> np.ndarray:
-        total = self.residual.copy()
+        """residual + sum of g^2.
+
+        Below scale 1 the sum runs on f times 4^s, the power of two that
+        brings the scale to [0.5, 4): for a scale near the smallest normal
+        float each g^2 would otherwise be rounded to the subnormal grid on
+        its own, and their sum drift from f by whole grid steps.  Scaling by
+        a power of two is exact in the normal range, where the sum is the
+        same bit for bit.
+        """
+        s = max(0, (1 - math.frexp(self.scale)[1]) // 2)
+        total = np.ldexp(self.residual, 2 * s)
         for g in self.squares:
-            total += g**2
-        return total
+            total += np.ldexp(g, s) ** 2
+        return np.ldexp(total, -2 * s)
 
     def verified_mask(self) -> np.ndarray:
         """{r > 0} with a one-cell margin shaved off around {r = 0}."""

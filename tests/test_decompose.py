@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from halfsquares.decompose import (
     DecompositionError,
@@ -524,6 +524,8 @@ def test_rejected_nu_frees_its_cover(monkeypatch, build, run):
     k=st.sampled_from([2, 3]),
     eps=st.floats(1e-5, 1e-2),
 )
+# a constant at the bottom of the float range: squares under the subnormal grid
+@example(coeffs=[0.0], c=2.2250738585e-313, points=101, k=2, eps=0.0078125)
 def test_partial_decompose_bounds_residual_and_reconstructs(coeffs, c, points, k, eps):
     """0 <= h <= eps and sum g^2 + h = f on the verified region, for f = p^2 + c.
 
