@@ -34,6 +34,7 @@ from .decompose import DecompositionError, decompose, partial_decompose, verify
 from .exactpoly import PolynomialFormatError, SparsePolynomial
 from .fixtures import FIXTURES, build_fixture
 from .generate import (
+    TABLE_ROWS,
     construct_candidate,
     direct_search,
     emitted_certificate,
@@ -163,6 +164,10 @@ def cmd_table(args) -> int:
                 rows.append((int(n), int(d)))
         except ValueError:
             print(f"bad --rows value {args.rows!r}; expected e.g. 2x6,3x4", file=sys.stderr)
+            return BAD_INPUT
+        unknown = [f"{n}x{d}" for n, d in rows if (n, d) not in {r[:2] for r in TABLE_ROWS}]
+        if unknown:
+            print(f"--rows not in the catalog: {','.join(unknown)}", file=sys.stderr)
             return BAD_INPUT
     report = reproduce_table(rows)
     for row in report.rows:

@@ -42,14 +42,6 @@ def decimal_num_den(num, den) -> tuple[int, int]:
     return int(num), int(den)
 
 
-def _powers(x: int, top: int) -> list[int]:
-    """[1, x, x^2, ..., x^top]."""
-    out = [1]
-    for _ in range(top):
-        out.append(out[-1] * x)
-    return out
-
-
 class SparsePolynomial:
     """Map from exponent vectors to nonzero rational coefficients.
 
@@ -157,17 +149,16 @@ class SparsePolynomial:
     # -- queries ------------------------------------------------------
 
     def evaluate(self, point) -> Fraction:
-        """Exact value at a rational point.
+        """Exact value at a rational point (see ``over_common_denominator``).
 
         Integer arithmetic throughout: with the point as p / D over one
         common denominator D and the coefficients as c_e / C over theirs,
-        the value is sum c_e * p^e * D^(deg - |e|), divided once by
-        C * D^deg.  The plan (C, deg, each variable's largest exponent,
-        and per term c_e, deg - |e| and the nonzero exponents) is built on
-        the first call.
+        the value is sum c_e * p^e * D^(deg - |e|) over C * D^deg, the one
+        Fraction built.  The plan (C, deg, and per term c_e, deg - |e| and
+        the nonzero exponents) is built on the first call.
         """
-        point = [Fraction(x) for x in point]
-        if len(point) != self.nvars:
+        nums, den = over_common_denominator(point)
+        if len(nums) != self.nvars:
             raise ValueError("dimension mismatch")
         if not self.terms:
             return Fraction(0)
@@ -178,18 +169,15 @@ class SparsePolynomial:
                 (c, deg - order(e), [(i, x) for i, x in enumerate(e) if x])
                 for e, c in zip(self.terms, coeffs)
             ]
-            self._plan = cden, deg, list(map(max, zip(*self.terms))), plan
-        cden, deg, tops, plan = self._plan
-        nums, den = over_common_denominator(point)
-        powers = [_powers(x, top) for x, top in zip(nums, tops)]
-        den_powers = _powers(den, deg)
+            self._plan = cden, deg, plan
+        cden, deg, plan = self._plan
         total = 0
         for coeff, lift, nonzero in plan:
-            val = coeff * den_powers[lift]
+            val = coeff * den**lift
             for i, e in nonzero:
-                val *= powers[i][e]
+                val *= nums[i] ** e
             total += val
-        return Fraction(total, cden * den_powers[deg])
+        return Fraction(total, cden * den**deg)
 
     def degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, product
+from itertools import product
 
 import numpy as np
 
@@ -132,9 +132,6 @@ def emitted_certificate(inst: GeneratorInstance) -> AmgmCertificate:
     return AmgmCertificate(tuple(inequalities))
 
 
-_CHUNK = 4096  # combinations per determinant batch: bounds the scan's memory
-
-
 def _half_vertex_tuples(n: int, d: int):
     """All unordered, linearly independent tuples of n nonzero lattice
     points with |q|_1 <= d/2, at least one attaining d/2, lex-sorted.
@@ -143,18 +140,13 @@ def _half_vertex_tuples(n: int, d: int):
     points = [p for p in product(range(bound + 1), repeat=n) if 0 < order(p) <= bound]
     coords = np.array(points, dtype=np.int64).reshape(-1, n)
     orders = coords.sum(axis=1)
-    combos = combinations(range(len(points)), n)
     tuples = []
-    while True:
-        chunk = np.fromiter(
-            chain.from_iterable(islice(combos, _CHUNK)), dtype=np.intp
-        ).reshape(-1, n)
-        if not len(chunk):
-            return tuples
+    for chunk in ratmat.combination_chunks(len(points), n):
         chunk = chunk[orders[chunk].max(axis=1) == bound]
         # rows q_j: the transpose of the column matrix, same determinant
         chunk = chunk[ratmat.det_stack(coords[chunk]) != 0]
         tuples.extend(tuple(points[i] for i in row) for row in chunk.tolist())
+    return tuples
 
 
 def _interior_targets(qs):

@@ -4,19 +4,21 @@ Simplex polytopes (origin plus n independent lattice vertices) keep the
 integer adjugate of their vertex matrix: barycentric weights are integer
 dot products divided once by the determinant.  General vertex sets are
 described once by integer equalities for their affine hull and one
-integer inequality per facet, both from exact kernels; a membership
-query is then a few integer dot products.  Finding the facets tries
-every generator subset of the hull's dimension, which suits the small
-supports of the catalog and the search; the exact route for large ones
-is lrs (Avis & Fukuda 1992).
+integer inequality per facet; a membership query is then a few integer
+dot products.  Each subset of generators of the hull's dimension gives a
+candidate facet normal as signed integer minors, all batched through
+``ratmat.det_stack``.  Trying every subset suits the small supports of the
+catalog and the search; the exact route for large ones is lrs (Avis &
+Fukuda 1992).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
+
+import numpy as np
 
 from . import ratmat
 from .multiindex import MultiIndex
@@ -28,12 +30,6 @@ EXTERIOR = "exterior"
 
 def _dot(a, p):
     return sum(x * y for x, y in zip(a, p))
-
-
-def _kernel(rows, n):
-    """Exact basis of {x in Q^n : r.x = 0 for every row r}."""
-    rows = rows or [[0] * n]
-    return ratmat.solve_underdetermined(rows, [0] * len(rows))[1]
 
 
 def _primitive(vec):
@@ -95,7 +91,7 @@ class SimplexPolytope:
         """
         if len(point) != self.n:
             raise ValueError("dimension mismatch")
-        p, den = ratmat.over_common_denominator([Fraction(x) for x in point])
+        p, den = ratmat.over_common_denominator(point)
         scale = self.absdet * den
         dots = [_dot(row, p) for row in self.adjugate]
         return BarycentricCoords(tuple(Fraction(u, scale) for u in dots + [scale - sum(dots)]))
@@ -124,8 +120,9 @@ class GeneralPolytope:
         self._coord_min = tuple(min(p[i] for p in pts) for i in range(n))
         self._coord_max = tuple(max(p[i] for p in pts) for i in range(n))
         p0 = pts[0]
-        diffs = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
-        normals = [_primitive(v) for v in _kernel(diffs, n)]
+        diffs = [[a - b for a, b in zip(p, p0)] for p in pts[1:]] or [[0] * n]
+        kernel = ratmat.solve_underdetermined(diffs, [0] * len(diffs))[1]
+        normals = [_primitive(v) for v in kernel]
         self.equalities = tuple((a, _dot(a, p0)) for a in normals)
         self.facets = self._facets(n - len(normals), normals)
 
@@ -133,35 +130,46 @@ class GeneralPolytope:
         """Primitive integer (a, b) with a.x <= b on the hull, one per facet.
 
         A facet of the dim-dimensional hull is spanned by dim affinely
-        independent generators; its normal within the affine hull is the
-        one-dimensional kernel of their differences and the equality
-        normals.
+        independent generators s_0..s_{dim-1}.  Its normal is orthogonal
+        to the rows s_i - s_0 and the equality normals; with those n - 1
+        rows as M it is a_j = (-1)^j det(M without column j), nonzero
+        exactly when M has rank n - 1.  ``det_stack`` finds the minors of
+        a chunk of subsets at once.
         """
         if dim == 0:
             return ()
+        n = self.n
+        top = max([*self._coord_max, *(abs(x) for a in normals for x in a)])
+        dtype = np.int64 if top < 2**62 else object
+        gens = np.array(self.generators, dtype=dtype)
+        eqs = np.array(normals, dtype=dtype).reshape(-1, n)
         found = set()
-        for subset in combinations(self.generators, dim):
-            s0 = subset[0]
-            rows = [[a - b for a, b in zip(s, s0)] for s in subset[1:]] + normals
-            kernel = _kernel(rows, self.n)
-            if len(kernel) != 1:
-                continue
-            a = _primitive(kernel[0])
-            b = _dot(a, s0)
-            values = [_dot(a, g) for g in self.generators]
-            if max(values) == b:
-                found.add((a, b))
-            elif min(values) == b:
-                found.add((tuple(-x for x in a), -b))
+        for chunk in ratmat.combination_chunks(len(gens), dim):
+            k = len(chunk)
+            s0 = gens[chunk[:, 0]]
+            rows = np.concatenate(
+                [gens[chunk[:, 1:]] - s0[:, None], np.broadcast_to(eqs, (k, n - dim, n))], axis=1
+            )
+            minors = np.stack([np.delete(rows, j, axis=2) for j in range(n)], axis=1)
+            a = ratmat.det_stack(minors.reshape(k * n, n - 1, n - 1)).reshape(k, n)
+            spans = (a != 0).any(axis=1)
+            a, s0 = a[spans] * (-1) ** np.arange(n), s0[spans]
+            a //= np.gcd.reduce(a, axis=1)[:, None]
+            a = a.astype(np.int64 if n * int(np.abs(a).max(initial=0)) * top < 2**63 else object)
+            b = (a * s0).sum(axis=1)
+            values = a @ gens.T
+            up = values.max(axis=1) == b
+            keep = up | (values.min(axis=1) == b)
+            a, b = np.where(up[:, None], a, -a)[keep], np.where(up, b, -b)[keep]
+            found.update(zip(map(tuple, a.tolist()), b.tolist()))
         return tuple(sorted(found))
 
     def member(self, point) -> bool:
         """Exact test point in conv(generators)."""
-        point = [Fraction(x) for x in point]
-        if len(point) != self.n:
-            raise ValueError("dimension mismatch")
         # a.(p/den) <= b  <=>  a.p <= b*den
         p, den = ratmat.over_common_denominator(point)
+        if len(p) != self.n:
+            raise ValueError("dimension mismatch")
         return all(_dot(a, p) == b * den for a, b in self.equalities) and all(
             _dot(a, p) <= b * den for a, b in self.facets
         )

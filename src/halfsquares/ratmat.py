@@ -12,6 +12,7 @@ stack of integer matrices.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, combinations, islice
 from math import lcm
 
 import numpy as np
@@ -20,10 +21,17 @@ import numpy as np
 def over_common_denominator(values):
     """(ints, den): den the lcm of the values' denominators, ints = values * den.
 
-    The values are ints or Fractions, iterated twice.
+    Ints and Fractions are read as they are; any other value (a bool, a
+    float, a decimal string, a numpy integer) is converted with
+    ``Fraction(x)`` once.  ``ints`` and ``den`` are Python ints.
     """
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
+    pairs = [
+        x.as_integer_ratio() if type(x) is int or type(x) is Fraction
+        else tuple(map(int, Fraction(x).as_integer_ratio()))
+        for x in values
+    ]
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
 
 
 def _reduce(matrix):
@@ -114,6 +122,20 @@ def det_stack(stack) -> np.ndarray:
         ) // np.where(pivot == 0, 1, pivot)[:, None, None]
         pivot = head[:, k]
     return (sign * pivot).astype(a.dtype)
+
+
+CHUNK = 4096  # combinations per det_stack batch: bounds a batched scan's memory
+
+
+def combination_chunks(m: int, k: int):
+    """The k-subsets of range(m) in lex order, as index arrays of shape
+    (K, k) with K <= CHUNK."""
+    combos = combinations(range(m), k)
+    while True:
+        chunk = np.fromiter(chain.from_iterable(islice(combos, CHUNK)), dtype=np.intp)
+        if not len(chunk):
+            return
+        yield chunk.reshape(-1, k)
 
 
 def inverse(matrix) -> list[list[Fraction]] | None:

@@ -4,9 +4,10 @@ The derivative oracles differentiate explicit polynomial expressions by
 repeated single-variable differentiation, never through the term-list
 formulas under test.  The exact-arithmetic oracles are the plain
 algorithms the fast paths replaced: Fraction evaluation term by term,
-hull membership by a Caratheodory scan over generator subsets, and the
-direct search's tuple and target loops, one determinant or one Fraction
-barycentric solve per candidate.  The
+hull membership by a Caratheodory scan over generator subsets, facets by
+one Fraction kernel solve per generator subset, and the direct search's
+tuple and target loops, one determinant or one Fraction barycentric solve
+per candidate.  The
 numerical oracles are likewise the plain scans the decomposition replaced:
 ball coloring over all earlier balls, fiber minima over the whole domain
 diagonal, the windowed fiber search, its descent, its parabola and the
@@ -87,6 +88,55 @@ def caratheodory_member(generators, point) -> bool:
             if lam is not None and all(w >= 0 for w in lam):
                 return True
     return False
+
+
+def _primitive_kernel(rows, n):
+    """Primitive integer basis of {x in Q^n : r.x = 0 for every row r}."""
+    basis = ratmat.solve_underdetermined(rows or [[0] * n], [0] * max(len(rows), 1))[1]
+    out = []
+    for vec in basis:
+        den = math.lcm(*(x.denominator for x in vec))
+        ints = [int(x * den) for x in vec]
+        g = math.gcd(*ints)
+        out.append(tuple(x // g for x in ints))
+    return out
+
+
+def _dot(a, p):
+    return sum(x * y for x, y in zip(a, p))
+
+
+def subset_facets(generators):
+    """(equalities, facets) of ``GeneralPolytope`` by one exact solve per subset.
+
+    The equalities are the primitive kernel of the generators' differences
+    from the first.  For every subset of dim generators (dim the hull's
+    dimension) the kernel of its differences and the equality normals is
+    solved in Fractions; when it is one-dimensional its primitive vector a
+    with b = a.s0 is a facet if a.x <= b or -a.x <= -b holds on every
+    generator.
+    """
+    pts = sorted({tuple(int(x) for x in g) for g in generators})
+    n, p0 = len(pts[0]), pts[0]
+    normals = _primitive_kernel([[a - b for a, b in zip(p, p0)] for p in pts[1:]], n)
+    equalities = tuple((a, _dot(a, p0)) for a in normals)
+    dim = n - len(normals)
+    found = set()
+    for subset in combinations(pts, dim) if dim else ():
+        s0 = subset[0]
+        kernel = _primitive_kernel(
+            [[a - b for a, b in zip(s, s0)] for s in subset[1:]] + [list(a) for a in normals], n
+        )
+        if len(kernel) != 1:
+            continue
+        (a,) = kernel
+        b = _dot(a, s0)
+        values = [_dot(a, g) for g in pts]
+        if max(values) == b:
+            found.add((a, b))
+        elif min(values) == b:
+            found.add((tuple(-x for x in a), -b))
+    return equalities, tuple(sorted(found))
 
 
 def loop_half_vertex_tuples(n: int, d: int):

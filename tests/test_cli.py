@@ -106,6 +106,17 @@ def test_table_row_filter(tmp_path, capsys):
     assert len(payload["rows"]) == 1 and payload["rows"][0]["ok"]
 
 
+@pytest.mark.parametrize(
+    "rows, named", [("9x4", "9x4"), ("2x5,2x6", "2x5"), ("2x6,3x3,5x8", "3x3,5x8")]
+)
+def test_table_rows_outside_the_catalog_are_bad_input(tmp_path, capsys, rows, named):
+    report_path = tmp_path / "table.json"
+    assert main(["table", "--rows", rows, "--json", str(report_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"--rows not in the catalog: {named}"
+    assert captured.out == "" and not report_path.exists()
+
+
 def test_check_malgrange_fixture(capsys):
     code, out = run(capsys, "check", "--kind", "malgrange", "--fixture", "bony", "--alpha", "1")
     assert code == 0

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,10 +124,24 @@ def test_json_reader_rejects_violations(payload):
         SparsePolynomial.from_json_dict(payload)
 
 
+# pairwise coprime denominators up to 10^6: a point's common denominator
+# is their product
+COPRIME_DENOMINATORS = (999983, 999979, 524288, 531441, 390625, 823543)
+
 COORDINATE = st.one_of(
     st.integers(-5, 5),
     st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(COPRIME_DENOMINATORS)),
+    st.booleans(),
+    st.floats(min_value=-4, max_value=4),
+    st.decimals(min_value=-4, max_value=4, places=3).map(str),
+    st.integers(-5, 5).map(np.int64),
 )
+
+
+def exact(x) -> Fraction:
+    """The rational a coordinate stands for, in Python ints."""
+    return Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
 
 
 @st.composite
@@ -147,7 +162,19 @@ def test_evaluate_matches_fraction_loop(case):
     P, point = case
     value = P.evaluate(point)
     assert type(value) is Fraction
-    assert value == fraction_evaluate(P, point)
+    assert value == fraction_evaluate(P, [exact(x) for x in point])
+    zero = SparsePolynomial.zero(P.nvars).evaluate(point)
+    assert type(zero) is Fraction and zero == 0
+    for wrong in (point + (1,), point[1:]):
+        with pytest.raises(ValueError):
+            P.evaluate(wrong)
+
+
+def test_numpy_integer_coordinates_do_not_overflow():
+    P = SparsePolynomial(2, {(5, 0): 1, (2, 3): Fraction(-1, 3)})
+    point = [np.int64(10**6), np.int64(-(10**5))]
+    assert P.evaluate(point) == 10**30 + Fraction(10**27, 3)
+    assert all(type(x) is int for x in [P.evaluate(point).numerator, P.evaluate(point).denominator])
 
 
 def rational_points(rng, nvars, count):

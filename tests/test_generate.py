@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from halfsquares import ratmat
+from halfsquares import generate, ratmat
 from halfsquares.certificates import certify_nonnegative, certify_not_sos
 from halfsquares.exactpoly import SparsePolynomial
 from halfsquares.generate import (
@@ -91,6 +91,50 @@ def test_direct_search_deterministic():
     assert [(x.half_vertices, x.target) for x in a] == [
         (x.half_vertices, x.target) for x in b
     ]
+
+
+SEEDED = {"exhaustive_limit": 10}  # (2, 8) has 48 tuples, so these shuffle them
+UNLIMITED = 10**9
+
+
+def _search_and_pairs(monkeypatch, **kwargs):
+    """(2, 8) hits and the (tuple, target) pairs examined, in order."""
+    examined = []
+
+    def spy(qs, m, single_zero_coeff=0):
+        examined.append((qs, m))
+        return make_instance(qs, m, single_zero_coeff)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(generate, "make_instance", spy)
+        hits = direct_search(2, 8, **kwargs)
+    return [(h.half_vertices, h.target) for h in hits], examined
+
+
+def test_seeded_search_repeats_with_its_seed(monkeypatch):
+    first = _search_and_pairs(monkeypatch, budget=UNLIMITED, seed=3, **SEEDED)
+    assert first == _search_and_pairs(monkeypatch, budget=UNLIMITED, seed=3, **SEEDED)
+    _, other_seed = _search_and_pairs(monkeypatch, budget=UNLIMITED, seed=4, **SEEDED)
+    _, lex = _search_and_pairs(monkeypatch, budget=UNLIMITED)
+    # the seed reorders the tuples, so it changes the order pairs are examined in
+    assert len({tuple(first[1]), tuple(other_seed), tuple(lex)}) == 3
+
+
+def test_seeded_search_budget_bounds_the_pairs_examined(monkeypatch):
+    hits, examined = _search_and_pairs(monkeypatch, budget=UNLIMITED, seed=3, **SEEDED)
+    assert len(examined) == 228
+    for budget in (0, 1, 37, 150, 227):
+        cut_hits, cut = _search_and_pairs(monkeypatch, budget=budget, seed=3, **SEEDED)
+        assert cut == examined[:budget]
+        assert cut_hits == [h for h in hits if examined.index(h) < budget]
+
+
+def test_seeded_search_with_unlimited_budget_finds_the_lex_hits(monkeypatch):
+    lex_hits, lex = _search_and_pairs(monkeypatch, budget=UNLIMITED)
+    for seed in (0, 3, 11):
+        hits, examined = _search_and_pairs(monkeypatch, budget=UNLIMITED, seed=seed, **SEEDED)
+        assert sorted(examined) == sorted(lex)
+        assert set(hits) == set(lex_hits) and len(hits) == len(lex_hits) == 2
 
 
 def test_direct_search_bad_parameters():

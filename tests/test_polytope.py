@@ -15,7 +15,7 @@ from halfsquares.polytope import (
     SimplexPolytope,
 )
 
-from oracles import caratheodory_member
+from oracles import caratheodory_member, subset_facets
 
 
 def test_barycentric_motzkin_triangle():
@@ -229,3 +229,56 @@ def test_homogeneous_hull_is_lower_dimensional():
     assert hull.equalities == (((1, 1, 1, 1), 6),)
     assert hull.member((2, 2, 1, 1)) and not hull.member((2, 2, 1, 0))
     assert hull.member((Fraction(3, 2), Fraction(3, 2), 1, 2))
+
+
+# -- differential tests against the per-subset facet loop ------------------
+
+
+@st.composite
+def facet_supports(draw):
+    """Supports in 1-5 variables: general, on a line or a plane (so the
+    hull has equalities) or a single point.  Coordinates up to 10^6 put
+    det_stack on Python ints from 3 variables on, and up to 10^20 put the
+    generators themselves past int64."""
+    n = draw(st.integers(1, 5))
+    coord = st.integers(0, draw(st.sampled_from([4, 4, 10**6, 10**20])))
+    kind = draw(st.sampled_from(["general", "line", "plane", "single"]))
+    if kind == "single":
+        return [tuple(draw(coord) for _ in range(n))]
+    if kind == "general":
+        return draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=7))
+    base = [draw(coord) for _ in range(n)]
+    dirs = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(1 if kind == "line" else 2)]
+    pts = []
+    for _ in range(draw(st.integers(1, 6))):
+        ts = [draw(st.integers(0, 3)) for _ in dirs]
+        pts.append(tuple(b + sum(t * d[i] for t, d in zip(ts, dirs)) for i, b in enumerate(base)))
+    return [p for p in pts if min(p) >= 0] or [tuple(base)]
+
+
+@settings(max_examples=400)
+@given(facet_supports())
+def test_facets_match_subset_loop(gens):
+    hull = GeneralPolytope(gens)
+    assert (hull.equalities, hull.facets) == subset_facets(gens)
+
+
+def test_facets_match_subset_loop_on_python_int_minors(monkeypatch):
+    dtypes, det_stack = [], ratmat.det_stack
+
+    def recording(stack):
+        dets = det_stack(stack)
+        dtypes.append(dets.dtype)
+        return dets
+
+    monkeypatch.setattr(ratmat, "det_stack", recording)
+    for gens in (
+        [(3 * 10**6, 1, 0), (0, 10**6, 7), (0, 0, 0), (5, 5, 5), (10**6, 10**6, 10**6)],
+        [(10**20, 0, 0, 1), (0, 10**20, 0, 2), (0, 0, 10**20, 3), (1, 2, 3, 4), (7, 0, 0, 0)],
+        # a plane in 4 variables: one equality, and its normal enters the minors
+        [(10**6, 0, 0, 0), (0, 10**6, 0, 0), (0, 0, 10**6, 0), (0, 0, 0, 10**6), (10**6 // 4,) * 4],
+    ):
+        hull = GeneralPolytope(gens)
+        assert (hull.equalities, hull.facets) == subset_facets(gens)
+        assert all(type(x) is int for a, _ in hull.facets for x in a)
+    assert dtypes and all(d == object for d in dtypes)
