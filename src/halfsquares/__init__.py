@@ -20,6 +20,7 @@ from .certificates import (
     certify_not_sos,
 )
 from .decompose import Decomposition, DecompositionError, decompose, partial_decompose, verify
+from .errors import InputError
 from .exactpoly import PolynomialFormatError, SparsePolynomial
 from .generate import (
     CHOI_LAM,
@@ -55,6 +56,7 @@ __all__ = [
     "GeneralPolytope",
     "GeneratorInstance",
     "HolderEstimate",
+    "InputError",
     "MOTZKIN",
     "NotSosWitness",
     "OddWeightSystem",

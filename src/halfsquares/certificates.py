@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import ratmat
+from .errors import InputError
 from .exactpoly import SparsePolynomial, decimal_num_den
 from .multiindex import MultiIndex
 from .polytope import GeneralPolytope
@@ -31,7 +32,7 @@ class CertificateError(ValueError):
         self.monomial = monomial
 
 
-class CertificateFormatError(ValueError):
+class CertificateFormatError(InputError):
     """Serialized certificate data violates the format contract."""
 
 
@@ -133,7 +134,11 @@ class AmgmCertificate:
 
     @classmethod
     def loads(cls, text: str) -> "AmgmCertificate":
-        return cls.from_json_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise CertificateFormatError(f"invalid JSON: {err}") from err
+        return cls.from_json_dict(data)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import finitediff
+from .errors import InputError
 from .holder import SampledFunction, estimate_seminorm
 
 DEFAULT_SLACK = 0.05
@@ -55,7 +56,7 @@ class MalgrangeReport:
 def check_malgrange(f: SampledFunction, alpha: float, slack: float = DEFAULT_SLACK) -> MalgrangeReport:
     """|grad f| <= ((alpha+1)/alpha^(alpha/(1+alpha))) [grad f]_alpha^(1/(1+alpha)) f^(alpha/(1+alpha))."""
     if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+        raise InputError("alpha must lie in (0, 1]")
     if float(np.min(f.values)) < -1e-12:
         raise ValueError("not non-negative")
     h = f.spacing
@@ -129,7 +130,9 @@ def check_derivative_control(
     constant that is stable under grid refinement is the pass criterion.
     """
     if ell > k:
-        raise ValueError("need ell <= k")
+        raise InputError("need ell <= k")
+    if not 0 < alpha <= 1:
+        raise InputError("alpha must lie in (0, 1]")
     h = f.spacing
     num = finitediff.nabla_norm(f.values, h, ell)
     den = None
@@ -165,7 +168,7 @@ def check_interpolation(
 ) -> InterpolationReport:
     """Semi-norm interpolation [f]_gamma^(b-a) <= [f]_alpha^(b-g) [f]_beta^(g-a)."""
     if not 0 < alpha < gamma < beta <= 1:
-        raise ValueError("need 0 < alpha < gamma < beta <= 1")
+        raise InputError("need 0 < alpha < gamma < beta <= 1")
     sa = estimate_seminorm(f, alpha).value
     sg = estimate_seminorm(f, gamma).value
     sb = estimate_seminorm(f, beta).value
@@ -200,9 +203,11 @@ def check_induc(f: SampledFunction, k: int, alpha: float, eta: float) -> InducRe
     point where f vanishes but the derivative does not) is a failure.
     """
     if k < 4:
-        raise ValueError("need k >= 4")
+        raise InputError("need k >= 4")
+    if not 0 < alpha <= 1:
+        raise InputError("alpha must lie in (0, 1]")
     if not 0 < eta < (k - 2 + alpha) / (k + alpha):
-        raise ValueError("eta out of range")
+        raise InputError("eta out of range")
     if float(np.min(f.values)) < -1e-12:
         raise ValueError("not non-negative")
     h = f.spacing

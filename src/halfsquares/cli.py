@@ -1,15 +1,19 @@
 """Command-line front end.
 
-Exit codes: 0 pass, 1 a check failed or the search budget ran out, 2 bad
-input.  Numbers that originate in exact arithmetic are printed as
-fraction strings, never floats; reports serialize with sorted keys and a
-full parameter echo so reruns are byte-identical.
+Exit codes: 0 pass; 1 a check failed, the search budget ran out or the
+computation could not be done on this input; 2 bad input: a file that
+cannot be read or parsed, or a parameter outside its range.  ``main`` is
+the one place that maps errors to exit codes.  Numbers that originate in
+exact arithmetic are printed as fraction strings, never floats; reports
+are strict JSON with sorted keys and a full parameter echo, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -30,17 +34,12 @@ from .checks import (
     check_malgrange,
     refinement_stability,
 )
-from .decompose import DecompositionError, decompose, partial_decompose, verify
-from .exactpoly import PolynomialFormatError, SparsePolynomial
+from .decompose import RECONSTRUCTION_TOLERANCE, DecompositionError, decompose, partial_decompose, verify
+from .errors import InputError
+from .exactpoly import SparsePolynomial
 from .fixtures import FIXTURES, build_fixture
-from .generate import (
-    TABLE_ROWS,
-    construct_candidate,
-    direct_search,
-    emitted_certificate,
-    reproduce_table,
-)
-from .holder import SampledFunction, SampledFunctionFormatError, check_slow_variation, control_field, estimate_seminorm
+from .generate import construct_candidate, direct_search, emitted_certificate, reproduce_table, unknown_rows
+from .holder import SampledFunction, check_slow_variation, control_field, estimate_seminorm
 from .multiindex import (
     chain_terms,
     directional_expand,
@@ -54,10 +53,6 @@ from .oddweights import solve as oddweights_solve, weights_for_nodes
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
 
-def _fr(q: Fraction) -> str:
-    return str(q)
-
-
 def _report(payload: dict, args) -> dict:
     payload["version"] = __version__
     payload["parameters"] = {
@@ -66,65 +61,66 @@ def _report(payload: dict, args) -> dict:
     return payload
 
 
+def _plain(obj):
+    """obj for strict JSON: fractions and non-finite floats as strings.
+
+    A fraction is written as "p/q" and a non-finite float as "inf",
+    "-inf" or "nan", because RFC 8259 has no NaN or Infinity.
+    """
+    if isinstance(obj, Fraction) or isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    return obj
+
+
+def _json(payload, indent=None) -> str:
+    return json.dumps(_plain(payload), sort_keys=True, indent=indent, allow_nan=False, default=str)
+
+
 def _emit(payload: dict):
-    print(json.dumps(payload, sort_keys=True, indent=2, default=str))
+    print(_json(payload, indent=2))
 
 
-def _load_poly(path: str) -> SparsePolynomial:
+def _write(path: str, text: str):
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _load(cls, path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return SparsePolynomial.loads(handle.read())
+        return cls.loads(handle.read())
 
 
 def cmd_gen_nonsos(args) -> int:
-    try:
-        hits = direct_search(
-            args.nvars,
-            args.degree,
-            budget=args.budget,
-            seed=args.seed,
-            single_zero_coeff=1 if args.single_zero else 0,
-            max_hits=1,
-        )
-    except ValueError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return BAD_INPUT
+    single_zero = 1 if args.single_zero else 0
+    hits = direct_search(args.nvars, args.degree, args.budget, args.seed, single_zero, max_hits=1)
     if not hits:
         _emit(_report({"found": False}, args))
         return FAIL
     inst = hits[0]
     poly = construct_candidate(inst)
-    cert = emitted_certificate(inst)
-    with open(args.out + ".poly.json", "w", encoding="utf-8") as handle:
-        handle.write(poly.dumps())
-    with open(args.out + ".cert.json", "w", encoding="utf-8") as handle:
-        handle.write(cert.dumps())
-    _emit(
-        _report(
-            {
-                "found": True,
-                "polynomial": str(poly),
-                "half_vertices": [list(q) for q in inst.half_vertices],
-                "target": list(inst.target),
-                "weights": [_fr(w) for w in inst.weights] + [_fr(inst.origin_weight)],
-                "scale": inst.scale,
-                "outputs": [args.out + ".poly.json", args.out + ".cert.json"],
-            },
-            args,
-        )
-    )
+    outputs = [args.out + ".poly.json", args.out + ".cert.json"]
+    _write(outputs[0], poly.dumps())
+    _write(outputs[1], emitted_certificate(inst).dumps())
+    payload = {
+        "found": True,
+        "polynomial": str(poly),
+        "half_vertices": inst.half_vertices,
+        "target": inst.target,
+        "weights": [*inst.weights, inst.origin_weight],
+        "scale": inst.scale,
+        "outputs": outputs,
+    }
+    _emit(_report(payload, args))
     return PASS
 
 
 def cmd_verify(args) -> int:
-    try:
-        poly = _load_poly(args.infile)
-        cert = None
-        if args.cert:
-            with open(args.cert, "r", encoding="utf-8") as handle:
-                cert = AmgmCertificate.loads(handle.read())
-    except (OSError, PolynomialFormatError, KeyError, ValueError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return BAD_INPUT
+    poly = _load(SparsePolynomial, args.infile)
+    cert = _load(AmgmCertificate, args.cert) if args.cert else None
     outcome = {"polynomial": str(poly)}
     ok = True
     try:
@@ -140,61 +136,37 @@ def cmd_verify(args) -> int:
         witness = certify_not_sos(poly)
         outcome["not_sos"] = {
             "ok": True,
-            "monomial": list(witness.monomial),
-            "half_lattice": [list(t) for t in witness.half_lattice],
+            "monomial": witness.monomial,
+            "half_lattice": witness.half_lattice,
         }
     except SosCriterionInconclusive as err:
         ok = False
         outcome["not_sos"] = {
             "ok": False,
             "reason": "criterion inconclusive",
-            "pairs": {str(list(m)): [list(p[0]), list(p[1])] for m, p in err.pairs.items()},
+            "pairs": {str(list(m)): pair for m, pair in err.pairs.items()},
         }
     _emit(_report(outcome, args))
     return PASS if ok else FAIL
 
 
 def cmd_table(args) -> int:
-    rows = None
-    if args.rows:
-        rows = []
-        try:
-            for token in args.rows.split(","):
-                n, d = token.lower().split("x")
-                rows.append((int(n), int(d)))
-        except ValueError:
-            print(f"bad --rows value {args.rows!r}; expected e.g. 2x6,3x4", file=sys.stderr)
-            return BAD_INPUT
-        unknown = [f"{n}x{d}" for n, d in rows if (n, d) not in {r[:2] for r in TABLE_ROWS}]
-        if unknown:
-            print(f"--rows not in the catalog: {','.join(unknown)}", file=sys.stderr)
-            return BAD_INPUT
-    report = reproduce_table(rows)
+    unknown = unknown_rows(args.rows or ())
+    if unknown:
+        print(f"--rows not in the catalog: {','.join(unknown)}", file=sys.stderr)
+        return BAD_INPUT
+    report = reproduce_table(args.rows)
     for row in report.rows:
         status = "PASS" if row.ok else "FAIL"
         print(f"[{status}] n={row.n} d={row.d}: {row.detail}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(_report(report.to_json_dict(), args), handle, sort_keys=True, indent=2)
+        _write(args.json, _json(_report(report.to_json_dict(), args), indent=2))
     return PASS if report.ok else FAIL
 
 
-def _load_sampled(path: str) -> SampledFunction:
-    with open(path, "r", encoding="utf-8") as handle:
-        return SampledFunction.loads(handle.read())
-
-
 def cmd_decompose(args) -> int:
-    try:
-        f = _load_sampled(args.infile)
-    except (OSError, SampledFunctionFormatError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return BAD_INPUT
-    try:
-        result = decompose(f, args.k, args.alpha, nu=args.nu, omega=args.omega)
-    except (DecompositionError, ValueError) as err:
-        print(f"decomposition failed: {err}", file=sys.stderr)
-        return FAIL
+    f = _load(SampledFunction, args.infile)
+    result = decompose(f, args.k, args.alpha, nu=args.nu, omega=args.omega)
     report = verify(result, f)
     payload = _report(
         {
@@ -213,25 +185,18 @@ def cmd_decompose(args) -> int:
     )
     blob = result.to_json_dict()
     blob["report"] = payload
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(blob, handle, sort_keys=True)
+    _write(args.out, _json(blob))
     _emit(payload)
     return PASS if report.ok else FAIL
 
 
 def cmd_partial(args) -> int:
-    try:
-        f = _load_sampled(args.infile)
-    except (OSError, SampledFunctionFormatError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return BAD_INPUT
-    try:
-        result = partial_decompose(f, args.k, args.alpha, args.eps)
-    except (DecompositionError, ValueError) as err:
-        print(f"partial decomposition failed: {err}", file=sys.stderr)
-        return FAIL
+    f = _load(SampledFunction, args.infile)
+    result = partial_decompose(f, args.k, args.alpha, args.eps)
     mask = result.verified_mask()
     gap = float(np.max(np.abs(result.reconstruction() - f.values)[mask])) if mask.any() else 0.0
+    # VerifyReport's rule: the gap is relative to max |f| on the verified region
+    bound = RECONSTRUCTION_TOLERANCE * float(np.max(np.abs(f.values)[mask], initial=0.0))
     payload = _report(
         {
             "residual_max": float(result.residual.max(initial=0.0)),
@@ -240,15 +205,14 @@ def cmd_partial(args) -> int:
             "square_count": result.square_count,
             "reconstruction_gap": gap,
             "nu": result.nu,
-            "ok": bool(result.residual.max(initial=0.0) <= args.eps and gap <= 1e-8),
+            "ok": bool(result.residual.max(initial=0.0) <= args.eps and gap <= bound),
         },
         args,
     )
     if args.out:
         blob = result.to_json_dict()
         blob["report"] = payload
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(blob, handle, sort_keys=True)
+        _write(args.out, _json(blob))
     _emit(payload)
     return PASS if payload["ok"] else FAIL
 
@@ -257,158 +221,96 @@ def _fixture(args, points) -> SampledFunction:
     params = {}
     if args.fixture == "power_alpha":
         params["alpha"] = args.alpha
-    elif args.fixture == "cantor" and args.iterations:
+    elif args.fixture == "cantor" and args.iterations is not None:
         params["iterations"] = args.iterations
     return build_fixture(args.fixture, points=points, **params)
 
 
-def _checker_input(args) -> SampledFunction:
-    if args.infile:
-        return _load_sampled(args.infile)
-    return _fixture(args, args.points)
-
-
 def cmd_check(args) -> int:
-    try:
-        f = _checker_input(args)
-    except (OSError, SampledFunctionFormatError, KeyError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return BAD_INPUT
+    f = _load(SampledFunction, args.infile) if args.infile else _fixture(args, args.points)
     kind = args.kind
-    try:
-        if kind == "malgrange":
-            report = check_malgrange(f, args.alpha)
-            payload = {"max_ratio": report.max_ratio, "constant": report.constant, "ok": report.ok}
-        elif kind == "seminorm":
-            est = estimate_seminorm(f, args.alpha)
-            payload = {"estimate": est.value, "ok": True}
-        elif kind == "slowvar":
-            cf = control_field(f, args.k, args.alpha)
-            report = check_slow_variation(cf, args.nu if args.nu else 0.25)
-            payload = {"worst_ratio": report.worst_ratio, "ok": report.ok}
-        elif kind == "derivative-control":
-            coarse = check_derivative_control(f, args.k, args.alpha, args.ell).constant
-            if args.infile:
-                payload = {"constant": coarse, "ok": bool(np.isfinite(coarse))}
-            else:
-                fine_f = _fixture(args, 2 * f.shape[0] - 1)
-                fine = check_derivative_control(fine_f, args.k, args.alpha, args.ell).constant
-                stability = refinement_stability(coarse, fine)
-                payload = {
-                    "constant": coarse,
-                    "refined_constant": fine,
-                    "ok": stability.ok,
-                }
-        elif kind == "interpolation":
-            report = check_interpolation(f, args.alpha, args.gamma, args.beta)
-            payload = {"lhs": report.lhs, "rhs": report.rhs, "ok": report.ok}
-        elif kind == "induc":
-            report = check_induc(f, args.k, args.alpha, args.eta)
-            payload = {
-                "constants": {str(level): c for level, c in report.constants.items()},
-                "ok": report.ok,
-            }
+    if kind == "malgrange":
+        report = check_malgrange(f, args.alpha)
+        payload = {"max_ratio": report.max_ratio, "constant": report.constant, "ok": report.ok}
+    elif kind == "seminorm":
+        est = estimate_seminorm(f, args.alpha)
+        payload = {"estimate": est.value, "ok": True}
+    elif kind == "slowvar":
+        cf = control_field(f, args.k, args.alpha)
+        report = check_slow_variation(cf, 0.25 if args.nu is None else args.nu)
+        payload = {"worst_ratio": report.worst_ratio, "ok": report.ok}
+    elif kind == "derivative-control":
+        coarse = check_derivative_control(f, args.k, args.alpha, args.ell).constant
+        if args.infile:
+            payload = {"constant": coarse, "ok": bool(np.isfinite(coarse))}
         else:
-            print(f"unknown check kind {kind}", file=sys.stderr)
-            return BAD_INPUT
-    except ValueError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return BAD_INPUT
+            fine_f = _fixture(args, 2 * f.shape[0] - 1)
+            fine = check_derivative_control(fine_f, args.k, args.alpha, args.ell).constant
+            payload = {"constant": coarse, "refined_constant": fine, "ok": refinement_stability(coarse, fine).ok}
+    elif kind == "interpolation":
+        report = check_interpolation(f, args.alpha, args.gamma, args.beta)
+        payload = {"lhs": report.lhs, "rhs": report.rhs, "ok": report.ok}
+    else:
+        report = check_induc(f, args.k, args.alpha, args.eta)
+        payload = {"constants": {str(level): c for level, c in report.constants.items()}, "ok": report.ok}
     _emit(_report(payload, args))
     return PASS if payload["ok"] else FAIL
 
 
 def cmd_oddweights(args) -> int:
-    try:
-        if args.nodes:
-            nodes = [int(tok) for tok in args.nodes.split(",")]
-            weights = weights_for_nodes(nodes)
-            payload = {
-                "nodes": nodes,
-                "weights": [_fr(w) for w in weights],
-                "all_positive": all(w > 0 for w in weights),
-            }
-        else:
-            system = oddweights_solve(args.ell)
-            payload = {
-                "ell": system.ell,
-                "nodes": list(system.nodes),
-                "weights": [_fr(w) for w in system.weights],
-            }
-    except ValueError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return BAD_INPUT
+    if args.nodes is not None:
+        weights = weights_for_nodes(args.nodes)
+        payload = {"nodes": args.nodes, "weights": weights, "all_positive": all(w > 0 for w in weights)}
+    else:
+        system = oddweights_solve(args.ell)
+        payload = {"ell": system.ell, "nodes": system.nodes, "weights": system.weights}
     _emit(_report(payload, args))
     return PASS
+
+
+# --mode -> the expansion of beta (--order for directional) as a payload
+COEFF_MODES = {
+    "partitions": lambda beta, order: {"partitions": [p.expand() for p in enumerate_partitions(beta)]},
+    "chain": lambda beta, order: {"terms": [
+        {"x_deriv": t.x_deriv, "inner_order": t.inner_order, "coefficient": t.coefficient,
+         "factors": t.factors.expand()}
+        for t in chain_terms(beta)
+    ]},
+    "sqrt": lambda beta, order: {"terms": [
+        {"coefficient": t.coefficient, "power": t.power, "factors": t.factors.expand()}
+        for t in sqrt_expansion(beta)
+    ]},
+    "leibniz": lambda beta, order: {"terms": [
+        {"binom": c, "gamma": g, "complement": d} for c, g, d in leibniz_expand(beta)
+    ]},
+    "implicit": lambda beta, order: {"terms": [
+        {"x_deriv": t.x_deriv, "vertical_order": t.vertical_order, "coefficient": t.coefficient,
+         "factors": t.factors.expand()}
+        for t in implicit_derivative_terms(beta)
+    ]},
+    "directional": lambda beta, order: {"terms": [
+        {"multinomial": c, "beta": b} for c, b in directional_expand(order, len(beta))
+    ]},
+}
 
 
 def cmd_coeffs(args) -> int:
-    try:
-        beta = tuple(int(tok) for tok in args.beta.split(","))
-        mode = args.mode
-        if mode == "partitions":
-            payload = {
-                "partitions": [
-                    [list(part) for part in p.expand()] for p in enumerate_partitions(beta)
-                ]
-            }
-        elif mode == "chain":
-            payload = {
-                "terms": [
-                    {
-                        "x_deriv": list(t.x_deriv),
-                        "inner_order": t.inner_order,
-                        "coefficient": _fr(t.coefficient),
-                        "factors": [list(g) for g in t.factors.expand()],
-                    }
-                    for t in chain_terms(beta)
-                ]
-            }
-        elif mode == "sqrt":
-            payload = {
-                "terms": [
-                    {
-                        "coefficient": _fr(t.coefficient),
-                        "power": _fr(t.power),
-                        "factors": [list(g) for g in t.factors.expand()],
-                    }
-                    for t in sqrt_expansion(beta)
-                ]
-            }
-        elif mode == "leibniz":
-            payload = {
-                "terms": [
-                    {"binom": c, "gamma": list(g), "complement": list(d)}
-                    for c, g, d in leibniz_expand(beta)
-                ]
-            }
-        elif mode == "implicit":
-            payload = {
-                "terms": [
-                    {
-                        "x_deriv": list(t.x_deriv),
-                        "vertical_order": t.vertical_order,
-                        "coefficient": _fr(t.coefficient),
-                        "factors": [list(g) for g in t.factors.expand()],
-                    }
-                    for t in implicit_derivative_terms(beta)
-                ]
-            }
-        elif mode == "directional":
-            payload = {
-                "terms": [
-                    {"multinomial": c, "beta": list(b)}
-                    for c, b in directional_expand(args.order, len(beta))
-                ]
-            }
-        else:
-            print(f"unknown mode {mode}", file=sys.stderr)
-            return BAD_INPUT
-    except ValueError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return BAD_INPUT
-    _emit(_report(payload, args))
+    _emit(_report(COEFF_MODES[args.mode](tuple(args.beta), args.order), args))
     return PASS
+
+
+def int_list(text: str) -> list[int]:
+    """A comma list like 1,-2,3; argparse turns a bad item into a usage error."""
+    return [int(tok) for tok in text.split(",")]
+
+
+def row_list(text: str) -> list[tuple[int, int]]:
+    """A comma list like 2x6,3x4 of (n, d) pairs, checked like ``int_list``."""
+    rows = []
+    for token in text.split(","):
+        n, d = token.lower().split("x")
+        rows.append((int(n), int(d)))
+    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="verify the catalog of example polynomials")
-    p.add_argument("--rows", default=None, help="comma list like 2x6,3x4")
+    p.add_argument("--rows", type=row_list, default=None, help="comma list like 2x6,3x4")
     p.add_argument("--json", default=None, help="write the report here")
     p.set_defaults(func=cmd_table)
 
@@ -455,7 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_partial)
 
     p = sub.add_parser("check", help="run an inequality checker")
-    p.add_argument("--kind", required=True)
+    p.add_argument(
+        "--kind", required=True,
+        choices=("malgrange", "seminorm", "slowvar", "derivative-control", "interpolation", "induc"),
+    )
     p.add_argument("--fixture", default="bony", choices=sorted(FIXTURES))
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--points", type=int, default=None)
@@ -470,24 +375,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oddweights", help="print an exact odd-moment weight system")
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--nodes", default=None, help="comma list of nonzero integers")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--ell", type=int, default=None)
+    group.add_argument("--nodes", type=int_list, default=None, help="comma list of nonzero integers")
     p.set_defaults(func=cmd_oddweights)
 
     p = sub.add_parser("coeffs", help="multi-index expansions and coefficients")
-    p.add_argument("--beta", required=True, help="comma list like 1,2")
-    p.add_argument("--mode", default="partitions")
+    p.add_argument("--beta", type=int_list, required=True, help="comma list like 1,2")
+    p.add_argument("--mode", default="partitions", choices=COEFF_MODES)
     p.add_argument("--order", type=int, default=1, help="k for --mode directional")
     p.set_defaults(func=cmd_coeffs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "ell", None) is None and getattr(args, "nodes", None) is None and args.command == "oddweights":
-        parser.error("oddweights needs --ell or --nodes")
-    return args.func(args)
+    """Run one subcommand; the one place where errors become exit codes.
+
+    InputError and OSError (a bad file, a bad parameter) exit 2 with
+    "input error: ..."; DecompositionError and any other ValueError (the
+    computation could not be done) exit 1 with the command's name.
+    Command-line syntax errors are argparse's: exit 2 with the usage.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, DecompositionError) as err:
+        bad_input = isinstance(err, (InputError, OSError))
+        print(f"input error: {err}" if bad_input else f"{args.command} failed: {err}", file=sys.stderr)
+        return BAD_INPUT if bad_input else FAIL
 
 
 if __name__ == "__main__":

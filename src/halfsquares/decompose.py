@@ -30,6 +30,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PPoly, RectBivariateSpline
 
 from .cover import OVERLAP_BOUND_BASE, PartitionOfUnity, bump, build_cover, overlap_counts, partition_functions
+from .errors import InputError
 from .finitediff import partial as fd_partial
 from .holder import (
     ControlField,
@@ -241,10 +242,10 @@ def decompose(
     nu and omega (given or selected) refer to f / M.  The squares are
     scaled back by sqrt(M), so decompose(c f) is sqrt(c) decompose(f).
     """
-    if k not in (2, 3):
-        raise ValueError("decomposition path supports k = 2 or 3 only")
-    if f.n not in (1, 2):
-        raise ValueError("only 1- and 2-dimensional grids are supported")
+    _check_parameters(k, alpha)
+    for name, value in (("nu", nu), ("omega", omega)):
+        if value is not None and not 0 < value < math.inf:
+            raise InputError(f"{name} must be positive and finite")
     if f.n == 2 and min(f.shape) < 4:
         raise ValueError("a 2D grid needs 4 points per axis for its cubic fiber spline")
     return _search_nu(f, k, alpha, _decompose_at, NU_FLOOR, nu, omega)
@@ -262,8 +263,9 @@ def partial_decompose(f: SampledFunction, k: int, alpha: float, eps: float) -> D
     partial_decompose(c f, eps = c eps) is sqrt(c) partial_decompose(f, eps)
     with residual c h.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_parameters(k, alpha)
+    if not 0 < eps < math.inf:
+        raise InputError("eps must be positive and finite")
 
     def attempt(unit, scale, cf, nu, omega):
         part, bounded = _cover(unit, cf, nu, omega)
@@ -288,21 +290,28 @@ def partial_decompose(f: SampledFunction, k: int, alpha: float, eps: float) -> D
     return _search_nu(f, k, alpha, attempt, PARTIAL_NU_FLOOR)
 
 
+def _check_parameters(k: int, alpha: float) -> None:
+    if k not in (2, 3):
+        raise InputError("decomposition path supports k = 2 or 3 only")
+    if not 0 < alpha <= 1:
+        raise InputError("alpha must lie in (0, 1]")
+
+
 def _search_nu(f, k, alpha, attempt, floor, nu=None, omega=None) -> Decomposition:
     """The one nu loop: the decomposition ``attempt`` accepts, scaled back to f.
 
     nu is halved from NU_START, down to ``floor``, until the control field
     of f / M varies slowly at nu and ``attempt(f / M, M, cf, nu, omega)``
     returns instead of raising _NuTooLarge.  A given nu is the only one
-    tried; a given omega replaces the calibration.  Of a rejected attempt
-    only the reason is kept: its exception's traceback would hold the
-    rejected cover's arrays through the next attempt.
+    tried, even below ``floor``; a given omega replaces the calibration.
+    Of a rejected attempt only the reason is kept: its exception's
+    traceback would hold the rejected cover's arrays through the next
+    attempt.
     """
     unit, scale = _normalized(f, k, alpha)
     cf = control_field(unit, k, alpha, directions=DIRECTIONS)
     current = NU_START if nu is None else nu
-    reason = None
-    while current >= floor:
+    while True:
         report = check_slow_variation(cf, current, fail_fast=True)
         if report.ok:
             w = _calibrate_omega(unit, cf, current) if omega is None else omega
@@ -315,7 +324,8 @@ def _search_nu(f, k, alpha, attempt, floor, nu=None, omega=None) -> Decompositio
         if nu is not None:
             raise DecompositionError(f"decomposition failed at fixed nu={nu}: {reason}")
         current /= 2.0
-    raise DecompositionError(f"nu underflowed {floor} ({reason})")
+        if current < floor:
+            raise DecompositionError(f"nu underflowed {floor} ({reason})")
 
 
 def _normalized(f: SampledFunction, k: int, alpha: float) -> tuple[SampledFunction, float]:

@@ -13,11 +13,12 @@ import re
 from fractions import Fraction
 from math import gcd
 
+from .errors import InputError
 from .multiindex import MultiIndex, order
 from .ratmat import over_common_denominator
 
 
-class PolynomialFormatError(ValueError):
+class PolynomialFormatError(InputError):
     """Raised when serialized polynomial data violates the format contract."""
 
 

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .errors import InputError
 from .multiindex import directional_expand
 
 # offsets are symmetric around 0; coefficients divide by h^order
@@ -25,7 +26,7 @@ _STENCILS = {
 
 def stencil_reach(order: int) -> int:
     if order not in _STENCILS:
-        raise ValueError(f"no stencil for derivative order {order}")
+        raise InputError(f"no stencil for derivative order {order}")
     return max(abs(o) for o in _STENCILS[order][0])
 
 
@@ -33,8 +34,8 @@ def diff_axis(values: np.ndarray, h: float, order: int, axis: int = 0) -> np.nda
     """Derivative along one axis; margins are NaN."""
     if order == 0:
         return values.astype(float, copy=True)
-    offsets, coeffs = _STENCILS[order]
     reach = stencil_reach(order)
+    offsets, coeffs = _STENCILS[order]
     out = np.full_like(values, np.nan, dtype=float)
     n = values.shape[axis]
     if n < 2 * reach + 1:

@@ -15,10 +15,14 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InputError
 from .holder import SampledFunction
 
 
 def power_alpha(alpha: float) -> Callable:
+    if not alpha >= 0:
+        raise InputError("power_alpha needs alpha >= 0")
+
     def fn(x):
         return np.abs(x) ** alpha
 
@@ -30,8 +34,11 @@ def cantor_function(iterations: int = 12) -> Callable:
 
     Iterates f_{m+1} = T f_m from f_0(x) = x; the iterates converge
     uniformly at rate 2^-m and are exact at triadic grid points once the
-    recursion bottoms out.
+    recursion bottoms out.  Past 64 iterations they agree to double
+    precision, so deeper recursions are refused.
     """
+    if not 0 <= iterations <= 64:
+        raise InputError("cantor iterations must lie in [0, 64]")
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -41,7 +48,8 @@ def cantor_function(iterations: int = 12) -> Callable:
 
 
 def _cantor_recurse(x, m):
-    if m == 0:
+    # an empty branch ends here, so the calls grow with the points, not as 2^m
+    if m == 0 or x.size == 0:
         return x
     out = np.empty_like(x)
     left = x <= 1.0 / 3.0
@@ -142,13 +150,16 @@ def build_fixture(name: str, points: int | None = None, **params) -> SampledFunc
 
     ``points`` is the sample count per axis; factory keyword arguments
     (e.g. alpha for power_alpha, iterations for cantor) pass through.
+    Raises InputError for an unknown name, fewer than 2 points or a
+    factory argument out of range.
     """
-    try:
-        spec = FIXTURES[name]
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}") from None
-    fn = spec.factory(**params)
+    if name not in FIXTURES:
+        raise InputError(f"unknown fixture {name!r}; known: {sorted(FIXTURES)}")
+    spec = FIXTURES[name]
     count = spec.default_points if points is None else int(points)
+    if count < 2:
+        raise InputError("a fixture needs at least 2 points per axis")
+    fn = spec.factory(**params)
     lo, hi = spec.domain
     spacing = (hi - lo) / (count - 1)
     origin = tuple(lo for _ in range(spec.n))

@@ -30,6 +30,7 @@ from .certificates import (
     certify_nonnegative,
     certify_not_sos,
 )
+from .errors import InputError
 from .exactpoly import SparsePolynomial
 from .multiindex import MultiIndex, order
 from .polytope import SimplexPolytope
@@ -183,13 +184,13 @@ def direct_search(
     Deterministic for a fixed seed: tuples are enumerated exhaustively in
     lex order when there are at most ``exhaustive_limit`` of them, else
     sampled without replacement by a seeded RNG.  ``budget`` counts
-    (vertex-tuple, target) pairs examined.  Raises ValueError for a
-    negative budget or ``max_hits`` below 1.
+    (vertex-tuple, target) pairs examined.  Raises InputError for n < 2,
+    an odd d or d < 4, a negative budget or ``max_hits`` below 1.
     """
     if n < 2 or d < 4 or d % 2:
-        raise ValueError("need n >= 2 and even d >= 4")
+        raise InputError("need n >= 2 and even d >= 4")
     if budget < 0 or (max_hits is not None and max_hits < 1):
-        raise ValueError("need budget >= 0 and max_hits >= 1")
+        raise InputError("need budget >= 0 and max_hits >= 1")
     tuples = _half_vertex_tuples(n, d)
     if len(tuples) > exhaustive_limit:
         rng = random.Random(seed)
@@ -437,6 +438,12 @@ def _verify_row(P: SparsePolynomial) -> tuple[bool, bool, str]:
     return nonneg, not_sos, "; ".join(notes)
 
 
+def unknown_rows(rows) -> list[str]:
+    """The requested (n, d) pairs that the catalog lacks, written "nxd"."""
+    catalog = {(n, d) for n, d, _ in TABLE_ROWS}
+    return [f"{n}x{d}" for n, d in rows if (n, d) not in catalog]
+
+
 def reproduce_table(rows: list[tuple[int, int]] | None = None) -> TableReport:
     """Run both certifiers on every catalog row.
 
@@ -444,8 +451,12 @@ def reproduce_table(rows: list[tuple[int, int]] | None = None) -> TableReport:
     homogenization lift of the (3, 4) row and counted as passing when the
     lift is certified non-negative and its dehomogenization is certified
     non-SOS.  Rows whose catalogued polynomial fails a certifier are
-    reported as failing with the exact reason.
+    reported as failing with the exact reason.  Raises InputError for a
+    requested (n, d) that is not in the catalog.
     """
+    unknown = unknown_rows(rows or ())
+    if unknown:
+        raise InputError(f"rows not in the catalog: {','.join(unknown)}")
     results = []
     for n, d, data in TABLE_ROWS:
         if rows is not None and (n, d) not in rows:

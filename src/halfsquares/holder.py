@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import finitediff
+from .errors import InputError
 from .multiindex import directional_expand, order
 
 
-class SampledFunctionFormatError(ValueError):
+class SampledFunctionFormatError(InputError):
     pass
 
 
@@ -97,7 +98,7 @@ class SampledFunction:
             if type(n) is not int or any(type(s) is not int for s in shape):
                 raise ValueError("n and shape must be integers")
             values = np.asarray(data["values"], dtype=float).reshape(shape)
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise SampledFunctionFormatError(f"bad sampled-function data: {err}") from err
         if n not in (1, 2) or len(shape) != n or len(origin) != n:
             raise SampledFunctionFormatError("n must be 1 or 2 and match origin/shape")
@@ -199,7 +200,7 @@ def estimate_seminorm(
     local semi-norm.
     """
     if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+        raise InputError("alpha must lie in (0, 1]")
     h = f.spacing
     values = f.values
     if derivative is not None and order(tuple(derivative)) > 0:
@@ -323,9 +324,9 @@ def control_field(
 ) -> ControlField:
     """Sample the control field r of f on the grid."""
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise InputError("k must be non-negative")
     if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+        raise InputError("alpha must lie in (0, 1]")
     h = f.spacing
     values = f.values
     r = np.zeros_like(values, dtype=float)
@@ -388,8 +389,8 @@ def check_slow_variation(r: ControlField, nu: float, fail_fast: bool = False) ->
     With ``fail_fast`` the scan stops at the first violating pair, which
     is what the decomposition's nu-selection loop needs.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise InputError("nu must be positive and finite")
     h = r.spacing
     vals = r.values
     finite = np.isfinite(vals)

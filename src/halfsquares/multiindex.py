@@ -16,6 +16,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator
 
+from .errors import InputError
+
 MultiIndex = tuple[int, ...]
 
 
@@ -27,7 +29,7 @@ def order(beta: MultiIndex) -> int:
 def check_multiindex(beta) -> MultiIndex:
     beta = tuple(beta)
     if not beta or any((not isinstance(b, int)) or b < 0 for b in beta):
-        raise ValueError(f"not a multi-index: {beta!r}")
+        raise InputError(f"not a multi-index: {beta!r}")
     return beta
 
 
@@ -154,7 +156,7 @@ def enumerate_partitions(beta: MultiIndex) -> tuple[MultiSetPartition, ...]:
     """
     beta = check_multiindex(beta)
     if order(beta) == 0:
-        raise ValueError("no partitions of zero")
+        raise InputError("no partitions of zero")
     raw = _partition_tuples(beta, beta)
     partitions = []
     for parts in raw:
@@ -250,7 +252,7 @@ def sqrt_expansion(beta: MultiIndex) -> tuple[SqrtTerm, ...]:
     C_{beta,Gamma} g^(1/2 - |Gamma|) prod_{gamma in Gamma} d^gamma g."""
     beta = check_multiindex(beta)
     if order(beta) < 1:
-        raise ValueError("order of beta must be >= 1")
+        raise InputError("order of beta must be >= 1")
     return tuple(
         SqrtTerm(
             coefficient=sqrt_coefficient(beta, part),
@@ -287,7 +289,7 @@ class ImplicitTerm:
 def implicit_derivative_terms(beta: MultiIndex) -> tuple[ImplicitTerm, ...]:
     beta = check_multiindex(beta)
     if order(beta) < 1:
-        raise ValueError("order of beta must be >= 1")
+        raise InputError("order of beta must be >= 1")
     singleton = ((beta, 1),)
     out = []
     for eta in below(beta):
@@ -331,7 +333,7 @@ def implicit_derivatives(beta: MultiIndex, g_partial: Callable[[MultiIndex, int]
 def directional_expand(k: int, n: int) -> tuple[tuple[int, MultiIndex], ...]:
     """Multinomial expansion of (xi . grad)^k: pairs (k!/beta!, beta), |beta| = k."""
     if k < 0 or n < 1:
-        raise ValueError("need k >= 0 and n >= 1")
+        raise InputError("need k >= 0 and n >= 1")
     kfact = math.factorial(k)
     out = []
     for beta in product(*(range(k + 1) for _ in range(n))):

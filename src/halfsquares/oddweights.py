@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratmat
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,10 @@ def weights_for_nodes(nodes) -> list[Fraction]:
     """
     nodes = [int(e) for e in nodes]
     if any(e == 0 for e in nodes):
-        raise ValueError("nodes must be nonzero")
+        raise InputError("nodes must be nonzero")
     mags = [abs(e) for e in nodes]
     if len(set(mags)) != len(mags):
-        raise ValueError("repeated |eta|: two linearly dependent columns")
+        raise InputError("repeated |eta|: two linearly dependent columns")
     s = len(nodes)
     rhs = [0] * (s - 1) + [1]
     solution = ratmat.solve_rectangular(moment_matrix(nodes), rhs)
@@ -99,7 +100,7 @@ def closed_form_weights(nodes) -> list[Fraction]:
 def solve(ell: int) -> OddWeightSystem:
     """Canonical system for odd ell >= 1, validated before return."""
     if not isinstance(ell, int) or ell < 1 or ell % 2 == 0:
-        raise ValueError("ell must be a positive odd integer")
+        raise InputError("ell must be a positive odd integer")
     s = (ell + 1) // 2
     nodes = tuple((-1) ** (s + k) * k for k in range(1, s + 1))
     system = OddWeightSystem(ell, nodes, tuple(closed_form_weights(nodes)))

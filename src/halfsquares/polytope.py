@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .multiindex import MultiIndex
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
+# points of the half-lattice box a certifier may scan; the catalog needs 720 at most
+HALF_BOX_LIMIT = 10**6
 
 
 def _dot(a, p):
@@ -180,9 +182,19 @@ class GeneralPolytope:
 
     def half_lattice_points(self) -> list[MultiIndex]:
         """Integer points t with 2t in the hull, i.e. the lattice of (1/2)C."""
+        return self._box_lattice(*self._half_box(), scale=2)
+
+    def _half_box(self) -> tuple[MultiIndex, MultiIndex]:
+        """Corners of the box of integer t with 2t in the hull's bounding box.
+
+        The half-lattice scans walk this box point by point, so a box of
+        more than HALF_BOX_LIMIT points raises ValueError instead.
+        """
         lo = tuple((x + 1) // 2 for x in self._coord_min)
         hi = tuple(x // 2 for x in self._coord_max)
-        return self._box_lattice(lo, hi, scale=2)
+        if prod(max(h - l + 1, 0) for l, h in zip(lo, hi)) > HALF_BOX_LIMIT:
+            raise ValueError(f"the half polytope's box has more than {HALF_BOX_LIMIT} lattice points to scan")
+        return lo, hi
 
     def _box_lattice(self, lo, hi, scale) -> list[MultiIndex]:
         out = []
@@ -210,8 +222,7 @@ class GeneralPolytope:
         scan.
         """
         m = tuple(int(x) for x in m)
-        lo = tuple((x + 1) // 2 for x in self._coord_min)
-        hi = tuple(x // 2 for x in self._coord_max)
+        lo, hi = self._half_box()
         if any(l > h for l, h in zip(lo, hi)):
             return None
         point = list(lo)

@@ -1,12 +1,16 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from halfsquares import InputError
 from halfsquares.cli import main
+from halfsquares.decompose import RECONSTRUCTION_TOLERANCE, decompose
 from halfsquares.exactpoly import SparsePolynomial
 from halfsquares.fixtures import build_fixture
 from halfsquares.generate import MOTZKIN
+from halfsquares.holder import SampledFunction
 
 
 def run(capsys, *argv):
@@ -300,3 +304,152 @@ def test_decompose_of_a_2d_grid_below_four_points_per_axis_fails(tmp_path, capsy
 def test_overflowing_grid_step_fails(tmp_path, capsys, command):
     path = _sampled_file(tmp_path, spacing=1e300)
     _fails_with_message(capsys, command[:1] + ["--in", path] + command[1:], "overflows")
+
+
+# -- one input boundary: InputError and OSError exit 2, other failures exit 1
+
+OPTIONS = {
+    "decompose": {"--k": "2", "--alpha": "1.0", "--out": os.devnull},
+    "partial": {"--k": "2", "--alpha": "1.0", "--eps": "1e-3"},
+}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("decompose", "--k", "7"),
+    ("decompose", "--alpha", "0"),
+    ("decompose", "--alpha", "nan"),
+    ("decompose", "--nu", "nan"),
+    ("decompose", "--nu", "-1"),
+    ("decompose", "--nu", "0"),
+    ("decompose", "--nu", "inf"),
+    ("decompose", "--omega", "inf"),
+    ("decompose", "--omega", "-1"),
+    ("decompose", "--omega", "0"),
+    ("partial", "--eps", "0"),
+    ("partial", "--eps", "inf"),
+    ("partial", "--eps", "nan"),
+    ("partial", "--k", "9"),
+])
+def test_parameter_out_of_range_is_input_error(tmp_path, capsys, command, option, value):
+    options = dict(OPTIONS[command], **{option: value})
+    argv = [command, "--in", _sampled_file(tmp_path)] + [item for pair in options.items() for item in pair]
+    _exits_2_with_input_error(capsys, argv)
+
+
+def test_partial_ok_is_relative_to_max_f(tmp_path, capsys):
+    """At 1e12 times bony the reconstruction gap is 9e-5 absolute but 6e-16
+    relative to max |f|, within VerifyReport's tolerance."""
+    f = build_fixture("bony", points=2001)
+    path = tmp_path / "f.json"
+    path.write_text(SampledFunction(f.origin, f.spacing, f.values * 1e12).dumps())
+    code, out = run(capsys, "partial", "--in", str(path), "--k", "2", "--alpha", "1.0", "--eps", "1e9")
+    payload = json.loads(out)
+    assert code == 0 and payload["ok"] is True
+    assert 1e-8 < payload["reconstruction_gap"] <= RECONSTRUCTION_TOLERANCE * 1e12 * float(f.values.max())
+
+
+@pytest.mark.parametrize("options", [
+    ["--nu", "0"], ["--nu", "-1"], ["--nu", "nan"], ["--nu", "inf"], ["--k", "9"],
+    ["--kind", "derivative-control", "--k", "7", "--ell", "5"],
+    ["--kind", "derivative-control", "--k", "1", "--alpha", "-1"],
+])
+def test_check_parameter_out_of_range_is_input_error(capsys, options):
+    _exits_2_with_input_error(capsys, ["check", "--kind", "slowvar", "--points", "401"] + options)
+
+
+def test_check_slowvar_default_nu_is_a_quarter_and_echoed_as_null(capsys):
+    code, out = run(capsys, "check", "--kind", "slowvar", "--points", "401")
+    default = json.loads(out)
+    _, out = run(capsys, "check", "--kind", "slowvar", "--points", "401", "--nu", "0.25")
+    assert default["parameters"]["nu"] is None
+    assert default["worst_ratio"] == json.loads(out)["worst_ratio"]
+
+
+@pytest.mark.parametrize("options", [
+    ["--points", "1"], ["--points", "0"], ["--points", "-3"],
+    ["--fixture", "cantor", "--iterations", "-5"], ["--fixture", "cantor", "--iterations", "65"],
+    ["--fixture", "power_alpha", "--alpha", "-1"], ["--fixture", "power_alpha", "--alpha", "nan"],
+])
+def test_bad_fixture_parameter_is_input_error(capsys, options):
+    _exits_2_with_input_error(capsys, ["check", "--kind", "seminorm"] + options)
+    with pytest.raises(InputError):
+        build_fixture("nope")
+
+
+def test_malgrange_on_a_kink_writes_strict_json(tmp_path, capsys):
+    x = np.linspace(-1.0, 1.0, 201)
+    path = tmp_path / "kink.json"
+    path.write_text(SampledFunction((-1.0,), x[1] - x[0], np.maximum(x, 0.0)).dumps())
+    code, out = run(capsys, "check", "--kind", "malgrange", "--in", str(path))
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(out, parse_constant=refuse)
+    assert code == 1 and payload["max_ratio"] == "inf" and payload["ok"] is False
+
+
+@pytest.mark.parametrize("command", [
+    "gen-nonsos", "verify", "table", "decompose", "partial", "check", "oddweights", "coeffs",
+])
+def test_every_subcommand_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0 and "usage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["check", "--kind", "bogus"],
+    ["coeffs", "--beta", "1", "--mode", "bogus"],
+    ["coeffs", "--beta", "x"],
+    ["oddweights"],
+    ["oddweights", "--ell", "3", "--nodes", "1"],
+    ["oddweights", "--nodes", "1,x"],
+    ["table", "--rows", "abc"],
+], ids=["no-command", "check-kind", "coeffs-mode", "coeffs-beta", "oddweights-none", "oddweights-both",
+        "oddweights-nodes", "table-rows"])
+def test_command_line_syntax_error_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--kind", "malgrange", "--in", "NEG"],
+    ["check", "--kind", "induc", "--k", "4", "--in", "NEG"],
+    ["check", "--kind", "slowvar", "--points", "2"],
+    ["check", "--kind", "malgrange", "--points", "2"],
+    ["check", "--kind", "slowvar", "--in", "HUGE_STEP"],
+], ids=["malgrange-negative", "induc-negative", "slowvar-two-points", "malgrange-two-points", "slowvar-overflow"])
+def test_check_that_cannot_run_on_its_data_fails(tmp_path, capsys, argv):
+    changes = {"NEG": {"values": [-1.0] * 101}, "HUGE_STEP": {"spacing": 1e300}}
+    argv = [_sampled_file(tmp_path, **changes[a]) if a in changes else a for a in argv]
+    _fails_with_message(capsys, argv, "check failed")
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([], "polynomial is zero"),
+    ([{"exp": [0, 0], "num": "1", "den": "1"}, {"exp": [2, 2], "num": "-3", "den": "1"},
+      {"exp": [10**400, 2], "num": "1", "den": "1"}], "lattice points to scan"),
+], ids=["zero", "huge-degree"])
+def test_polynomial_the_certifiers_cannot_take_fails(tmp_path, capsys, terms, message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"nvars": 2, "terms": terms}))
+    _fails_with_message(capsys, ["verify", "--in", str(path)], message)
+
+
+@pytest.mark.parametrize("command", [
+    ["decompose", "--in", "F", "--k", "2", "--alpha", "1.0", "--out", "MISSING/o.json"],
+    ["table", "--rows", "2x6", "--json", "MISSING/t.json"],
+    ["gen-nonsos", "--nvars", "2", "--degree", "6", "--budget", "300", "--out", "MISSING/x"],
+], ids=["decompose-out", "table-json", "gen-nonsos-out"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, command):
+    names = {"F": _sampled_file(tmp_path), "MISSING": str(tmp_path / "missing")}
+    argv = [names["MISSING"] + a[7:] if a.startswith("MISSING") else names.get(a, a) for a in command]
+    _exits_2_with_input_error(capsys, argv)
+
+
+def test_a_given_nu_below_the_floor_is_tried():
+    f = build_fixture("parabola", points=101)
+    assert decompose(f, 2, 1.0, nu=1e-9).nu == 1e-9
