@@ -5,6 +5,9 @@ that the half-radius balls cover {r > 0}; slow variation of r bounds the
 overlap by 15^n, and a greedy coloring of the intersection graph yields
 at most that many classes of pairwise disjoint balls.
 
+A ``Cover`` holds the balls as arrays, ball j in row j; ``cover[j]`` is a
+``CoverBall`` view.  The partition's colors, windows and psi views are
+built on first read, so a cover the decomposition rejects is never colored.
 The per-ball arithmetic runs on one flat *window table*: the cells of all
 balls' windows, ball after ball, each window in row-major order.  Bumps,
 psi_j and overlap counts are array operations over the table, taken a
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,12 +56,34 @@ class CoverBall:
     index: tuple[int, ...]  # grid index of the center
     center: tuple[float, ...]
     r: float  # control-field value at the center
-    radius: float  # nu * r
+    radius: float  # max(nu * r, radius floor)
+
+
+@dataclass(frozen=True, eq=False)
+class Cover:
+    """The balls of a cover, ball j in row j of each array; ``cover[j]``,
+    and so iteration, gives ball j as a CoverBall of Python values."""
+
+    index: np.ndarray  # (balls, n) intp
+    center: np.ndarray  # (balls, n)
+    r: np.ndarray
+    radius: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, j) -> CoverBall:
+        index, center = tuple(self.index[j].tolist()), tuple(self.center[j].tolist())
+        return CoverBall(index, center, float(self.r[j]), float(self.radius[j]))
+
+    def select(self, keep) -> Cover:
+        """The balls ``keep`` (a mask, slice or index array) picks, in their order."""
+        return Cover(self.index[keep], self.center[keep], self.r[keep], self.radius[keep])
 
 
 @dataclass(frozen=True)
 class WindowTable:
-    """The windows lo_j <= i < hi_j of a list of balls as one flat table.
+    """The windows lo_j <= i < hi_j of a cover's balls as one flat table.
 
     Ball j owns ``sizes[j]`` consecutive entries, the cells of its window in
     row-major order.  The cells are recomputed on demand, not held.
@@ -68,11 +94,10 @@ class WindowTable:
     shape: tuple[int, ...]  # of the grid
 
     @classmethod
-    def around(cls, balls, steps, shape) -> WindowTable:
-        """The windows |i - index_j| <= steps_j of ``balls``, clipped to the grid."""
-        index = np.array([ball.index for ball in balls], dtype=np.intp).reshape(-1, len(shape))
-        steps = np.asarray(steps, dtype=np.intp)[:, None]
-        return cls(np.maximum(index - steps, 0), np.minimum(index + steps + 1, shape), tuple(shape))
+    def around(cls, cover: Cover, field: ControlField) -> WindowTable:
+        """The windows |i - index_j| <= radius_j / h + 1 of the balls, clipped to the grid."""
+        steps, shape = (cover.radius / field.spacing).astype(np.intp)[:, None] + 1, field.values.shape
+        return cls(np.maximum(cover.index - steps, 0), np.minimum(cover.index + steps + 1, shape), shape)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -112,9 +137,9 @@ class WindowTable:
         return (np.cumsum(depth[:-1]) > 0).reshape(self.shape)
 
 
-def window_batches(field: ControlField, balls, table: WindowTable):
-    """``table``, the window table of ``balls``, ``BATCH`` balls at a time:
-    each batch's slice of ``balls``, its table, the flat grid index of each
+def window_batches(field: ControlField, cover: Cover, table: WindowTable):
+    """``table``, the window table of ``cover``, ``BATCH`` balls at a time:
+    each batch's slice of the balls, its table, the flat grid index of each
     entry and the entry's distance from its ball's center.
 
     Coordinates are origin + spacing * index, the centers' own formula, so
@@ -122,10 +147,10 @@ def window_batches(field: ControlField, balls, table: WindowTable):
     """
     shape = field.values.shape
     h, origin = field.spacing, field.origin
-    for first in range(0, len(balls), BATCH):
+    for first in range(0, len(cover), BATCH):
         batch = slice(first, first + BATCH)
         part = table.select(batch)
-        center = np.array([ball.center for ball in balls[batch]], dtype=float)
+        center = cover.center[batch]
         cells = part.cells()
         if len(shape) == 1:
             dist = np.abs((origin[0] + h * cells) - part.per_entry(center[:, 0]))
@@ -138,13 +163,7 @@ def window_batches(field: ControlField, balls, table: WindowTable):
         yield batch, part, cells, dist
 
 
-def _radii(balls) -> np.ndarray:
-    return np.array([ball.radius for ball in balls], dtype=float)
-
-
-def build_cover(
-    field: ControlField, nu: float, min_radius_cells: float = 4.0
-) -> list[CoverBall]:
+def build_cover(field: ControlField, nu: float, min_radius_cells: float = 4.0) -> Cover:
     """Greedy half-radius cover of {r > 0}, scanning in row-major order.
 
     A sampled partition function narrower than a few cells aliases to a
@@ -160,102 +179,101 @@ def build_cover(
 
     h = field.spacing
     positive = field.positive_mask()
-    zero_dist = distance_transform_edt(positive, sampling=h)
+    shape = positive.shape
+    axes = [field.origin[axis] + h * np.arange(size) for axis, size in enumerate(shape)]
+    floor = np.minimum(min_radius_cells * h, 0.5 * distance_transform_edt(positive, sampling=h))
+    radius = np.maximum(nu * field.values, floor).ravel()  # of a ball centered on each cell
 
-    def ball_at(index) -> CoverBall:
-        rj = float(field.values[index])
-        center = tuple(field.origin[axis] + h * index[axis] for axis in range(len(index)))
-        floor = min(min_radius_cells * h, 0.5 * float(zero_dist[index]))
-        return CoverBall(index, center, rj, max(nu * rj, floor))
-
-    balls: list[CoverBall] = []
+    centers: list[int] = []  # flat grid index of each ball's center
     if field.n == 1:
-        size, o = positive.size, field.origin[0]
+        size, coords, radii = positive.size, axes[0].tolist(), radius.tolist()
         # the first cell of {r > 0} at or after each index, size if none
         after = np.append(np.where(positive, np.arange(size), size), size)
         next_positive = np.minimum.accumulate(after[::-1])[::-1].tolist()
         i = next_positive[0]
         while i < size:
-            ball = ball_at((i,))
-            balls.append(ball)
-            c, reach = ball.center[0], ball.radius / 2.0 + 1e-12 * ball.radius
-            last = min(size - 1, i + int(ball.radius / 2.0 / h) + 1)  # the window's edge
+            centers.append(i)
+            c, rad = coords[i], radii[i]
+            reach = rad / 2.0 + 1e-12 * rad
+            last = min(size - 1, i + int(rad / 2.0 / h) + 1)  # the window's edge
             m = min(last, i + int(reach / h))
-            while m < last and abs((o + h * (m + 1)) - c) <= reach:
+            while m < last and abs(coords[m + 1] - c) <= reach:
                 m += 1
-            while abs((o + h * m) - c) > reach:
+            while abs(coords[m] - c) > reach:
                 m -= 1
             i = next_positive[m + 1]
-        return balls
-    covered = ~positive
-    flat = covered.ravel()
-    pos = 0
-    while pos < flat.size:
-        pos += int(np.argmin(flat[pos:]))
-        if flat[pos]:
-            break
-        ball = ball_at(tuple(int(i) for i in np.unravel_index(pos, covered.shape)))
-        balls.append(ball)
-        steps = int(ball.radius / 2.0 / h) + 1
-        win = tuple(
-            slice(max(0, i - steps), min(s, i + steps + 1))
-            for i, s in zip(ball.index, covered.shape)
-        )
-        du, dv = (
-            (field.origin[axis] + h * np.arange(sl.start, sl.stop)) - ball.center[axis]
-            for axis, sl in enumerate(win)
-        )
-        reach = ball.radius / 2.0 + 1e-12 * ball.radius
-        covered[win] |= np.hypot(du[:, None], dv[None, :]) <= reach
-    return balls
+    else:
+        covered = ~positive
+        flat = covered.ravel()
+        pos = 0
+        while pos < flat.size:
+            pos += int(np.argmin(flat[pos:]))
+            if flat[pos]:
+                break
+            centers.append(pos)
+            rad = float(radius[pos])
+            steps = int(rad / 2.0 / h) + 1
+            cell = divmod(pos, shape[1])
+            win = tuple(slice(max(0, i - steps), min(s, i + steps + 1)) for i, s in zip(cell, shape))
+            du, dv = (axis[sl] - axis[i] for axis, sl, i in zip(axes, win, cell))
+            reach = rad / 2.0 + 1e-12 * rad
+            covered[win] |= np.hypot(du[:, None], dv[None, :]) <= reach
+    flat_index = np.array(centers, dtype=np.intp)
+    index = np.column_stack(np.unravel_index(flat_index, shape))
+    center = np.column_stack([axis[i] for axis, i in zip(axes, index.T)])
+    return Cover(index, center, field.values.ravel()[flat_index], radius[flat_index])
 
 
-def overlap_counts(field: ControlField, balls) -> np.ndarray:
+def overlap_counts(field: ControlField, cover: Cover) -> np.ndarray:
     """Number of balls containing each grid point."""
-    radii = _radii(balls)
-    steps = (radii / field.spacing).astype(np.intp) + 1
-    table = WindowTable.around(balls, steps, field.values.shape)
     counts = np.zeros(field.values.size, dtype=np.intp)
-    for batch, part, cells, dist in window_batches(field, balls, table):
-        counts += np.bincount(cells[dist < part.per_entry(radii[batch])], minlength=counts.size)
+    for batch, part, cells, dist in window_batches(field, cover, WindowTable.around(cover, field)):
+        counts += np.bincount(cells[dist < part.per_entry(cover.radius[batch])], minlength=counts.size)
     return counts.reshape(field.values.shape)
 
 
-def color_classes(balls) -> list[int]:
+def color_classes(cover: Cover) -> list[int]:
     """Greedy coloring of the intersection graph in ball-index order.
 
     Balls i and j intersect when |x_i - x_j| < r_i + r_j, so ball j can
-    only meet balls whose centers lie within r_j + max r of its own.  A
-    k-d tree query (Bentley 1975) per ``BATCH`` balls lists those, with
-    slack in the query radii for rounding, and the exact test decides each.
-    Each ball takes the least color no earlier intersecting ball holds,
-    as the plain scan over all earlier balls would.
+    only meet balls whose centers lie within r_j + max r of its own.  For
+    ``BATCH`` balls at a time, a k-d tree (Bentley 1975) of the batch matched
+    against one of all balls lists those as arrays, with slack in the query
+    radius for rounding, and the exact test decides the batch's pairs at once.  ``np.hypot`` and ``math.dist`` are each within
+    an ulp of a distance but may differ in the last bit, so ``math.dist``
+    decides the pairs within a few ulps of tangency.  Each ball takes the
+    least color no earlier intersecting ball holds, as the plain scan over
+    all earlier balls would.
     """
-    if not balls:
+    if not len(cover):
         return []
     from scipy.spatial import cKDTree
 
-    centers = np.array([ball.center for ball in balls], dtype=float)
-    radii = _radii(balls)
+    centers, radii = cover.center, cover.radius
     slack = 1e-9 * float(np.abs(centers).max())  # rounding of far-off centers
-    reach = (radii + radii.max()) * (1.0 + 1e-9) + slack
     tree = cKDTree(centers)
-    near = (
-        found
-        for batch in (slice(first, first + BATCH) for first in range(0, len(balls), BATCH))
-        for found in tree.query_ball_point(centers[batch], reach[batch])
-    )
     colors: list[int] = []
-    for (j, ball), candidates in zip(enumerate(balls), near):
-        taken = {
-            colors[i]
-            for i in candidates
-            if i < j and math.dist(ball.center, balls[i].center) < ball.radius + balls[i].radius
-        }
-        color = 0
-        while color in taken:
-            color += 1
-        colors.append(color)
+    for first in range(0, len(cover), BATCH):
+        batch = centers[first : first + BATCH]
+        reach = (float(radii[first : first + BATCH].max()) + float(radii.max())) * (1.0 + 1e-9) + slack
+        found = cKDTree(batch).sparse_distance_matrix(tree, reach, output_type="ndarray")
+        j, i = found["i"] + first, found["j"]
+        i, j = i[i < j], j[i < j]
+        gap, sum_radii = centers[j] - centers[i], radii[j] + radii[i]
+        gap = np.hypot(gap[:, 0], gap[:, 1]) if gap.shape[1] == 2 else np.abs(gap[:, 0])
+        meet = gap < sum_radii
+        tangent = np.abs(gap - sum_radii) <= 8 * np.spacing(sum_radii)
+        pairs = zip(centers[j[tangent]].tolist(), centers[i[tangent]].tolist(), sum_radii[tangent].tolist())
+        meet[tangent] = [math.dist(a, b) < total for a, b, total in pairs]
+        i, j = i[meet], j[meet]
+        near = i[np.argsort(j, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(j - first, minlength=len(batch))).tolist()
+        for start, end in zip([0] + ends, ends):
+            taken = {colors[x] for x in near[start:end]}
+            color = 0
+            while color in taken:
+                color += 1
+            colors.append(color)
     return colors
 
 
@@ -264,38 +282,46 @@ class PartitionOfUnity:
     """psi_j supported in B(x_j, nu r_j) with sum psi_j^2 = 1 on {r > 0}.
 
     ``psi`` holds psi_j at every entry of the window table, and each
-    ``psis[j]`` is a view into it, shaped like ``windows[j]``.
+    ``psis[j]`` is a view into it, shaped like ``windows[j]``; both and
+    ``colors`` are built on first read.
     """
 
-    balls: list[CoverBall]
-    windows: list[tuple[slice, ...]]
-    psis: list[np.ndarray]
-    colors: list[int]
+    balls: Cover
     sum_squares: np.ndarray
     nu: float
     table: WindowTable
     psi: np.ndarray
+
+    @cached_property
+    def colors(self) -> list[int]:
+        return color_classes(self.balls)
+
+    @cached_property
+    def windows(self) -> list[tuple[slice, ...]]:
+        return [tuple(map(slice, a, b)) for a, b in zip(self.table.lo.tolist(), self.table.hi.tolist())]
+
+    @cached_property
+    def psis(self) -> list[np.ndarray]:
+        ends = np.cumsum(self.table.sizes).tolist()
+        shapes = (self.table.hi - self.table.lo).tolist()
+        return [self.psi[a:b].reshape(x) for a, b, x in zip([0] + ends, ends, shapes)]
 
     @property
     def class_count(self) -> int:
         return max(self.colors) + 1 if self.colors else 0
 
 
-def partition_functions(field: ControlField, balls, nu: float) -> PartitionOfUnity:
+def partition_functions(field: ControlField, cover: Cover, nu: float) -> PartitionOfUnity:
     """Normalize per-ball bumps by the root of their summed squares."""
-    shape = field.values.shape
-    if not balls:  # as most covers of the 2D fiber recursion are: skip the table's fixed cost
-        none = np.zeros((0, field.n), dtype=np.intp)
-        table = WindowTable(none, none, shape)
-        return PartitionOfUnity([], [], [], [], np.zeros(shape), nu, table, np.zeros(0))
-    radii = _radii(balls)
-    table = WindowTable.around(balls, (radii / field.spacing).astype(np.intp) + 1, shape)
+    shape, table = field.values.shape, WindowTable.around(cover, field)
+    if not len(cover):  # as most covers of the 2D fiber recursion are: skip the table's fixed cost
+        return PartitionOfUnity(cover, np.zeros(shape), nu, table, np.zeros(0))
     psi = np.empty(int(table.sizes.sum()))  # the bumps until the denominator is complete
     denom = np.zeros(field.values.size)
     batches, start = [], 0
-    for batch, part, cells, dist in window_batches(field, balls, table):
+    for batch, part, cells, dist in window_batches(field, cover, table):
         w = psi[start : start + len(cells)]
-        w[:] = bump(dist / part.per_entry(radii[batch]))
+        w[:] = bump(dist / part.per_entry(cover.radius[batch]))
         np.add.at(denom, cells, w**2)
         batches.append((cells, w))
         start += len(cells)
@@ -310,16 +336,4 @@ def partition_functions(field: ControlField, balls, nu: float) -> PartitionOfUni
         np.divide(w, r, out=w, where=r > 0)
         w[r == 0] = 0.0
         np.add.at(total, cells, w**2)
-    ends = np.cumsum(table.sizes).tolist()
-    return PartitionOfUnity(
-        balls=list(balls),
-        windows=[tuple(map(slice, a, b)) for a, b in zip(table.lo.tolist(), table.hi.tolist())],
-        psis=[
-            psi[a:b].reshape(x) for a, b, x in zip([0] + ends, ends, (table.hi - table.lo).tolist())
-        ],
-        colors=color_classes(balls),
-        sum_squares=total.reshape(shape),
-        nu=nu,
-        table=table,
-        psi=psi,
-    )
+    return PartitionOfUnity(cover, total.reshape(shape), nu, table, psi)

@@ -357,8 +357,9 @@ def _rescaled(d: Decomposition, scale: float) -> Decomposition:
 def _cover(f, cf, nu, omega):
     """The partition of unity at nu and each ball's branch test (True: branch A)."""
     part = partition_functions(cf, build_cover(cf, nu), nu)
-    threshold, power = omega * nu, cf.k + cf.alpha
-    return part, [float(f.values[ball.index]) >= threshold * ball.r**power for ball in part.balls]
+    # float_power is the C pow that a Python float's ** calls; numpy's ** may round otherwise
+    threshold = omega * nu * np.float_power(part.balls.r, cf.k + cf.alpha)
+    return part, (f.values[tuple(part.balls.index.T)] >= threshold).tolist()
 
 
 def _decompose_at(f, scale, cf, nu, omega) -> Decomposition:
@@ -375,7 +376,7 @@ def _decompose_at(f, scale, cf, nu, omega) -> Decomposition:
     per_ball: list[list[np.ndarray]] = []
     branch_info: list[tuple] = []
     clamp_max = 0.0
-    for ball, win, psi, bounded_below in zip(part.balls, part.windows, part.psis, bounded):
+    for win, psi, bounded_below in zip(part.windows, part.psis, bounded):
         if bounded_below:
             info = ("A",)
             squares, clamp = _ball_squares(info, psi, None, values[win])
@@ -443,14 +444,18 @@ def _fiber_minima_1d(f, coords, part, bounded):
     once, and each minimum is refined by a parabola.  Raises _NuTooLarge
     at the first ball whose descent reaches the domain edge.
     """
-    branch_b = [(ball, win) for ball, win, a in zip(part.balls, part.windows, bounded) if not a]
-    lowest = [win[0].start + int(np.argmin(f.values[win])) for _, win in branch_b]
-    start = np.array(lowest, dtype=int)
+    branch_b = np.flatnonzero(np.logical_not(bounded))
+    table = part.table.select(branch_b)
+    cells, first = table.cells(), np.cumsum(table.sizes) - table.sizes
+    values = f.values[cells]
+    # the first lowest sample of each window, the one np.argmin picks
+    low = np.flatnonzero(values == np.repeat(np.minimum.reduceat(values, first), table.sizes))
+    start = cells[low[np.searchsorted(low, first)]]
     padded = np.pad(f.values, 1, constant_values=np.inf)
     arg = _descend_rows(np.broadcast_to(padded, (start.size, padded.size)), start + 1) - 1
     at_edge = (arg == 0) | (arg == f.values.size - 1)
     if at_edge.any():
-        ball = branch_b[int(np.argmax(at_edge))][0]
+        ball = part.balls[int(branch_b[np.argmax(at_edge)])]
         raise _NuTooLarge(f"minimum hits the domain edge at ball {ball.index}")
     fm, f0, fp = f.values[arg - 1], f.values[arg], f.values[arg + 1]
     x_min, f_min = _parabolic_min(coords[arg], f.spacing, fm, f0, fp)
@@ -478,22 +483,22 @@ def _branch_b_2d(f, part, bounded, k, alpha):
     members = np.flatnonzero(np.logical_not(bounded))
     for first in range(0, members.size, FIBER_BLOCK):
         block = members[first : first + FIBER_BLOCK]
-        balls = [part.balls[j] for j in block]
-        at = tuple(np.array([ball.index for ball in balls]).T)
+        balls = part.balls.select(block)
+        at = tuple(balls.index.T)
         fxx, fxy, fyy = (d2[at][:, None] for d2 in hessian)
         ev = _DIRECTION_TABLE[np.argmax(c * c * fxx + 2 * c * s * fxy + s * s * fyy, axis=1)]
         eu = np.column_stack((-ev[:, 1], ev[:, 0]))
         # u spans the cutoff support plus a stencil margin
-        n_us = [int((2.0 * ball.radius + 6.0 * h) / h) + 1 for ball in balls]
-        u_grids = [h * np.arange(-n_u, n_u + 1) for n_u in n_us]
+        n_us = ((2.0 * balls.radius + 6.0 * h) / h).astype(np.intp) + 1
+        u_grids = [h * np.arange(-n_u, n_u + 1) for n_u in n_us.tolist()]
         minima, rejected = _block_fiber_minima(f, spline, balls, eu, ev, u_grids)
         curves = _fiber_curves(u_grids, minima)
         for i, (_, f_min) in enumerate(minima):
-            j, ball, u_grid, (f_curve, x_curve) = block[i], balls[i], u_grids[i], curves[i]
+            j, u_grid, (f_curve, x_curve) = block[i], u_grids[i], curves[i]
             win, psi = part.windows[j], part.psis[j]
             # main square on the ball window
-            dx = (f.axis_coords(0)[win[0]] - ball.center[0])[:, None]
-            dy = (f.axis_coords(1)[win[1]] - ball.center[1])[None, :]
+            dx = (f.axis_coords(0)[win[0]] - balls.center[i, 0])[:, None]
+            dy = (f.axis_coords(1)[win[1]] - balls.center[i, 1])[None, :]
             du = dx * eu[i, 0] + dy * eu[i, 1]
             dv = dx * ev[i, 0] + dy * ev[i, 1]
             g1, clamp = _signed_root(psi, dv, x_curve(du), f.values[win], f_curve(du))
@@ -502,7 +507,7 @@ def _branch_b_2d(f, part, bounded, k, alpha):
             # sub-squares are composed with the rotation by re-evaluating their
             # closed forms at the rotated coordinate, not by resampling arrays.
             # A curve that is zero at every sample decomposes into no squares.
-            width = 2.0 * ball.radius
+            width = 2.0 * balls.radius[i]
             curve = np.clip(bump(u_grid / width) * f_min, 0.0, None)
             if curve.any():
                 sub = decompose(SampledFunction((float(u_grid[0]),), h, curve), k, alpha)
@@ -551,11 +556,10 @@ def _block_fiber_minima(f, spline, balls, eu, ev, u_grids):
     sizes = [len(u_grid) for u_grid in u_grids]
     owner = np.repeat(np.arange(len(balls)), sizes)
     u = np.concatenate(u_grids)
-    centers = np.array([ball.center for ball in balls])
-    base = centers[owner] + u[:, None] * eu[owner]
+    base = balls.center[owner] + u[:, None] * eu[owner]
     direction = ev[owner]
-    interior_needed = np.abs(u) <= np.array([ball.radius for ball in balls])[owner] + h
-    half = np.array([min(n_v, int(ball.radius / h) + 4) for ball in balls])[owner]
+    interior_needed = np.abs(u) <= balls.radius[owner] + h
+    half = np.minimum(n_v, (balls.radius / h).astype(np.intp) + 4)[owner]
 
     x_min = np.empty(u.size)
     f_min = np.empty(u.size)
@@ -671,17 +675,16 @@ def evaluate_1d_squares(d: Decomposition, points: np.ndarray, f_of_u) -> list[np
     if d.n != 1:
         raise ValueError("only one-dimensional decompositions can be re-evaluated")
     points = np.asarray(points, dtype=float)
-    weights = [bump(np.abs(points - ball.center[0]) / ball.radius) for ball in d.partition.balls]
-    denom = np.sqrt(sum(w**2 for w in weights)) if weights else np.zeros_like(points)
+    balls, column = d.partition.balls, (-1,) + (1,) * points.ndim  # one ball per row
+    weights = bump(np.abs(points - balls.center[:, 0].reshape(column)) / balls.radius.reshape(column))
+    # summed in ball order: a reduction over balls may sum pairwise instead
+    denom = np.sqrt(np.cumsum(weights**2, axis=0)[-1]) if len(balls) else np.zeros_like(points)
     fu = np.clip(np.asarray(f_of_u(points), dtype=float), 0.0, None)
-    per_ball_squares = []
-    for w, info in zip(weights, d.branch_info, strict=True):
-        # psi off the grid, where no window table holds it
-        psi = np.zeros_like(points)
-        np.divide(w, denom, out=psi, where=denom > 0)
-        per_ball_squares.append(_ball_squares(info, psi, points, fu)[0])
-    whole = [Ellipsis] * len(per_ball_squares)
-    squares, labels = _recombine(points.shape, d.partition.colors, whole, per_ball_squares)
+    psi = np.zeros_like(weights)  # psi off the grid, where no window table holds it
+    np.divide(weights, denom, out=psi, where=denom > 0)
+    per_ball = [_ball_squares(info, p, points, fu)[0] for p, info in zip(psi, d.branch_info, strict=True)]
+    whole = [Ellipsis] * len(per_ball)
+    squares, labels = _recombine(points.shape, d.partition.colors, whole, per_ball)
     by_label = dict(zip(labels, squares))
     return [by_label.get(label, np.zeros_like(points)) for label in d.square_labels]
 
@@ -752,7 +755,7 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
     f_max = float(np.max(np.abs(f.values)[mask], initial=0.0))
 
     part = d.partition
-    coarse = np.array([d.nu * ball.r < 3.0 * d.spacing for ball in part.balls], dtype=bool)
+    coarse = d.nu * part.balls.r < 3.0 * d.spacing
     resolved = mask & ~part.table.select(coarse).covered()
     if resolved.any() and not resolved.all():
         # differencing must not reach across the exclusion boundary

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
 
 import numpy as np
@@ -119,6 +120,7 @@ class GeneralPolytope:
             raise ValueError("generators must be non-negative lattice points of equal dimension")
         self.n = n
         self.generators = tuple(pts)
+        self._half_lattice = None  # the lattice of (1/2)C once a scan has listed it
         self._coord_min = tuple(min(p[i] for p in pts) for i in range(n))
         self._coord_max = tuple(max(p[i] for p in pts) for i in range(n))
         p0 = pts[0]
@@ -182,7 +184,9 @@ class GeneralPolytope:
 
     def half_lattice_points(self) -> list[MultiIndex]:
         """Integer points t with 2t in the hull, i.e. the lattice of (1/2)C."""
-        return self._box_lattice(*self._half_box(), scale=2)
+        if self._half_lattice is None:
+            self._half_lattice = self._box_lattice(*self._half_box(), scale=2)
+        return list(self._half_lattice)
 
     def _half_box(self) -> tuple[MultiIndex, MultiIndex]:
         """Corners of the box of integer t with 2t in the hull's bounding box.
@@ -197,47 +201,33 @@ class GeneralPolytope:
         return lo, hi
 
     def _box_lattice(self, lo, hi, scale) -> list[MultiIndex]:
-        out = []
-        point = list(lo)
-        n = self.n
-        if any(l > h for l, h in zip(lo, hi)):
-            return out
-        while True:
-            t = tuple(point)
-            if self.member(tuple(scale * x for x in t)):
-                out.append(t)
-            i = n - 1
-            while i >= 0 and point[i] == hi[i]:
-                point[i] = lo[i]
-                i -= 1
-            if i < 0:
-                return out
-            point[i] += 1
+        return [t for t in _box(lo, hi) if self.member(tuple(scale * x for x in t))]
 
     def distinct_pair_witness(self, m) -> tuple[MultiIndex, MultiIndex] | None:
         """Distinct lattice t1 != t2 of (1/2)C with t1 + t2 = m, if any.
 
         Scans the half-polytope lattice in lex order and returns the first
-        pair encountered (which has t1 < t2), or None after an exhaustive
-        scan.
+        pair encountered, or None after an exhaustive scan, whose lattice
+        ``half_lattice_points`` then reuses.  A pair is met at its lesser
+        point t1, with t2 ahead of the scan: a t2 found outside the lattice
+        is not tested again when the scan reaches it.
         """
         m = tuple(int(x) for x in m)
         lo, hi = self._half_box()
-        if any(l > h for l, h in zip(lo, hi)):
-            return None
-        point = list(lo)
-        while True:
-            t1 = tuple(point)
-            if self.member(tuple(2 * x for x in t1)):
-                t2 = tuple(a - b for a, b in zip(m, t1))
-                if t2 != t1 and all(x >= 0 for x in t2) and self.member(
-                    tuple(2 * x for x in t2)
-                ):
-                    return (t1, t2) if t1 < t2 else (t2, t1)
-            i = self.n - 1
-            while i >= 0 and point[i] == hi[i]:
-                point[i] = lo[i]
-                i -= 1
-            if i < 0:
-                return None
-            point[i] += 1
+        lattice, outside = [], set()
+        for t1 in _box(lo, hi):
+            if t1 in outside or not self.member(tuple(2 * x for x in t1)):
+                continue
+            lattice.append(t1)
+            t2 = tuple(a - b for a, b in zip(m, t1))
+            if t2 > t1 and all(l <= x <= h for l, x, h in zip(lo, t2, hi)):
+                if self.member(tuple(2 * x for x in t2)):
+                    return t1, t2
+                outside.add(t2)
+        self._half_lattice = lattice
+        return None
+
+
+def _box(lo, hi):
+    """The integer points of the box lo <= t <= hi in lex order."""
+    return product(*(range(l, h + 1) for l, h in zip(lo, hi)))

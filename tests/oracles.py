@@ -29,7 +29,7 @@ from itertools import combinations, product
 import numpy as np
 
 from halfsquares import ratmat
-from halfsquares.cover import CoverBall, PartitionOfUnity, WindowTable, bump
+from halfsquares.cover import Cover, CoverBall, PartitionOfUnity, WindowTable, bump
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from halfsquares.decompose import (
@@ -596,15 +596,31 @@ def loop_partition_functions(field, balls, nu):
         total[win] += psi**2
     lo = np.array([[sl.start for sl in win] for win in windows], dtype=np.intp).reshape(-1, len(shape))
     hi = np.array([[sl.stop for sl in win] for win in windows], dtype=np.intp).reshape(-1, len(shape))
-    return PartitionOfUnity(
-        balls=list(balls),
-        windows=windows,
-        psis=psis,
-        colors=loop_color_classes(balls),
+    part = PartitionOfUnity(
+        balls=cover_of(balls, len(shape)),
         sum_squares=total,
         nu=nu,
         table=WindowTable(lo, hi, shape),
         psi=np.concatenate([p.ravel() for p in psis]) if psis else np.zeros(0),
+    )
+    # the parts the kernel builds on first read, given here by the loops
+    part.windows, part.psis, part.colors = windows, psis, loop_color_classes(balls)
+    return part
+
+
+def cover_of(balls, n=1):
+    """The ``Cover`` whose balls are the CoverBalls ``balls``, of dimension n when empty."""
+    balls = list(balls)
+    n = len(balls[0].index) if balls else n
+
+    def column(name, dtype):
+        return np.array([getattr(ball, name) for ball in balls], dtype=dtype)
+
+    return Cover(
+        column("index", np.intp).reshape(-1, n),
+        column("center", float).reshape(-1, n),
+        column("r", float),
+        column("radius", float),
     )
 
 

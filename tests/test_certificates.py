@@ -118,3 +118,21 @@ def test_not_sos_never_certifies_random_squares():
 def test_not_sos_zero_rejected():
     with pytest.raises(ValueError):
         certify_not_sos(SparsePolynomial.zero(2))
+
+
+def test_not_sos_witness_scans_the_half_box_once(monkeypatch):
+    """The pair search and the reported half lattice share one scan of the box."""
+    from halfsquares.polytope import GeneralPolytope
+
+    queried = []
+    member = GeneralPolytope.member
+
+    def counting(self, point):
+        queried.append(tuple(point))
+        return member(self, point)
+
+    monkeypatch.setattr(GeneralPolytope, "member", counting)
+    witness = certify_not_sos(MOTZKIN)
+    assert witness.monomial == (2, 2)
+    # the Motzkin hull spans [0, 4]^2: its half box is [0, 2]^2, each point queried once
+    assert sorted(queried) == [(2 * a, 2 * b) for a in range(3) for b in range(3)]

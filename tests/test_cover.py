@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from halfsquares.decompose import decompose, partial_decompose, verify
 from halfsquares.fixtures import build_fixture
 from halfsquares.holder import ControlField, SampledFunction, control_field
 from oracles import (
+    cover_of,
     loop_build_cover,
     loop_color_classes,
     loop_overlap_counts,
@@ -45,7 +47,7 @@ def test_bump_profile():
 
 def test_empty_cover_for_zero_field():
     cf = field_for(lambda x: 0.0 * x, 0.0, 1.0, 501)
-    assert build_cover(cf, 0.25) == []
+    assert len(build_cover(cf, 0.25)) == 0
 
 
 def test_cover_of_constant_function():
@@ -75,8 +77,9 @@ def test_overlap_bound_on_fixtures():
 
 def test_color_classes_disjoint_and_chain():
     cf = field_for(lambda x: np.ones_like(x), 0.0, 1.0, 1001)
-    balls = build_cover(cf, 0.25)
-    colors = color_classes(balls)
+    cover = build_cover(cf, 0.25)
+    colors = color_classes(cover)
+    balls = list(cover)
     assert max(colors) + 1 <= 15
     for i, a in enumerate(balls):
         for j, b in enumerate(balls[:i]):
@@ -109,17 +112,34 @@ def ball_lists(draw):
 @settings(max_examples=400)
 @given(ball_lists())
 def test_color_classes_match_pairwise_scan(balls):
-    assert color_classes(balls) == pairwise_color_classes(balls)
+    assert color_classes(cover_of(balls)) == pairwise_color_classes(balls)
 
 
 def test_color_classes_edge_cases():
-    assert color_classes([]) == []
+    assert color_classes(cover_of([])) == []
     twins = [_ball((0.5, 0.5), 0.1), _ball((0.5, 0.5), 0.1)]
-    assert color_classes(twins) == [0, 1]
+    assert color_classes(cover_of(twins)) == [0, 1]
     # tangent balls do not intersect, in 1D and along a 3-4-5 diagonal
-    assert color_classes([_ball((0.0,), 0.5), _ball((1.0,), 0.5)]) == [0, 0]
-    assert color_classes([_ball((0.0, 0.0), 2.5), _ball((3.0, 4.0), 2.5)]) == [0, 0]
-    assert color_classes([_ball((0.0, 0.0), 2.5), _ball((3.0, 4.0), 2.5 + 1e-12)]) == [0, 1]
+    assert color_classes(cover_of([_ball((0.0,), 0.5), _ball((1.0,), 0.5)])) == [0, 0]
+    assert color_classes(cover_of([_ball((0.0, 0.0), 2.5), _ball((3.0, 4.0), 2.5)])) == [0, 0]
+    assert color_classes(cover_of([_ball((0.0, 0.0), 2.5), _ball((3.0, 4.0), 2.5 + 1e-12)])) == [0, 1]
+
+
+# np.hypot puts the first pair's centers an ulp below math.dist and the
+# second's an ulp above (glibc, x86-64)
+@pytest.mark.parametrize("a,b", [
+    ((0.435, -1.31), (1.408, 2.954)),
+    ((-2.912, -1.048), (-0.236, -2.718)),
+])
+def test_color_classes_decide_tangency_by_math_dist(a, b):
+    """Radii summing to the distance hypot or math.dist gives, or a step
+    either side of it: intersection is decided as math.dist has it."""
+    gap = math.dist(b, a)
+    hypot = float(np.hypot(b[0] - a[0], b[1] - a[1]))
+    for total in (gap, hypot, math.nextafter(gap, 0.0), math.nextafter(gap, math.inf)):
+        balls = [_ball(a, total / 2), _ball(b, total / 2)]
+        want = [0, 1] if gap < total else [0, 0]
+        assert color_classes(cover_of(balls)) == pairwise_color_classes(balls) == want
 
 
 def test_partition_of_unity_identity():
@@ -204,7 +224,7 @@ def _window_cells(shape, windows):
 
 
 def _assert_same_partition(part, want):
-    assert part.balls == want.balls
+    assert list(part.balls) == list(want.balls)
     assert part.windows == want.windows
     assert part.colors == want.colors
     assert len(part.psis) == len(want.psis)
@@ -220,8 +240,14 @@ def _assert_same_partition(part, want):
 def test_cover_kernels_match_per_ball_loops(cf, halvings):
     nu = 0.5**halvings
     balls = build_cover(cf, nu)
-    assert balls == loop_build_cover(cf, nu)
-    assert color_classes(balls) == loop_color_classes(balls)
+    assert list(balls) == loop_build_cover(cf, nu)
+    # the arrays themselves, dtype and shape included, empty covers too
+    want = cover_of(loop_build_cover(cf, nu), cf.n)
+    for name in ("index", "center", "r", "radius"):
+        got, expected = getattr(balls, name), getattr(want, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert_array_equal(got, expected)
+    assert color_classes(balls) == loop_color_classes(balls) == pairwise_color_classes(list(balls))
     assert_array_equal(overlap_counts(cf, balls), loop_overlap_counts(cf, balls))
     part = partition_functions(cf, balls, nu)
     _assert_same_partition(part, loop_partition_functions(cf, balls, nu))

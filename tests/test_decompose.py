@@ -241,7 +241,7 @@ def _compare_block_with_balls(block_minima, oracle, seen, same_windows=False):
         lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
         hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
         oracle_points = 0
-        for i, ball in enumerate(balls[: len(minima) + 1]):
+        for i, ball in enumerate(list(balls)[: len(minima) + 1]):
             one = _CountingSpline(spline)
             want = _outcome(oracle, f, one, ball, eu[i], ev[i], u_grids[i])
             oracle_points += one.points
@@ -546,3 +546,30 @@ def test_partial_decompose_bounds_residual_and_reconstructs(coeffs, c, points, k
     mask = p.verified_mask()
     gap = float(np.max(np.abs(p.reconstruction() - f.values)[mask], initial=0.0))
     assert gap <= 1e-12 * float(f.values.max())
+
+
+def test_rejected_nu_builds_no_colors_windows_or_psis(monkeypatch):
+    """partial_decompose(bony-4001, k=3, eps=1e-4) rejects four covers: only
+    the accepted one is colored, and no rejected one builds windows or psis."""
+    cover_module = importlib.import_module("halfsquares.cover")
+    colored = []
+    color_classes = cover_module.color_classes
+
+    def counting(cover):
+        colored.append(len(cover))
+        return color_classes(cover)
+
+    parts = []
+    partition_functions = decompose_module.partition_functions
+
+    def recording(cf, balls, nu):
+        parts.append(partition_functions(cf, balls, nu))
+        return parts[-1]
+
+    monkeypatch.setattr(cover_module, "color_classes", counting)
+    monkeypatch.setattr(decompose_module, "partition_functions", recording)
+    d = partial_decompose(build_fixture("bony", points=4001), 3, 1.0, 1e-4)
+    assert len(parts) == 5 and parts[-1] is d.partition
+    assert colored == [len(d.partition.balls)]
+    for part in parts[:-1]:
+        assert not {"colors", "windows", "psis"} & vars(part).keys()

@@ -44,3 +44,35 @@ def test_tracer_wraps_and_restores_every_traced_attribute():
         tracer.uninstall()
     assert all(w is not b for w, b in zip(wrapped, before))
     assert all(vars(owner)[attr] is b for (owner, attr), b in zip(owners, before))
+
+
+def test_traced_run_counts_every_ball_built(monkeypatch):
+    """A small decompose, partial_decompose and verify run under the installed
+    tracer, and its build_cover amounts add up to the balls of the covers built."""
+    from halfsquares.fixtures import build_fixture
+
+    dec = importlib.import_module("halfsquares.decompose")
+    built = []
+    build_cover = dec.build_cover
+
+    def counting(*args, **kwargs):
+        cover = build_cover(*args, **kwargs)
+        built.append(len(cover))
+        return cover
+
+    monkeypatch.setattr(dec, "build_cover", counting)
+    tracer = _load_spans().Tracer()
+    tracer.install()
+    try:
+        for name, points, k in (("parabola", 201, 2), ("radial_bump", 21, 3)):
+            f = build_fixture(name, points=points)
+            dec.verify(dec.decompose(f, k, 1.0), f)
+            dec.verify(dec.partial_decompose(f, k, 1.0, 1e-3), f)
+    finally:
+        tracer.uninstall()
+    assert dec.build_cover is counting
+    (stats,) = tracer.pass_stats().values()
+    assert stats.calls["cover.build_cover"] == len(built)
+    assert stats.amount["cover.build_cover"] == sum(built) > 0
+    assert stats.calls["decompose.verify"] == 4
+    assert 0 < stats.amount["cover.color_classes"] <= sum(built)
