@@ -13,7 +13,8 @@ balls' windows, ball after ball, each window in row-major order.  Bumps,
 psi_j and overlap counts are array operations over the table, taken a
 batch of balls at a time, and sums over balls are unbuffered
 ``np.add.at`` calls, which add in table order and so give each cell the
-sum, in ball order, that a loop of window updates gives.
+sum, in ball order, that a loop of window updates gives.  The grid and the
+re-evaluation of 1D squares off the grid share one ``normalize_bumps``.
 In 1D the greedy scan needs no grid mask: the cells before the current
 center are covered and coordinates are monotone, so a ball covers the run
 from its center to the last cell within half its radius, and the next
@@ -104,7 +105,7 @@ class WindowTable:
         return (self.hi - self.lo).prod(axis=1)
 
     def select(self, keep) -> WindowTable:
-        """The table of the balls ``keep`` (a mask or a slice) picks, in their order."""
+        """The table of the balls ``keep`` (a mask, slice or index array) picks, in their order."""
         return WindowTable(self.lo[keep], self.hi[keep], self.shape)
 
     def per_entry(self, per_ball) -> np.ndarray:
@@ -311,29 +312,34 @@ class PartitionOfUnity:
         return max(self.colors) + 1 if self.colors else 0
 
 
+def normalize_bumps(w: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
+    """Turn the bumps ``w`` into psi in place: w_e / sqrt(sum of w^2 at
+    point ``cells[e]``), and 0 where that sum is 0; returns the sums.
+
+    The entries are ball-major, so ``np.add.at`` adds each point's squares
+    in ball order.
+    """
+    denom = np.zeros(size)
+    np.add.at(denom, cells, w**2)
+    root = np.sqrt(denom, out=np.zeros_like(denom), where=denom > 0)[cells]
+    np.divide(w, root, out=w, where=root > 0)
+    w[root == 0] = 0.0
+    return denom
+
+
 def partition_functions(field: ControlField, cover: Cover, nu: float) -> PartitionOfUnity:
     """Normalize per-ball bumps by the root of their summed squares."""
     shape, table = field.values.shape, WindowTable.around(cover, field)
     if not len(cover):  # as most covers of the 2D fiber recursion are: skip the table's fixed cost
         return PartitionOfUnity(cover, np.zeros(shape), nu, table, np.zeros(0))
-    psi = np.empty(int(table.sizes.sum()))  # the bumps until the denominator is complete
-    denom = np.zeros(field.values.size)
-    batches, start = [], 0
-    for batch, part, cells, dist in window_batches(field, cover, table):
-        w = psi[start : start + len(cells)]
-        w[:] = bump(dist / part.per_entry(cover.radius[batch]))
-        np.add.at(denom, cells, w**2)
-        batches.append((cells, w))
-        start += len(cells)
+    batches = window_batches(field, cover, table)
+    bumps = [(cells, bump(dist / part.per_entry(cover.radius[b]))) for b, part, cells, dist in batches]
+    cells, psi = map(np.concatenate, zip(*bumps))
+    denom = normalize_bumps(psi, cells, field.values.size)
     if float(denom[field.positive_mask().ravel()].min(initial=np.inf)) < 1.0 - 1e-9:
         raise RuntimeError(
             "partition normalization below one at a covered point; cover is broken"
         )
-    root = np.sqrt(denom, out=np.zeros_like(denom), where=denom > 0)
     total = np.zeros(field.values.size)
-    for cells, w in batches:  # psi_j = w_j / root, and 0 where root = 0
-        r = root[cells]
-        np.divide(w, r, out=w, where=r > 0)
-        w[r == 0] = 0.0
-        np.add.at(total, cells, w**2)
+    np.add.at(total, cells, psi**2)
     return PartitionOfUnity(cover, total.reshape(shape), nu, table, psi)

@@ -15,21 +15,26 @@ constant (one dimension) or by recursing on the fiber minimum curve (two
 dimensions, one recursion level).  In two dimensions the branch-B balls
 are taken in blocks of FIBER_BLOCK, in ball order: the fiber rows of a
 block are searched together, one ``spline.ev`` call per round, and the
-fiber curves of its balls come from one cubic spline per u-grid length;
-the squares are then built ball by ball.  Squares from balls of one
-color class have disjoint supports and are summed, which keeps the final
-square count bounded by the dimensional constant.
+fiber curves of its balls come from one cubic spline per u-grid length.
+Squares from balls of one color class have disjoint supports and are
+summed, which keeps the final square count bounded by the dimensional
+constant.  The sums are taken per entry of the window table, a class at a
+time; a 2D branch-B ball's squares are added on its window.
+``evaluate_1d_squares`` takes the same path on a table that pairs each
+ball with each point.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly, RectBivariateSpline
 
-from .cover import OVERLAP_BOUND_BASE, PartitionOfUnity, bump, build_cover, overlap_counts, partition_functions
+from .cover import (OVERLAP_BOUND_BASE, PartitionOfUnity, WindowTable, bump, build_cover, normalize_bumps,
+                    overlap_counts, partition_functions)
 from .errors import InputError
 from .finitediff import partial as fd_partial
 from .holder import (
@@ -279,13 +284,9 @@ def partial_decompose(f: SampledFunction, k: int, alpha: float, eps: float) -> D
         worst = float(residual.max(initial=0.0)) * scale
         if not worst <= eps:
             raise _NuTooLarge(f"residual {worst:.3g} exceeds eps={eps}")
-        values = np.clip(unit.values, 0.0, None)
-        per_ball = [
-            _ball_squares(("A",), psi_j, None, values[win])[0] if a else []
-            for a, win, psi_j in zip(bounded, part.windows, part.psis)
-        ]
         residual = residual.reshape(unit.values.shape)
-        return _assembled(unit, cf, nu, omega, part, bounded, per_ball, residual, 0.0, [])
+        branch = [("A",) if a else ("B",) for a in bounded]  # branch B leaves h, no squares
+        return _assembled(unit, cf, nu, omega, part, branch, residual, branch_info=[])
 
     return _search_nu(f, k, alpha, attempt, PARTIAL_NU_FLOOR)
 
@@ -366,37 +367,33 @@ def _decompose_at(f, scale, cf, nu, omega) -> Decomposition:
     """The full decomposition of f at nu; rejects nu when a branch-B ball
     has no interior minimum.  f is already normalized, so ``scale`` is unused."""
     part, bounded = _cover(f, cf, nu, omega)
-    values = np.clip(f.values, 0.0, None)
+    windowed = []
     if f.n == 1:
-        coords = f.axis_coords(0)
-        branch_b = _fiber_minima_1d(f, coords, part, bounded)
+        minima = _fiber_minima_1d(f, f.axis_coords(0), part, bounded)
+        branch = [("A",) if a else ("B1", *next(minima)) for a in bounded]
     else:
-        branch_b = _branch_b_2d(f, part, bounded, cf.k, cf.alpha)
-
-    per_ball: list[list[np.ndarray]] = []
-    branch_info: list[tuple] = []
-    clamp_max = 0.0
-    for win, psi, bounded_below in zip(part.windows, part.psis, bounded):
-        if bounded_below:
-            info = ("A",)
-            squares, clamp = _ball_squares(info, psi, None, values[win])
-        elif f.n == 1:
-            info = ("B1", *next(branch_b))
-            squares, clamp = _ball_squares(info, psi, coords[win[0]], f.values[win])
-        else:
-            info = ("B2",)
-            squares, clamp = next(branch_b)
-        branch_info.append(info)
-        clamp_max = max(clamp_max, clamp)
-        per_ball.append(squares)
+        windowed = list(_branch_b_2d(f, part, bounded, cf.k, cf.alpha))
+        branch = [("A",) if a else ("B2",) for a in bounded]
     residual = np.zeros_like(f.values, dtype=float)
-    return _assembled(f, cf, nu, omega, part, bounded, per_ball, residual, clamp_max, branch_info)
+    return _assembled(f, cf, nu, omega, part, branch, residual, branch_info=branch, windowed=windowed)
 
 
-def _assembled(f, cf, nu, omega, part, bounded, per_ball, residual, clamp_max, branch_info):
-    """The decomposition of f from per-ball squares and branch tests."""
-    squares, labels = _recombine(f.values.shape, part.colors, part.windows, per_ball)
-    branch_a = sum(bounded)
+def _assembled(f, cf, nu, omega, part, branch, residual, branch_info, windowed=()):
+    """The decomposition of f from each ball's ``branch`` (see ``_square_sums``)
+    and the (ball, squares on its window, clamp) of ``windowed``.  Colors are
+    read only here, once nu is accepted, so a rejected cover is never colored.
+    """
+    shape, colors = f.values.shape, part.colors
+    coords = f.axis_coords(0) if f.n == 1 else None
+    values = f.values.ravel()
+    clipped = np.clip(values, 0.0, None)
+    sums, clamp_max = _square_sums(part.table, part.psi, colors, branch, coords, clipped, values)
+    for j, squares, clamp in windowed:
+        for slot, g in enumerate(squares):
+            sums[colors[j], slot].reshape(shape)[part.windows[j]] += g
+        clamp_max = max(clamp_max, clamp)
+    labels = [key for key in sorted(sums) if np.any(sums[key])]
+    branch_a = sum(info[0] == "A" for info in branch)
     return Decomposition(
         origin=f.origin,
         spacing=f.spacing,
@@ -404,11 +401,11 @@ def _assembled(f, cf, nu, omega, part, bounded, per_ball, residual, clamp_max, b
         alpha=cf.alpha,
         nu=nu,
         omega=omega,
-        squares=squares,
+        squares=[sums[key].reshape(shape) for key in labels],
         control=cf,
         partition=part,
         branch_a=branch_a,
-        branch_b=len(bounded) - branch_a,
+        branch_b=len(branch) - branch_a,
         residual=residual,
         clamp_max=clamp_max,
         square_labels=labels,
@@ -416,18 +413,40 @@ def _assembled(f, cf, nu, omega, part, bounded, per_ball, residual, clamp_max, b
     )
 
 
-def _ball_squares(info, psi, v, fv):
-    """The squares of a branch-A or branch-B1 ball and the clamp they needed.
+def _square_sums(table, psi, colors, branch, v, fa, fb):
+    """The squares of branch-A and branch-B1 balls, summed per (color class, slot).
 
-    ``psi``, the coordinates ``v`` and the values ``fv`` of f are given at
-    the same points.  A: psi sqrt(f), fv clipped at 0 by the caller.
-    B1: psi sgn(v - x_min) sqrt(f - f_min)_+ and psi sqrt(f_min).
+    Entry e of ``table`` pairs a ball with a point, psi[e] is the ball's psi
+    there, and v, fa and fb give each point's coordinate, f clipped at 0 and
+    f.  ("A",) gives psi sqrt(fa); ("B1", x_min, f_min) gives
+    psi sgn(v - x_min) sqrt(fb - f_min)_+ and psi sqrt(f_min); other
+    branches give nothing here.  A class's balls are disjoint, so one
+    ``np.add.at`` per (class, slot) adds at most one nonzero term per point:
+    the per-ball sum, bit for bit.  Returns the flat sums (a defaultdict of
+    zeros) and the largest f_min - fb clipped away.
     """
-    if info[0] == "A":
-        return [psi * np.sqrt(fv)], 0.0
-    _, x_min, f_min = info
-    g1, clamp = _signed_root(psi, v, x_min, fv, f_min)
-    return [g1, psi * math.sqrt(f_min)], clamp
+    is_a, is_b1 = (np.array([info[0] == tag for info in branch], dtype=bool) for tag in ("A", "B1"))
+    x_min, f_min = np.zeros((2, len(branch)))
+    x_min[is_b1], f_min[is_b1] = np.array([info[1:] for info in branch if info[0] == "B1"]).reshape(-1, 2).T
+    size, colors, sizes = math.prod(table.shape), np.asarray(colors), table.sizes
+    # ball j's entries are a window too: cells first_j .. first_j + size_j - 1 of psi
+    entries = WindowTable((np.cumsum(sizes) - sizes)[:, None], np.cumsum(sizes)[:, None], psi.shape)
+    sums, clamp = defaultdict(lambda: np.zeros(size)), 0.0
+    for color in range(int(colors.max(initial=-1)) + 1):
+        balls = np.flatnonzero((colors == color) & (is_a | is_b1))
+        cells, p = table.select(balls).cells(), psi[entries.select(balls).cells()]
+        ball = np.repeat(balls, sizes[balls])
+        a = is_a[ball]
+        g = np.empty(p.size)
+        g[a] = p[a] * np.sqrt(fa[cells[a]])
+        b = ~a
+        if b.any():
+            cb, pb, fm = cells[b], p[b], f_min[ball[b]]
+            g[b], c = _signed_root(pb, v[cb], x_min[ball[b]], fb[cb], fm)
+            clamp = max(clamp, c)
+            np.add.at(sums[color, 1], cb, pb * np.sqrt(fm))
+        np.add.at(sums[color, 0], cells, g)
+    return sums, clamp
 
 
 def _signed_root(psi, v, v_min, fv, f_min):
@@ -463,7 +482,7 @@ def _fiber_minima_1d(f, coords, part, bounded):
 
 
 def _branch_b_2d(f, part, bounded, k, alpha):
-    """(squares, clamp) of each branch-B ball of a 2D cover, in ball order.
+    """(ball, squares, clamp) of each branch-B ball of a 2D cover, in ball order.
 
     A ball splits off the signed root of f - F along its fiber-minimum
     curve and recurses on F.  F(u) is the minimum of f along the fiber
@@ -518,7 +537,7 @@ def _branch_b_2d(f, part, bounded, k, alpha):
                 for g_sub in evaluate_1d_squares(sub, du.ravel(), f_of_u):
                     squares.append(psi * g_sub.reshape(du.shape))
                 clamp = max(clamp, sub.clamp_max)
-            yield squares, clamp
+            yield j, squares, clamp
         if rejected is not None:
             raise _NuTooLarge(f"fiber minimum hits the domain edge at ball {balls[rejected].index}")
 
@@ -669,38 +688,21 @@ def evaluate_1d_squares(d: Decomposition, points: np.ndarray, f_of_u) -> list[np
     partition weights, branch minima) given the underlying function, so
     they can be composed with a coordinate change without resampling the
     stored arrays.  ``f_of_u`` must reproduce the function the
-    decomposition was computed from.  Returns arrays aligned with
-    ``d.square_labels``.
+    decomposition was computed from.  Every ball's window holds every
+    point, and psi and the class sums are those of the grid.  Returns
+    arrays aligned with ``d.square_labels``.
     """
     if d.n != 1:
         raise ValueError("only one-dimensional decompositions can be re-evaluated")
     points = np.asarray(points, dtype=float)
-    balls, column = d.partition.balls, (-1,) + (1,) * points.ndim  # one ball per row
-    weights = bump(np.abs(points - balls.center[:, 0].reshape(column)) / balls.radius.reshape(column))
-    # summed in ball order: a reduction over balls may sum pairwise instead
-    denom = np.sqrt(np.cumsum(weights**2, axis=0)[-1]) if len(balls) else np.zeros_like(points)
-    fu = np.clip(np.asarray(f_of_u(points), dtype=float), 0.0, None)
-    psi = np.zeros_like(weights)  # psi off the grid, where no window table holds it
-    np.divide(weights, denom, out=psi, where=denom > 0)
-    per_ball = [_ball_squares(info, p, points, fu)[0] for p, info in zip(psi, d.branch_info, strict=True)]
-    whole = [Ellipsis] * len(per_ball)
-    squares, labels = _recombine(points.shape, d.partition.colors, whole, per_ball)
-    by_label = dict(zip(labels, squares))
-    return [by_label.get(label, np.zeros_like(points)) for label in d.square_labels]
-
-
-def _recombine(shape, colors, windows, per_ball_squares):
-    """Sum per-ball squares of equal slot within each color class, each on
-    its ball's window; the nonzero sums and their (class, slot) labels."""
-    acc: dict[tuple[int, int], np.ndarray] = {}
-    for color, win, squares in zip(colors, windows, per_ball_squares):
-        for slot, g in enumerate(squares):
-            key = (color, slot)
-            if key not in acc:
-                acc[key] = np.zeros(shape, dtype=float)
-            acc[key][win] += g
-    labels = [key for key in sorted(acc) if np.any(acc[key])]
-    return [acc[key] for key in labels], labels
+    flat, balls = points.ravel(), d.partition.balls
+    table = WindowTable(np.zeros((len(balls), 1), np.intp), np.full((len(balls), 1), flat.size), flat.shape)
+    cells = table.cells()
+    psi = bump(np.abs(flat[cells] - table.per_entry(balls.center[:, 0])) / table.per_entry(balls.radius))
+    normalize_bumps(psi, cells, flat.size)
+    fu = np.clip(np.asarray(f_of_u(points), dtype=float), 0.0, None).ravel()
+    sums, _ = _square_sums(table, psi, d.partition.colors, d.branch_info, flat, fu, fu)
+    return [sums[label].reshape(points.shape) for label in d.square_labels]
 
 
 @dataclass

@@ -257,17 +257,12 @@ def homogenize_lift(P: SparsePolynomial, c: int = 1) -> LiftResult:
     if recovered != P:
         raise AssertionError("dehomogenization does not recover the input")
     dehom_witness = certify_not_sos(recovered)  # raises if P itself is uncertified
-    certificate = discover_or_raise(lifted)
+    certificate = certify_nonnegative(lifted).certificate
     try:
         direct = certify_not_sos(lifted)
     except SosCriterionInconclusive:
         direct = None
     return LiftResult(lifted, certificate, dehom_witness, direct)
-
-
-def discover_or_raise(P: SparsePolynomial) -> AmgmCertificate:
-    verified = certify_nonnegative(P)
-    return verified.certificate
 
 
 def degree_lift(inst: GeneratorInstance, offsets, s: int) -> GeneratorInstance:
@@ -438,12 +433,6 @@ def _verify_row(P: SparsePolynomial) -> tuple[bool, bool, str]:
     return nonneg, not_sos, "; ".join(notes)
 
 
-def unknown_rows(rows) -> list[str]:
-    """The requested (n, d) pairs that the catalog lacks, written "nxd"."""
-    catalog = {(n, d) for n, d, _ in TABLE_ROWS}
-    return [f"{n}x{d}" for n, d in rows if (n, d) not in catalog]
-
-
 def reproduce_table(rows: list[tuple[int, int]] | None = None) -> TableReport:
     """Run both certifiers on every catalog row.
 
@@ -454,7 +443,8 @@ def reproduce_table(rows: list[tuple[int, int]] | None = None) -> TableReport:
     reported as failing with the exact reason.  Raises InputError for a
     requested (n, d) that is not in the catalog.
     """
-    unknown = unknown_rows(rows or ())
+    catalog = {(n, d) for n, d, _ in TABLE_ROWS}
+    unknown = [f"{n}x{d}" for n, d in rows or () if (n, d) not in catalog]
     if unknown:
         raise InputError(f"rows not in the catalog: {','.join(unknown)}")
     results = []

@@ -117,7 +117,7 @@ def test_table_rows_outside_the_catalog_are_bad_input(tmp_path, capsys, rows, na
     report_path = tmp_path / "table.json"
     assert main(["table", "--rows", rows, "--json", str(report_path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.strip() == f"--rows not in the catalog: {named}"
+    assert captured.err.strip() == f"input error: rows not in the catalog: {named}"
     assert captured.out == "" and not report_path.exists()
 
 

@@ -252,6 +252,11 @@ def test_cover_kernels_match_per_ball_loops(cf, halvings):
     part = partition_functions(cf, balls, nu)
     _assert_same_partition(part, loop_partition_functions(cf, balls, nu))
     assert all(got.base is part.psi for got in part.psis)
+    # the class sums of the squares rely on it: at most one nonzero psi per class and cell
+    nonzero = part.psi != 0
+    owner_class = part.table.per_entry(np.asarray(part.colors, dtype=np.intp))[nonzero]
+    pairs = np.column_stack((part.table.cells()[nonzero], owner_class))
+    assert len(np.unique(pairs, axis=0)) == len(pairs)
     # the table's cells and mask are those of the windows
     shape = cf.values.shape
     assert_array_equal(part.table.cells(), _window_cells(shape, part.windows))

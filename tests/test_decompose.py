@@ -548,6 +548,45 @@ def test_partial_decompose_bounds_residual_and_reconstructs(coeffs, c, points, k
     assert gap <= 1e-12 * float(f.values.max())
 
 
+@settings(max_examples=40)
+@given(
+    coeffs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+    c=st.floats(0.0, 1.0),
+    points=st.integers(101, 401),
+    k=st.sampled_from([2, 3]),
+    eps=st.floats(1e-5, 1e-2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(coeffs=[0.0], c=2.2250738585e-313, points=101, k=2, eps=0.0078125, seed=0)
+def test_square_path_matches_loop_oracles(coeffs, c, points, k, eps, seed):
+    """On the p^2 + c grids above, decompose and partial_decompose give the
+    per-ball loops' squares, labels, residual, clamp and branch data bit for
+    bit, or fail where they fail, and evaluate_1d_squares gives the
+    pointwise oracle's squares at random points."""
+    x = np.linspace(-1.0, 1.0, points)
+    f = SampledFunction((-1.0,), 2.0 / (points - 1), np.polyval(coeffs, x) ** 2 + c)
+    runs = (
+        (lambda: decompose(f, k, 1.0), lambda: oracles.loop_decompose(f, k, 1.0)),
+        (lambda: partial_decompose(f, k, 1.0, eps), lambda: oracles.loop_partial_decompose(f, k, 1.0, eps)),
+    )
+    for run, loop in runs:
+        try:
+            want = loop()
+        except DecompositionError:
+            with pytest.raises(DecompositionError):
+                run()
+            continue
+        got = run()
+        _assert_same_decomposition(got, want)
+        if got.branch_info:
+            at = np.random.default_rng(seed).uniform(-1.2, 1.2, (points, 2))
+            fn = lambda u: np.interp(u, x, f.values)
+            evaluated = evaluate_1d_squares(got, at, fn)
+            assert len(evaluated) == len(got.squares)
+            for g, w in zip(evaluated, oracles.pointwise_evaluate_1d_squares(got, at, fn)):
+                np.testing.assert_array_equal(g, w)
+
+
 def test_rejected_nu_builds_no_colors_windows_or_psis(monkeypatch):
     """partial_decompose(bony-4001, k=3, eps=1e-4) rejects four covers: only
     the accepted one is colored, and no rejected one builds windows or psis."""
@@ -573,3 +612,31 @@ def test_rejected_nu_builds_no_colors_windows_or_psis(monkeypatch):
     assert colored == [len(d.partition.balls)]
     for part in parts[:-1]:
         assert not {"colors", "windows", "psis"} & vars(part).keys()
+
+
+def test_rejected_2d_covers_are_never_colored(monkeypatch):
+    """decompose(corner_paraboloid-41) rejects the top-level covers at
+    nu = 0.25, 0.125 and 0.0625 in the fiber search: of its 2D covers only
+    the accepted one, at 0.03125, is colored, besides the 1D fiber covers."""
+    cover_module = importlib.import_module("halfsquares.cover")
+    colored = []
+    color_classes = cover_module.color_classes
+
+    def counting(cover):
+        colored.append(cover)
+        return color_classes(cover)
+
+    nus = []
+    partition_functions = decompose_module.partition_functions
+
+    def recording(cf, balls, nu):
+        if cf.n == 2:
+            nus.append(nu)
+        return partition_functions(cf, balls, nu)
+
+    monkeypatch.setattr(cover_module, "color_classes", counting)
+    monkeypatch.setattr(decompose_module, "partition_functions", recording)
+    d = decompose(_corner_paraboloid(), 2, 1.0)
+    assert nus == [0.25, 0.125, 0.0625, 0.03125] and d.nu == 0.03125
+    assert [len(cover) for cover in colored if cover.index.shape[1] == 2] == [len(d.partition.balls)] == [504]
+    assert len(colored) > 1

@@ -48,7 +48,9 @@ def test_tracer_wraps_and_restores_every_traced_attribute():
 
 def test_traced_run_counts_every_ball_built(monkeypatch):
     """A small decompose, partial_decompose and verify run under the installed
-    tracer, and its build_cover amounts add up to the balls of the covers built."""
+    tracer, and its build_cover amounts add up to the balls of the covers built.
+    The 2D decompose of paraboloid-21 recurses on a fiber curve, so the
+    traced evaluate_1d_squares and partition_functions see real work."""
     from halfsquares.fixtures import build_fixture
 
     dec = importlib.import_module("halfsquares.decompose")
@@ -68,11 +70,15 @@ def test_traced_run_counts_every_ball_built(monkeypatch):
             f = build_fixture(name, points=points)
             dec.verify(dec.decompose(f, k, 1.0), f)
             dec.verify(dec.partial_decompose(f, k, 1.0, 1e-3), f)
+        f = build_fixture("paraboloid", points=21)
+        dec.verify(dec.decompose(f, 2, 1.0), f)
     finally:
         tracer.uninstall()
     assert dec.build_cover is counting
     (stats,) = tracer.pass_stats().values()
     assert stats.calls["cover.build_cover"] == len(built)
     assert stats.amount["cover.build_cover"] == sum(built) > 0
-    assert stats.calls["decompose.verify"] == 4
+    assert stats.calls["decompose.verify"] == 5
+    assert stats.calls["decompose.evaluate_1d_squares"] >= 1
+    assert stats.calls["cover.partition_functions"] == stats.calls["cover.build_cover"]
     assert 0 < stats.amount["cover.color_classes"] <= sum(built)
