@@ -14,7 +14,7 @@ import numpy as np
 
 from . import finitediff
 from .errors import InputError
-from .holder import SampledFunction, estimate_seminorm
+from .holder import SampledFunction, _offset_pair, _offset_rings, estimate_seminorm
 
 DEFAULT_SLACK = 0.05
 
@@ -91,16 +91,9 @@ def _gradient_seminorm_2d(f: SampledFunction, alpha: float) -> float:
     gx = finitediff.partial(f.values, h, (1, 0))
     gy = finitediff.partial(f.values, h, (0, 1))
     best = 0.0
-    n0, n1 = f.values.shape
-    max_steps = max(n0, n1)
-    from .holder import _pair_offsets_2d, _shifted_views
-
-    for off in _pair_offsets_2d(max_steps):
-        ax, bx = _shifted_views(gx, off)
-        ay, by = _shifted_views(gy, off)
-        if ax.size == 0:
-            continue
-        gaps = np.hypot(ax - bx, ay - by)
+    for _, off in _offset_rings(2, max(f.shape)):
+        a, b = _offset_pair(f.shape, off)
+        gaps = np.hypot(gx[a] - gx[b], gy[a] - gy[b])
         finite = np.isfinite(gaps)
         if not finite.any():
             continue

@@ -36,10 +36,11 @@ from scipy.interpolate import CubicSpline, PPoly, RectBivariateSpline
 from .cover import (OVERLAP_BOUND_BASE, PartitionOfUnity, WindowTable, bump, build_cover, normalize_bumps,
                     overlap_counts, partition_functions)
 from .errors import InputError
-from .finitediff import partial as fd_partial
+from .finitediff import gradient_norm, partial as fd_partial
 from .holder import (
     ControlField,
     SampledFunction,
+    _pairs_within,
     check_slow_variation,
     control_field,
     estimate_seminorm,
@@ -190,15 +191,10 @@ def _calibrate_omega(f: SampledFunction, cf: ControlField, nu: float) -> float:
     from scipy.ndimage import maximum_filter, minimum_filter
 
     from .checks import fd_noise
-    from .finitediff import gradient_norm
-    from .holder import _pair_offsets_2d, _shifted_views
 
     h = f.spacing
     r = cf.values
     power = cf.k + cf.alpha
-    finite = np.isfinite(r)
-    rmax = float(r[finite].max()) if finite.any() else 0.0
-
     grad = gradient_norm(f.values, h)
     grad = np.where(grad > fd_noise(f.values, h, 1), grad, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -208,22 +204,14 @@ def _calibrate_omega(f: SampledFunction, cf: ControlField, nu: float) -> float:
     ok = np.isfinite(probe) & (r > 0) & (grad > 0) & resolved
     best = float(probe[ok].max()) if ok.any() else 0.0
 
-    max_steps = min(int(nu * rmax / h + 1e-9), max(f.values.shape) - 1)
-    if f.n == 1:
-        offsets = ((d,) for d in range(1, max_steps + 1))
-    else:
-        offsets = _pair_offsets_2d(max_steps)
-    for off in offsets:
-        fa, fb = _shifted_views(f.values, off)
-        ra, rb = _shifted_views(r, off)
-        dist = h * (math.hypot(*off) if f.n == 2 else off[0])
-        for base, other, rbase in ((fa, fb, ra), (fb, fa, rb)):
-            with np.errstate(invalid="ignore"):
-                mask = np.isfinite(rbase) & (rbase > 0) & (dist <= nu * rbase)
-            if not mask.any():
-                continue
-            ratios = np.abs(base[mask] - other[mask]) / (nu * rbase[mask] ** power)
-            best = max(best, float(ratios.max()))
+    for dist, a, b in _pairs_within(cf, nu):
+        rbase = r[a]
+        with np.errstate(invalid="ignore"):
+            mask = np.isfinite(rbase) & (rbase > 0) & (dist <= nu * rbase)
+        if not mask.any():
+            continue
+        ratios = np.abs(f.values[a][mask] - f.values[b][mask]) / (nu * rbase[mask] ** power)
+        best = max(best, float(ratios.max()))
     return 2.0 * best
 
 
@@ -496,7 +484,8 @@ def _branch_b_2d(f, part, bounded, k, alpha):
     _NuTooLarge is raised, so a recursion that fails first still wins.
     """
     h = f.spacing
-    spline = RectBivariateSpline(f.axis_coords(0), f.axis_coords(1), f.values, kx=3, ky=3)
+    xs, ys = f.axis_coords(0), f.axis_coords(1)
+    spline = RectBivariateSpline(xs, ys, f.values, kx=3, ky=3)
     hessian = [fd_partial(f.values, h, beta) for beta in ((2, 0), (1, 1), (0, 2))]
     c, s = _DIRECTION_TABLE.T
     members = np.flatnonzero(np.logical_not(bounded))
@@ -516,8 +505,8 @@ def _branch_b_2d(f, part, bounded, k, alpha):
             j, u_grid, (f_curve, x_curve) = block[i], u_grids[i], curves[i]
             win, psi = part.windows[j], part.psis[j]
             # main square on the ball window
-            dx = (f.axis_coords(0)[win[0]] - balls.center[i, 0])[:, None]
-            dy = (f.axis_coords(1)[win[1]] - balls.center[i, 1])[None, :]
+            dx = (xs[win[0]] - balls.center[i, 0])[:, None]
+            dy = (ys[win[1]] - balls.center[i, 1])[None, :]
             du = dx * eu[i, 0] + dy * eu[i, 1]
             dv = dx * ev[i, 0] + dy * ev[i, 1]
             g1, clamp = _signed_root(psi, dv, x_curve(du), f.values[win], f_curve(du))
@@ -796,12 +785,7 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
             den = r[mask] ** power
             ratios = np.where(den > 0, num / den, np.where(num > 1e-12, np.inf, 0.0))
             value_constant = max(value_constant, float(np.max(ratios, initial=0.0)))
-            gnorm = None
-            for axis in range(d.n):
-                beta = tuple(1 if i == axis else 0 for i in range(d.n))
-                p = fd_partial(g, d.spacing, beta)
-                gnorm = p**2 if gnorm is None else gnorm + p**2
-            gnorm = np.sqrt(gnorm)[mask]
+            gnorm = gradient_norm(g, d.spacing)[mask]
             den = r[mask] ** (power - 1.0)
             ok = np.isfinite(gnorm)
             ratios = np.where(

@@ -2,6 +2,13 @@
 
 Everything here is binary64 and deliberately inexact: it estimates
 analytic suprema from uniform-grid samples in one or two dimensions.
+
+Every sup over sampled pairs in the package walks them the same way:
+``_offset_rings`` gives the half-space offsets ring by ring,
+``_offset_pair`` the two equal-shape blocks an offset apart, and
+``_pairs_within`` both orientations of every pair at most nu * max r
+apart.  The semi-norms, the slow variation of r, the decomposition's
+omega and the Malgrange gradient semi-norm all read these three.
 """
 
 from __future__ import annotations
@@ -134,18 +141,8 @@ class HolderEstimate:
     pointwise_windows: dict = field(default_factory=dict)
 
 
-def _pair_offsets_2d(max_steps: int):
-    for di in range(0, max_steps + 1):
-        j_start = 1 if di == 0 else -max_steps
-        for dj in range(j_start, max_steps + 1):
-            if di == 0 and dj <= 0:
-                continue
-            if di * di + dj * dj <= max_steps * max_steps:
-                yield di, dj
-
-
 def _offset_rings(n: int, max_steps: int):
-    """Half-plane pair offsets ring by ring: (s, offset) with max |offset_i| = s.
+    """Half-space pair offsets ring by ring: (s, offset) with max |offset_i| = s.
 
     Every offset of ring s is at least s steps long, so a scan that can
     stop once pairs are long enough needs no sort of all the offsets.
@@ -162,22 +159,33 @@ def _offset_rings(n: int, max_steps: int):
                 yield s, (di, dj)
 
 
-def _shifted_views(values, off):
-    """Pair of equal-shape views of ``values`` separated by ``off``.
+def _offset_pair(shape, off):
+    """Index tuples (a, b) of equal-shape blocks with b = a + ``off``.
 
-    Offsets beyond the array extent yield empty views.
+    Offsets beyond the array extent give empty blocks.
     """
-    a = [slice(None)] * values.ndim
-    b = [slice(None)] * values.ndim
-    for axis, d in enumerate(off):
-        n = values.shape[axis]
-        if d >= 0:
-            a[axis] = slice(0, max(0, n - d))
-            b[axis] = slice(min(d, n), n)
-        else:
-            a[axis] = slice(min(-d, n), n)
-            b[axis] = slice(0, max(0, n + d))
-    return values[tuple(a)], values[tuple(b)]
+    a, b = [], []
+    for n, d in zip(shape, off):
+        lo, hi = slice(0, max(0, n - abs(d))), slice(min(abs(d), n), n)
+        a.append(lo if d >= 0 else hi)
+        b.append(hi if d >= 0 else lo)
+    return tuple(a), tuple(b)
+
+
+def _pairs_within(r: ControlField, nu: float):
+    """Every sampled pair at most nu * max r apart, as (distance, base, partner).
+
+    Each offset is yielded twice, once per orientation; base and partner
+    index equal-shape blocks of the grid.
+    """
+    finite = np.isfinite(r.values)
+    rmax = float(r.values[finite].max()) if finite.any() else 0.0
+    max_steps = min(int(nu * rmax / r.spacing + 1e-9), max(r.values.shape) - 1)
+    for _, off in _offset_rings(r.n, max_steps):
+        dist = r.spacing * math.hypot(*off)
+        a, b = _offset_pair(r.values.shape, off)
+        yield dist, a, b
+        yield dist, b, a
 
 
 def estimate_seminorm(
@@ -194,10 +202,10 @@ def estimate_seminorm(
     differences first, and ``mask`` optionally restricts the pair scan to
     a sub-region (cells outside it are ignored).  One walk over the pair
     offsets gives both the masked and the unmasked supremum, each ending
-    when no longer pair can beat it.  The pointwise variant scans
-    shrinking windows of 3, 5 and 9 grid steps around each point and
-    reports the smallest-window value, approximating the limsup-based
-    local semi-norm.
+    when no longer pair can beat it.  The pointwise variant takes, at
+    each point, the largest ratio over the pairs through it at most 9, 5
+    and 3 grid steps long and reports the shortest, approximating the
+    limsup-based local semi-norm.
     """
     if not 0 < alpha <= 1:
         raise InputError("alpha must lie in (0, 1]")
@@ -227,18 +235,16 @@ def estimate_seminorm(
         if steps >= max(f.shape) or not live:
             break
         dist = h * math.hypot(*off)
-        a, b = _shifted_views(values, off)
-        if a.size == 0:
+        a, b = _offset_pair(values.shape, off)
+        gaps = np.abs(values[a] - values[b])
+        if gaps.size == 0:
             continue
-        gaps = np.abs(a - b)
         finite = None if all(clean[k] for k in live) else np.isfinite(gaps)
         for k in live:
             if clean[k]:
                 gap = float(np.max(gaps))
             else:
-                pairs = finite if regions[k] is None else finite & np.logical_and(
-                    *_shifted_views(regions[k], off)
-                )
+                pairs = finite if regions[k] is None else finite & regions[k][a] & regions[k][b]
                 if not pairs.any():
                     continue
                 gap = float(np.max(gaps, where=pairs, initial=-math.inf))
@@ -250,48 +256,24 @@ def estimate_seminorm(
             values = np.where(mask, values, np.nan)
         windows = {}
         for w in (9, 5, 3):
-            windows[w] = _pointwise_seminorm(values, h, alpha, w, f.n)
+            windows[w] = _pointwise_seminorm(values, h, alpha, w)
         estimate.pointwise = windows[3]
         estimate.pointwise_windows = windows
     return estimate
 
 
-def _pointwise_seminorm(values, h, alpha, w, n):
+def _pointwise_seminorm(values, h, alpha, w):
+    """The largest pair ratio through each point over pairs at most w steps long."""
     out = np.zeros_like(values, dtype=float)
-    if n == 1:
-        size = values.shape[0]
-        padded = np.full(size + 2 * w, np.nan)
-        padded[w : w + size] = values
-        for a in range(-w, w + 1):
-            for b in range(a + 1, w + 1):
-                va = padded[w + a : w + a + size]
-                vb = padded[w + b : w + b + size]
-                with np.errstate(invalid="ignore"):
-                    ratio = np.abs(va - vb) / (h * (b - a)) ** alpha
-                ratio = np.where(np.isnan(ratio), 0.0, ratio)
-                np.maximum(out, ratio, out=out)
-        return out
-    # n == 2: pairs through each grid point only (cheaper local surrogate)
-    for off in _pair_offsets_2d(w):
-        a, b = _shifted_views(values, off)
+    for _, off in _offset_rings(values.ndim, w):
+        a, b = _offset_pair(values.shape, off)
         with np.errstate(invalid="ignore"):
-            ratio = np.abs(a - b) / (h * math.hypot(*off)) ** alpha
+            ratio = np.abs(values[a] - values[b]) / (h * math.hypot(*off)) ** alpha
         ratio = np.where(np.isnan(ratio), 0.0, ratio)
-        for lead in (True, False):
-            region = out[_offset_slices(off, values.shape, lead=lead)]
+        for end in (a, b):
+            region = out[end]
             np.maximum(region, ratio, out=region)
     return out
-
-
-def _offset_slices(off, shape, lead: bool):
-    sl = []
-    for axis, d in enumerate(off):
-        n = shape[axis]
-        if (d >= 0) == lead:
-            sl.append(slice(0, n - abs(d)))
-        else:
-            sl.append(slice(abs(d), n))
-    return tuple(sl)
 
 
 @dataclass
@@ -380,7 +362,6 @@ class SlowVariationReport:
     ok: bool
     worst_ratio: float
     nu: float
-    pairs_checked: int
 
 
 def check_slow_variation(r: ControlField, nu: float, fail_fast: bool = False) -> SlowVariationReport:
@@ -391,29 +372,17 @@ def check_slow_variation(r: ControlField, nu: float, fail_fast: bool = False) ->
     """
     if not 0 < nu < math.inf:
         raise InputError("nu must be positive and finite")
-    h = r.spacing
     vals = r.values
-    finite = np.isfinite(vals)
-    rmax = float(vals[finite].max()) if finite.any() else 0.0
-    max_steps = min(int(nu * rmax / h + 1e-9), max(vals.shape) - 1)
     worst = 0.0
-    checked = 0
-    if r.n == 1:
-        offsets = ((d,) for d in range(1, max_steps + 1))
-    else:
-        offsets = _pair_offsets_2d(max_steps)
     with np.errstate(invalid="ignore"):
-        for off in offsets:
-            a, b = _shifted_views(vals, off)
-            dist = h * (math.hypot(*off) if r.n == 2 else off[0])
-            for base, other in ((a, b), (b, a)):
-                # NaN bases and NaN partners both fail these comparisons
-                mask = (dist <= nu * base) & (np.abs(base - other) >= 0)
-                if not mask.any():
-                    continue
-                checked += int(mask.sum())
-                ratios = np.abs(base[mask] - other[mask]) / base[mask]
-                worst = max(worst, float(ratios.max()))
-                if fail_fast and worst > 0.25:
-                    return SlowVariationReport(False, worst, nu, checked)
-    return SlowVariationReport(ok=worst <= 0.25, worst_ratio=worst, nu=nu, pairs_checked=checked)
+        for dist, a, b in _pairs_within(r, nu):
+            base, other = vals[a], vals[b]
+            # NaN bases and NaN partners both fail these comparisons
+            mask = (dist <= nu * base) & (np.abs(base - other) >= 0)
+            if not mask.any():
+                continue
+            ratios = np.abs(base[mask] - other[mask]) / base[mask]
+            worst = max(worst, float(ratios.max()))
+            if fail_fast and worst > 0.25:
+                return SlowVariationReport(False, worst, nu)
+    return SlowVariationReport(ok=worst <= 0.25, worst_ratio=worst, nu=nu)

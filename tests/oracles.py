@@ -14,7 +14,9 @@ diagonal, the windowed fiber search, its descent, its parabola and the
 two fiber splines one ball at a time in Python floats, the cover layer ball by
 ball (greedy scan over a grid mask, one
 window of bumps, overlap counts and k-d tree query per ball), one
-Hoelder pair scan per semi-norm, and the decomposition with a nu loop of
+Hoelder pair scan per semi-norm, the row-order pair loops of the slow
+variation, omega, Malgrange and 2D pointwise scans over offsets of their
+own, and the decomposition with a nu loop of
 its own for each entry point and the branch squares written out where
 each path builds them (grid balls, partial squares, re-evaluation at
 arbitrary points), recursing on every 2D fiber curve, zero or not.
@@ -44,13 +46,7 @@ from halfsquares.decompose import (
 )
 from halfsquares.cover import build_cover, partition_functions
 from halfsquares.finitediff import partial as fd_partial
-from halfsquares.holder import (
-    SampledFunction,
-    _offset_rings,
-    _shifted_views,
-    check_slow_variation,
-    control_field,
-)
+from halfsquares.holder import SampledFunction, check_slow_variation, control_field
 from halfsquares.exactpoly import SparsePolynomial
 from halfsquares.multiindex import order
 
@@ -624,6 +620,116 @@ def cover_of(balls, n=1):
     )
 
 
+def half_space_offsets(n, max_steps):
+    """Pair offsets, first nonzero step positive, at most ``max_steps`` long, row by row."""
+    if n == 1:
+        return [(d,) for d in range(1, max_steps + 1)]
+    return [
+        (di, dj)
+        for di in range(max_steps + 1)
+        for dj in range(-max_steps, max_steps + 1)
+        if (di > 0 or dj > 0) and di * di + dj * dj <= max_steps * max_steps
+    ]
+
+
+def shifted_views(values, off):
+    """Equal-shape views of ``values`` separated by ``off``; empty beyond the extent."""
+    a = [slice(None)] * values.ndim
+    b = [slice(None)] * values.ndim
+    for axis, d in enumerate(off):
+        n = values.shape[axis]
+        if d >= 0:
+            a[axis] = slice(0, max(0, n - d))
+            b[axis] = slice(min(d, n), n)
+        else:
+            a[axis] = slice(min(-d, n), n)
+            b[axis] = slice(0, max(0, n + d))
+    return values[tuple(a)], values[tuple(b)]
+
+
+def loop_check_slow_variation(r, nu, fail_fast=False):
+    """``holder.check_slow_variation``'s (ok, worst_ratio), one offset at a time in row order."""
+    h, vals = r.spacing, r.values
+    finite = np.isfinite(vals)
+    rmax = float(vals[finite].max()) if finite.any() else 0.0
+    max_steps = min(int(nu * rmax / h + 1e-9), max(vals.shape) - 1)
+    worst = 0.0
+    with np.errstate(invalid="ignore"):
+        for off in half_space_offsets(r.n, max_steps):
+            a, b = shifted_views(vals, off)
+            dist = h * (math.hypot(*off) if r.n == 2 else off[0])
+            for base, other in ((a, b), (b, a)):
+                mask = (dist <= nu * base) & (np.abs(base - other) >= 0)
+                if not mask.any():
+                    continue
+                worst = max(worst, float((np.abs(base[mask] - other[mask]) / base[mask]).max()))
+                if fail_fast and worst > 0.25:
+                    return False, worst
+    return worst <= 0.25, worst
+
+
+def loop_calibrate_omega(f, cf, nu):
+    """``decompose._calibrate_omega`` with its pair probe one offset at a time in row order."""
+    from scipy.ndimage import maximum_filter, minimum_filter
+
+    from halfsquares.checks import fd_noise
+    from halfsquares.finitediff import gradient_norm
+
+    h, r = f.spacing, cf.values
+    power = cf.k + cf.alpha
+    finite = np.isfinite(r)
+    rmax = float(r[finite].max()) if finite.any() else 0.0
+    grad = gradient_norm(f.values, h)
+    grad = np.where(grad > fd_noise(f.values, h, 1), grad, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        probe = grad / r ** (power - 1.0)
+    low = minimum_filter(f.values, size=3, mode="nearest")
+    resolved = (low > 0) & (maximum_filter(f.values, size=3, mode="nearest") <= 2.0 * low)
+    ok = np.isfinite(probe) & (r > 0) & (grad > 0) & resolved
+    best = float(probe[ok].max()) if ok.any() else 0.0
+    max_steps = min(int(nu * rmax / h + 1e-9), max(f.values.shape) - 1)
+    for off in half_space_offsets(f.n, max_steps):
+        fa, fb = shifted_views(f.values, off)
+        ra, rb = shifted_views(r, off)
+        dist = h * (math.hypot(*off) if f.n == 2 else off[0])
+        for base, other, rbase in ((fa, fb, ra), (fb, fa, rb)):
+            with np.errstate(invalid="ignore"):
+                mask = np.isfinite(rbase) & (rbase > 0) & (dist <= nu * rbase)
+            if mask.any():
+                ratios = np.abs(base[mask] - other[mask]) / (nu * rbase[mask] ** power)
+                best = max(best, float(ratios.max()))
+    return 2.0 * best
+
+
+def loop_gradient_seminorm_2d(f, alpha):
+    """``checks._gradient_seminorm_2d`` over every offset up to the longest side, in row order."""
+    h = f.spacing
+    gx = fd_partial(f.values, h, (1, 0))
+    gy = fd_partial(f.values, h, (0, 1))
+    best = 0.0
+    for off in half_space_offsets(2, max(f.shape)):
+        ax, bx = shifted_views(gx, off)
+        ay, by = shifted_views(gy, off)
+        gaps = np.hypot(ax - bx, ay - by)
+        finite = np.isfinite(gaps)
+        if finite.any():
+            best = max(best, float(np.max(gaps[finite])) / (h * math.hypot(*off)) ** alpha)
+    return best
+
+
+def loop_pointwise_seminorm_2d(values, h, alpha, w):
+    """One window of ``estimate_seminorm``'s 2D pointwise values: pairs through each point."""
+    out = np.zeros_like(values, dtype=float)
+    for off in half_space_offsets(2, w):
+        a, b = shifted_views(values, off)
+        with np.errstate(invalid="ignore"):
+            ratio = np.abs(a - b) / (h * math.hypot(*off)) ** alpha
+        ratio = np.where(np.isnan(ratio), 0.0, ratio)
+        for region in shifted_views(out, off):
+            np.maximum(region, ratio, out=region)
+    return out
+
+
 def single_scan_seminorm(f, alpha, derivative=None, window=None, mask=None) -> float:
     """``holder.estimate_seminorm(...).value`` by its own pair scan, masked or not."""
     from halfsquares import finitediff
@@ -643,11 +749,13 @@ def single_scan_seminorm(f, alpha, derivative=None, window=None, mask=None) -> f
         return 0.0
     gap_bound = float(finite_all.max() - finite_all.min())
     clean = finite_all.size == values.size
-    for steps, off in _offset_rings(f.n, max_steps):
+    # longest axis step first: a pair at least ``steps`` long cannot beat the bound
+    for off in sorted(half_space_offsets(f.n, max_steps), key=lambda o: max(map(abs, o))):
+        steps = max(map(abs, off))
         if steps >= max(f.shape) or gap_bound / (h * steps) ** alpha <= best:
             break
         dist = h * math.hypot(*off)
-        a, b = _shifted_views(values, off)
+        a, b = shifted_views(values, off)
         if a.size == 0:
             continue
         gaps = np.abs(a - b)

@@ -257,8 +257,18 @@ def test_cover_kernels_match_per_ball_loops(cf, halvings):
     owner_class = part.table.per_entry(np.asarray(part.colors, dtype=np.intp))[nonzero]
     pairs = np.column_stack((part.table.cells()[nonzero], owner_class))
     assert len(np.unique(pairs, axis=0)) == len(pairs)
-    # the table's cells and mask are those of the windows
+    # a partition of unity on {r > 0} and wherever a bump reaches; nothing on
+    # the valid r = 0 cells beyond every ball (a floored radius can reach others)
     shape = cf.values.shape
+    axes = [o + cf.spacing * np.arange(s) for o, s in zip(cf.origin, shape)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    reach = np.full(shape, np.inf)
+    for ball in balls:
+        reach = np.minimum(reach, np.linalg.norm(points - ball.center, axis=-1) / ball.radius)
+    positive = cf.positive_mask()
+    assert np.all(np.abs(part.sum_squares[positive | (reach < 1.0 - 1e-9)] - 1.0) <= 1e-12)
+    assert np.all(part.sum_squares[cf.valid & ~positive & (reach > 1.0 + 1e-9)] == 0.0)
+    # the table's cells and mask are those of the windows
     assert_array_equal(part.table.cells(), _window_cells(shape, part.windows))
     keep = np.arange(len(balls)) % 3 == 0
     kept = [win for win, k in zip(part.windows, keep) if k]

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfsquares.decompose import decompose, verify
+from halfsquares.checks import check_malgrange
+from halfsquares.decompose import _calibrate_omega, decompose, verify
 from halfsquares.fixtures import build_fixture
 from halfsquares.holder import (
     SampledFunction,
@@ -15,7 +16,15 @@ from halfsquares.holder import (
     estimate_seminorm,
     holder_norm,
 )
-from oracles import loop_resolved_mask, single_scan_seminorm
+from numpy.testing import assert_array_equal
+from oracles import (
+    loop_calibrate_omega,
+    loop_check_slow_variation,
+    loop_gradient_seminorm_2d,
+    loop_pointwise_seminorm_2d,
+    loop_resolved_mask,
+    single_scan_seminorm,
+)
 
 LOG32 = math.log(2) / math.log(3)
 
@@ -275,3 +284,45 @@ def test_verify_seminorms_match_separate_scans(name, points, k, window_cells):
         )
     assert rep.derivative_seminorms_full == full
     assert rep.derivative_seminorms == masked
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3]),
+    st.sampled_from([0.5, 1.0]),
+    st.sampled_from([0.02, 0.1, 0.25, 1.0, 4.0, 50.0]),
+    st.sampled_from([0.0, 1e-3, 0.3]),
+)
+def test_pair_walk_matches_loop_oracles(n, seed, k, alpha, nu, noise):
+    """The one pair walk against the row-order loops it replaced, bit for bit:
+    slow variation (full scan and fail-fast verdict), omega, the Malgrange
+    gradient semi-norm and the 2D pointwise windows."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(s) for s in rng.integers(8, 80 if n == 1 else 17, n))
+    h = 2.0 / (max(shape) - 1)
+    axes = np.meshgrid(*(h * np.arange(s) - 1.0 for s in shape), indexing="ij")
+    smooth = sum(c * x for c, x in zip(rng.normal(size=n), axes)) + rng.normal()
+    values = np.clip(smooth**2 + rng.uniform(-0.3, 0.3) + noise * rng.random(shape), 0.0, None)
+    f = SampledFunction((-1.0,) * n, h, values)
+    cf = control_field(f, k, alpha)
+
+    report = check_slow_variation(cf, nu)
+    assert (report.ok, report.worst_ratio) == loop_check_slow_variation(cf, nu)
+    verdict = check_slow_variation(cf, nu, fail_fast=True)
+    assert verdict.ok == loop_check_slow_variation(cf, nu, fail_fast=True)[0] == report.ok
+    if verdict.ok:
+        assert verdict.worst_ratio == report.worst_ratio
+    assert _calibrate_omega(f, cf, nu) == loop_calibrate_omega(f, cf, nu)
+
+    seminorm = check_malgrange(f, alpha).seminorm
+    if n == 1:
+        assert seminorm == single_scan_seminorm(f, alpha, (1,))
+        return
+    assert seminorm == loop_gradient_seminorm_2d(f, alpha)
+    mask = None if noise == 0.0 else rng.random(shape) < 0.8
+    windows = estimate_seminorm(f, alpha, pointwise=True, mask=mask).pointwise_windows
+    masked = values if mask is None else np.where(mask, values, np.nan)
+    for w, got in windows.items():
+        assert_array_equal(got, loop_pointwise_seminorm_2d(masked, h, alpha, w))

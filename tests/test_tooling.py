@@ -81,4 +81,7 @@ def test_traced_run_counts_every_ball_built(monkeypatch):
     assert stats.calls["decompose.verify"] == 5
     assert stats.calls["decompose.evaluate_1d_squares"] >= 1
     assert stats.calls["cover.partition_functions"] == stats.calls["cover.build_cover"]
+    # the per-layer metrics read these bindings; a call through another one would zero them
+    assert stats.calls["holder.check_slow_variation"] > 0
+    assert stats.calls["holder.estimate_seminorm"] > 0
     assert 0 < stats.amount["cover.color_classes"] <= sum(built)
