@@ -6,8 +6,8 @@ overlap by 15^n, and a greedy coloring of the intersection graph yields
 at most that many classes of pairwise disjoint balls.
 
 A ``Cover`` holds the balls as arrays, ball j in row j; ``cover[j]`` is a
-``CoverBall`` view.  The partition's colors, windows and psi views are
-built on first read, so a cover the decomposition rejects is never colored.
+``CoverBall`` view.  The partition's colors are built on first read, so a
+cover the decomposition rejects is never colored.
 The per-ball arithmetic runs on one flat *window table*: the cells of all
 balls' windows, ball after ball, each window in row-major order.  Bumps,
 psi_j and overlap counts are array operations over the table, taken a
@@ -111,6 +111,11 @@ class WindowTable:
     def per_entry(self, per_ball) -> np.ndarray:
         """A value per ball, repeated over the ball's entries."""
         return np.repeat(np.asarray(per_ball), self.sizes)
+
+    def entries(self) -> WindowTable:
+        """Ball j's entries first_j .. first_j + size_j - 1 as a window of the flat entry array."""
+        ends = np.cumsum(self.sizes)[:, None]
+        return WindowTable(ends - self.sizes[:, None], ends, (int(self.sizes.sum()),))
 
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Ball, first flat cell and length of every window row; a 1D window is one row."""
@@ -282,9 +287,8 @@ def color_classes(cover: Cover) -> list[int]:
 class PartitionOfUnity:
     """psi_j supported in B(x_j, nu r_j) with sum psi_j^2 = 1 on {r > 0}.
 
-    ``psi`` holds psi_j at every entry of the window table, and each
-    ``psis[j]`` is a view into it, shaped like ``windows[j]``; both and
-    ``colors`` are built on first read.
+    ``psi`` holds psi_j at every entry of the window table; ``colors`` are
+    built on first read.
     """
 
     balls: Cover
@@ -296,16 +300,6 @@ class PartitionOfUnity:
     @cached_property
     def colors(self) -> list[int]:
         return color_classes(self.balls)
-
-    @cached_property
-    def windows(self) -> list[tuple[slice, ...]]:
-        return [tuple(map(slice, a, b)) for a, b in zip(self.table.lo.tolist(), self.table.hi.tolist())]
-
-    @cached_property
-    def psis(self) -> list[np.ndarray]:
-        ends = np.cumsum(self.table.sizes).tolist()
-        shapes = (self.table.hi - self.table.lo).tolist()
-        return [self.psi[a:b].reshape(x) for a, b, x in zip([0] + ends, ends, shapes)]
 
     @property
     def class_count(self) -> int:

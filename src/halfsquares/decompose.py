@@ -14,12 +14,13 @@ psi_j * sgn * sqrt(f - F), and handle the remainder F either as a
 constant (one dimension) or by recursing on the fiber minimum curve (two
 dimensions, one recursion level).  In two dimensions the branch-B balls
 are taken in blocks of FIBER_BLOCK, in ball order: the fiber rows of a
-block are searched together, one ``spline.ev`` call per round, and the
-fiber curves of its balls come from one cubic spline per u-grid length.
-Squares from balls of one color class have disjoint supports and are
-summed, which keeps the final square count bounded by the dimensional
-constant.  The sums are taken per entry of the window table, a class at a
-time; a 2D branch-B ball's squares are added on its window.
+block descend together and evaluate only the samples they read, one
+``spline.ev`` call per round; the fiber curves come from one cubic spline
+per u-grid length, and the main squares of a block are taken on the
+window entries of all its balls at once.  Squares from balls of one color
+class have disjoint supports and are summed, which keeps the final square
+count bounded by the dimensional constant.  The sums are taken per entry
+of the window table, a class at a time, 2D branch-B squares included.
 ``evaluate_1d_squares`` takes the same path on a table that pairs each
 ball with each point.
 """
@@ -31,7 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly, RectBivariateSpline
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .cover import (OVERLAP_BOUND_BASE, PartitionOfUnity, WindowTable, bump, build_cover, normalize_bumps,
                     overlap_counts, partition_functions)
@@ -62,10 +63,10 @@ _DIRECTION_TABLE = np.array(
     [(math.cos(t), math.sin(t)) for t in (math.pi * idx / DIRECTIONS for idx in range(DIRECTIONS))]
 )
 # Branch-B balls of a 2D cover are taken this many at a time: one fiber
-# search and one fiber spline per u-grid length serve a block, and nothing
-# of a block outlives it.  On radial_bump-121^2 all 957 balls in one block
-# peak at 20.8 MB of traced allocations against 7.5 MB for blocks of 64,
-# which is within 0.2 MB of one ball at a time.
+# search, one fiber spline per u-grid length and one pass of main squares
+# serve a block, and nothing of a block but its squares outlives it.  On
+# radial_bump-121^2 all 957 balls in one block peak at 8.9 MB of traced
+# allocations, blocks of 64 at 5.0 MB and one ball at a time at 6.9 MB.
 FIBER_BLOCK = 64
 # Largest sup |sum g^2 - f| / max |f| that verify accepts.  The fixtures
 # reach 2.5e-9 (radial_bump-121^2); times their max |f| (7.8 at most) it is
@@ -355,31 +356,33 @@ def _decompose_at(f, scale, cf, nu, omega) -> Decomposition:
     """The full decomposition of f at nu; rejects nu when a branch-B ball
     has no interior minimum.  f is already normalized, so ``scale`` is unused."""
     part, bounded = _cover(f, cf, nu, omega)
-    windowed = []
+    windowed, clamp = [], 0.0
     if f.n == 1:
         minima = _fiber_minima_1d(f, f.axis_coords(0), part, bounded)
         branch = [("A",) if a else ("B1", *next(minima)) for a in bounded]
     else:
-        windowed = list(_branch_b_2d(f, part, bounded, cf.k, cf.alpha))
+        windowed, clamp = _branch_b_2d(f, part, bounded, cf.k, cf.alpha)
         branch = [("A",) if a else ("B2",) for a in bounded]
     residual = np.zeros_like(f.values, dtype=float)
-    return _assembled(f, cf, nu, omega, part, branch, residual, branch_info=branch, windowed=windowed)
+    return _assembled(f, cf, nu, omega, part, branch, residual, branch_info=branch, windowed=windowed, clamp=clamp)
 
 
-def _assembled(f, cf, nu, omega, part, branch, residual, branch_info, windowed=()):
-    """The decomposition of f from each ball's ``branch`` (see ``_square_sums``)
-    and the (ball, squares on its window, clamp) of ``windowed``.  Colors are
-    read only here, once nu is accepted, so a rejected cover is never colored.
-    """
-    shape, colors = f.values.shape, part.colors
+def _assembled(f, cf, nu, omega, part, branch, residual, branch_info, windowed=(), clamp=0.0):
+    """The decomposition of f from each ball's ``branch`` (see ``_square_sums``),
+    the (balls, slot, square on their window entries) of ``windowed``, added
+    per class in ball order, and their largest clipped value ``clamp``.
+    Colors are read only here, once nu is accepted, so a rejected cover is
+    never colored."""
+    shape, colors = f.values.shape, np.asarray(part.colors)
     coords = f.axis_coords(0) if f.n == 1 else None
     values = f.values.ravel()
     clipped = np.clip(values, 0.0, None)
     sums, clamp_max = _square_sums(part.table, part.psi, colors, branch, coords, clipped, values)
-    for j, squares, clamp in windowed:
-        for slot, g in enumerate(squares):
-            sums[colors[j], slot].reshape(shape)[part.windows[j]] += g
-        clamp_max = max(clamp_max, clamp)
+    for balls, slot, g in windowed:
+        table = part.table.select(balls)
+        cells, color = table.cells(), table.per_entry(colors[balls])
+        for c in np.unique(color).tolist():
+            np.add.at(sums[c, slot], cells[color == c], g[color == c])
     labels = [key for key in sorted(sums) if np.any(sums[key])]
     branch_a = sum(info[0] == "A" for info in branch)
     return Decomposition(
@@ -395,7 +398,7 @@ def _assembled(f, cf, nu, omega, part, branch, residual, branch_info, windowed=(
         branch_a=branch_a,
         branch_b=len(branch) - branch_a,
         residual=residual,
-        clamp_max=clamp_max,
+        clamp_max=max(clamp_max, clamp),
         square_labels=labels,
         branch_info=branch_info,
     )
@@ -416,9 +419,7 @@ def _square_sums(table, psi, colors, branch, v, fa, fb):
     is_a, is_b1 = (np.array([info[0] == tag for info in branch], dtype=bool) for tag in ("A", "B1"))
     x_min, f_min = np.zeros((2, len(branch)))
     x_min[is_b1], f_min[is_b1] = np.array([info[1:] for info in branch if info[0] == "B1"]).reshape(-1, 2).T
-    size, colors, sizes = math.prod(table.shape), np.asarray(colors), table.sizes
-    # ball j's entries are a window too: cells first_j .. first_j + size_j - 1 of psi
-    entries = WindowTable((np.cumsum(sizes) - sizes)[:, None], np.cumsum(sizes)[:, None], psi.shape)
+    size, colors, sizes, entries = math.prod(table.shape), np.asarray(colors), table.sizes, table.entries()
     sums, clamp = defaultdict(lambda: np.zeros(size)), 0.0
     for color in range(int(colors.max(initial=-1)) + 1):
         balls = np.flatnonzero((colors == color) & (is_a | is_b1))
@@ -470,18 +471,22 @@ def _fiber_minima_1d(f, coords, part, bounded):
 
 
 def _branch_b_2d(f, part, bounded, k, alpha):
-    """(ball, squares, clamp) of each branch-B ball of a 2D cover, in ball order.
+    """The squares of the branch-B balls of a 2D cover as (balls, slot,
+    square on their window entries), in ball order, and the largest value
+    clipped before a square root.
 
     A ball splits off the signed root of f - F along its fiber-minimum
     curve and recurses on F.  F(u) is the minimum of f along the fiber
     through x_j + u eu in the distinguished direction ev, the first
     sampled argmax of the second directional derivative at x_j; F and its
-    minimizer are interpolated by cubic splines in u.  The balls are taken
-    FIBER_BLOCK at a time: one fiber search (``_block_fiber_minima``) and
-    one spline per u-grid length (``_fiber_curves``) serve a block.  When
-    a fiber crossing some ball has no interior minimum, the block's balls
-    before it still get their squares, recursion included, before
-    _NuTooLarge is raised, so a recursion that fails first still wins.
+    minimizer are interpolated by cubic splines in u.  A block of
+    FIBER_BLOCK balls has one fiber search (``_block_fiber_minima``), one
+    CubicSpline per u-grid length and one main square on the window
+    entries of all its balls (``_cubic_at``); only a ball whose cutoff
+    curve is not zero recurses on its own.  When a fiber crossing some ball
+    has no interior minimum, the block's balls before it still get their
+    squares, recursion included, before _NuTooLarge is raised, so a
+    recursion that fails first still wins.
     """
     h = f.spacing
     xs, ys = f.axis_coords(0), f.axis_coords(1)
@@ -489,6 +494,7 @@ def _branch_b_2d(f, part, bounded, k, alpha):
     hessian = [fd_partial(f.values, h, beta) for beta in ((2, 0), (1, 1), (0, 2))]
     c, s = _DIRECTION_TABLE.T
     members = np.flatnonzero(np.logical_not(bounded))
+    squares, clamp = [], 0.0
     for first in range(0, members.size, FIBER_BLOCK):
         block = members[first : first + FIBER_BLOCK]
         balls = part.balls.select(block)
@@ -499,36 +505,66 @@ def _branch_b_2d(f, part, bounded, k, alpha):
         # u spans the cutoff support plus a stencil margin
         n_us = ((2.0 * balls.radius + 6.0 * h) / h).astype(np.intp) + 1
         u_grids = [h * np.arange(-n_u, n_u + 1) for n_u in n_us.tolist()]
-        minima, rejected = _block_fiber_minima(f, spline, balls, eu, ev, u_grids)
-        curves = _fiber_curves(u_grids, minima)
-        for i, (_, f_min) in enumerate(minima):
-            j, u_grid, (f_curve, x_curve) = block[i], u_grids[i], curves[i]
-            win, psi = part.windows[j], part.psis[j]
-            # main square on the ball window
-            dx = (xs[win[0]] - balls.center[i, 0])[:, None]
-            dy = (ys[win[1]] - balls.center[i, 1])[None, :]
-            du = dx * eu[i, 0] + dy * eu[i, 1]
-            dv = dx * ev[i, 0] + dy * ev[i, 1]
-            g1, clamp = _signed_root(psi, dv, x_curve(du), f.values[win], f_curve(du))
-            squares = [g1]
-            # recurse on the cutoff extension of the fiber-minimum curve; the
-            # sub-squares are composed with the rotation by re-evaluating their
-            # closed forms at the rotated coordinate, not by resampling arrays.
-            # A curve that is zero at every sample decomposes into no squares.
-            width = 2.0 * balls.radius[i]
-            curve = np.clip(bump(u_grid / width) * f_min, 0.0, None)
-            if curve.any():
-                sub = decompose(SampledFunction((float(u_grid[0]),), h, curve), k, alpha)
+        x_min, f_min, done = _block_fiber_minima(f, spline, balls, eu, ev, u_grids)
+        # the balls before the one that rejects nu, if any: F and x_min of
+        # each from one CubicSpline per u-grid length, pieces ball after ball
+        block, n_us, width = block[:done], n_us[:done], 2.0 * balls.radius[:done]
+        starts = np.cumsum(2 * n_us + 1) - (2 * n_us + 1)  # each ball's first row
+        firsts = starts - np.arange(done)  # and first cubic piece
+        coeffs = np.empty((4, f_min.size - done, 2))
+        for n in np.unique(n_us).tolist():
+            group = np.flatnonzero(n_us == n)
+            rows = starts[group, None] + np.arange(2 * n + 1)
+            fit = CubicSpline(u_grids[group[0]], np.stack((f_min[rows], x_min[rows]), axis=-1), axis=1)
+            coeffs[:, (firsts[group, None] + np.arange(2 * n)).ravel()] = fit.c.transpose(0, 2, 1, 3).reshape(4, -1, 2)
+        knots = h * np.arange(-n_us.max(initial=0), n_us.max(initial=0) + 1)
+        # the main squares, on the window entries of all the balls
+        table = part.table.select(block)
+        ball, cells, ends = table.per_entry(np.arange(done)), table.cells(), np.cumsum(table.sizes)
+        psi = part.psi[part.table.entries().select(block).cells()]
+        row, col = np.divmod(cells, f.values.shape[1])
+        dx, dy = xs[row] - balls.center[ball, 0], ys[col] - balls.center[ball, 1]
+        du, dv = dx * eu[ball, 0] + dy * eu[ball, 1], dx * ev[ball, 0] + dy * ev[ball, 1]
+        f_curve, x_curve = _cubic_at(coeffs, knots, firsts[ball], n_us[ball], du).T
+        g, main_clamp = _signed_root(psi, dv, x_curve, f.values.ravel()[cells], f_curve)
+        squares.append((block, 0, g))
+        clamp = max(clamp, main_clamp)
+        # recurse on the cutoff extension of the fiber-minimum curve; the
+        # sub-squares are composed with the rotation by re-evaluating their
+        # closed forms at the rotated coordinate, not by resampling arrays.
+        # A curve that is zero at every sample decomposes into no squares.
+        u = np.concatenate(u_grids)[: f_min.size]
+        curve = np.clip(bump(u / np.repeat(width, 2 * n_us + 1)) * f_min, 0.0, None)
+        for i in np.flatnonzero(np.logical_or.reduceat(curve != 0, starts)).tolist():
+            fiber = curve[starts[i] : starts[i] + 2 * n_us[i] + 1]
+            sub = decompose(SampledFunction((float(u[starts[i]]),), h, fiber), k, alpha)
 
-                def f_of_u(u):
-                    return np.clip(bump(u / width) * f_curve(u), 0.0, None)
+            def f_of_u(at):
+                return np.clip(bump(at / width[i]) * _cubic_at(coeffs, knots, firsts[i], n_us[i], at)[:, 0], 0.0, None)
 
-                for g_sub in evaluate_1d_squares(sub, du.ravel(), f_of_u):
-                    squares.append(psi * g_sub.reshape(du.shape))
-                clamp = max(clamp, sub.clamp_max)
-            yield j, squares, clamp
-        if rejected is not None:
-            raise _NuTooLarge(f"fiber minimum hits the domain edge at ball {balls[rejected].index}")
+            mine = slice(ends[i] - table.sizes[i], ends[i])
+            for slot, g_sub in enumerate(evaluate_1d_squares(sub, du[mine], f_of_u), 1):
+                squares.append((block[i : i + 1], slot, psi[mine] * g_sub))
+            clamp = max(clamp, sub.clamp_max)
+        if done < len(balls):
+            raise _NuTooLarge(f"fiber minimum hits the domain edge at ball {balls[done].index}")
+    return squares, clamp
+
+
+def _cubic_at(coeffs, knots, first, n, u):
+    """The cubic pieces coeffs[:, first : first + 2n] on the knots h (-n .. n)
+    at u, as ``PPoly.__call__`` evaluates them, bit for bit.
+
+    ``knots`` = h (-m .. m), m >= n, holds the knots of every shorter grid.
+    The piece of u is the last one starting at or below it, clipped to the
+    first and last, and with s = u - its knot the value is summed in
+    PPoly's order: 0 + c3 + c2 s + c1 (s s) + c0 ((s s) s).
+    """
+    mid = knots.size // 2
+    piece = np.clip(np.searchsorted(knots, u, "right") - 1 - (mid - n), 0, 2 * n - 1)
+    s = (u - knots[piece + mid - n])[..., None]
+    c = coeffs[:, first + piece]
+    return 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
 
 
 def _block_fiber_minima(f, spline, balls, eu, ev, u_grids):
@@ -536,95 +572,82 @@ def _block_fiber_minima(f, spline, balls, eu, ev, u_grids):
     each ball's u grid, over a block of balls at once.
 
     Each fiber row is sampled on the lattice v = h i, |i| <= n_v, which
-    spans the domain diagonal, but evaluated only on a window |i| <= w of
-    its own: w starts a few cells past its ball's radius and doubles,
-    capped at n_v, while the row's descent stops on the window edge or the
-    window holds no in-domain sample.  A round evaluates the windows of
-    all open rows with one ``spline.ev`` call and descends on all of them
-    at once in a table padded with +inf, which stands for the end of the
-    row (``_descend_rows``).  ``spline.ev`` evaluates each point on
-    its own, descent steps only to lower neighbours, and the in-domain
-    samples of a line through the box are one run of the lattice, so
-    every start, minimum, edge verdict and parabolic vertex is that of the
+    spans the domain diagonal; a sample outside the domain reads +inf.  A
+    row starts at its in-domain sample nearest v = 0, the lower one on a
+    tie, found from the geometry alone, and descends as ``_descend_rows``
+    does, but evaluates only the samples it reads: the first round the
+    start and its two neighbours, then the next sample of each row that
+    still moves, every round one ``spline.ev`` call for all rows.  The
+    in-domain samples of a line through the box are one run of the
+    lattice and ``spline.ev`` evaluates each point on its own, so every
+    start, minimum, edge verdict and parabolic vertex is that of the
     whole-lattice scan of the fiber alone.
 
-    Returns the (x_min, f_min) rows of the balls before the first ball
-    crossed by a fiber with no interior minimum, and that ball's position
-    in ``balls``, or None when there is none.  Rows of that ball and of
-    later ones are dropped as soon as it is known.
+    Returns x_min and f_min, row after row, of the balls before the first
+    ball crossed by a fiber with no interior minimum, and that ball's
+    position in ``balls`` (len(balls) when there is none).  Rows of that
+    ball and of later ones stop as soon as it is known.
     """
     h = f.spacing
     lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
     hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
-    extent = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
-    n_v = int(extent / h) + 1
-    v_grid = h * np.arange(-n_v, n_v + 1)
+    n_v = int(float(np.hypot(hi[0] - lo[0], hi[1] - lo[1])) / h) + 1  # the lattice spans the diagonal
+    lattice = np.arange(-n_v, n_v + 1)
+    v_grid = h * lattice
 
-    # one row per (ball, u): its owner, base point x_j + u eu, direction and window
+    # one row per (ball, u): its owner, base point x_j + u eu and direction
     sizes = [len(u_grid) for u_grid in u_grids]
     owner = np.repeat(np.arange(len(balls)), sizes)
     u = np.concatenate(u_grids)
     base = balls.center[owner] + u[:, None] * eu[owner]
     direction = ev[owner]
     interior_needed = np.abs(u) <= balls.radius[owner] + h
-    half = np.minimum(n_v, (balls.radius / h).astype(np.intp) + 4)[owner]
 
-    x_min = np.empty(u.size)
-    f_min = np.empty(u.size)
-    rejected = len(balls)
+    def inside(rows, i):
+        """The points of samples i of ``rows`` and whether each lies in the domain."""
+        pts = base[rows] + v_grid[n_v + np.clip(i, -n_v, n_v)][..., None] * direction[rows]
+        return pts, (np.abs(i) <= n_v) & np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
+
+    def sample(rows, i):
+        pts, ok = inside(rows, i)
+        values = np.full(ok.shape, np.inf)
+        if ok.any():
+            clipped = np.clip(pts[ok], lo, hi)
+            values[ok] = spline.ev(clipped[:, 0], clipped[:, 1])
+        return values
+
     rows = np.arange(u.size)
-    while rows.size:
-        w = half[rows]
-        wide = int(w.max())
-        width = 2 * w + 1
-        entry = np.repeat(np.arange(rows.size), width)
-        offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width + w, width)
-        pts = base[rows[entry]] + v_grid[n_v + offset][:, None] * direction[rows[entry]]
-        inside = np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
-        clipped = np.clip(pts, lo, hi)
-        # clipped samples repeat the boundary value; poison them so descent
-        # cannot mistake the clip shelf for an interior minimum
-        fiber_vals = np.where(inside, spline.ev(clipped[:, 0], clipped[:, 1]), np.inf)
-        # column wide + 1 + i holds lattice offset i; columns 0 and -1 stay +inf
-        table = np.full((rows.size, 2 * wide + 3), np.inf)
-        table[entry, wide + 1 + offset] = fiber_vals
-        # free the point arrays before the descent allocates its own
-        del pts, inside, clipped, fiber_vals, entry, offset
+    pos = np.zeros(u.size, dtype=np.intp)
+    # a row whose v = 0 lies outside the domain scans its whole lattice for the start
+    out = rows[~inside(rows, pos)[1]]
+    pos[out] = lattice[np.argmin(np.where(inside(out[:, None], lattice)[1], np.abs(lattice), n_v + 1), axis=1)]
+    left, here, right = sample(np.tile(rows, 3), np.concatenate((pos - 1, pos, pos + 1))).reshape(3, -1)
+    empty = ~np.isfinite(here)  # a row with no in-domain sample
+    moving = rows[~empty]
 
-        finite = np.isfinite(table)
-        sampled = finite.any(axis=1)
-        # the finite column nearest the window centre, the lower one on a tie
-        gap = np.abs(np.arange(table.shape[1]) - (wide + 1))
-        start = np.argmin(np.where(finite, gap, table.shape[1]), axis=1)
-        pos = _descend_rows(table, start)
-        arg = pos - (wide + 1)
-        pick = np.arange(rows.size)
-        here, left, right = table[pick, pos], table[pick, pos - 1], table[pick, pos + 1]
+    rejected = len(balls)
+    while moving.size:
+        low, mid, high = left[moving], here[moving], right[moving]
+        step = np.where((low < mid) & (low <= high), -1, (high < mid).astype(np.intp))
+        stop = moving[step == 0]
+        fails = stop[interior_needed[stop] & ~(np.isfinite(left[stop]) & np.isfinite(right[stop]))]
+        rejected = min(rejected, int(owner[fails].min(initial=rejected)))
+        keep = (step != 0) & (owner[moving] < rejected)
+        moving, step = moving[keep], step[keep]
+        pos[moving] += step
+        ahead, behind = sample(moving, pos[moving] + step), here[moving]
+        here[moving] = np.where(step < 0, left[moving], right[moving])
+        left[moving] = np.where(step < 0, ahead, behind)
+        right[moving] = np.where(step < 0, behind, ahead)
 
-        grow = (np.abs(arg) == w) | ~sampled
-        grow &= w < n_v
-        edge = sampled & ~grow & ((np.abs(arg) == w) | ~np.isfinite(left) | ~np.isfinite(right))
-        vertex = sampled & ~grow & ~edge
-        empty = ~sampled & ~grow
-        x_min[rows[empty]] = 0.0
-        f_min[rows[empty]] = 0.0
-        x_min[rows[edge]] = v_grid[n_v + arg[edge]]
-        f_min[rows[edge]] = np.maximum(here[edge], 0.0)
-        v_star, f_star = _parabolic_min(
-            v_grid[n_v + arg[vertex]], h, left[vertex], here[vertex], right[vertex]
-        )
-        x_min[rows[vertex]] = v_star
-        f_min[rows[vertex]] = np.maximum(f_star, 0.0)
-        fails = rows[edge & interior_needed[rows]]
-        if fails.size:
-            rejected = min(rejected, int(owner[fails].min()))
-        rows = rows[grow]
-        half[rows] = np.minimum(2 * half[rows], n_v)
-        rows = rows[owner[rows] < rejected]
+    # an edge row keeps its sample, a row with both neighbours in the domain takes the vertex
+    vertex = np.isfinite(left) & np.isfinite(right)
+    x_min, f_min = np.where(empty, 0.0, v_grid[n_v + pos]), here.copy()
+    x_min[vertex], f_min[vertex] = _parabolic_min(x_min[vertex], h, left[vertex], here[vertex], right[vertex])
+    f_min = np.where(empty, 0.0, np.maximum(f_min, 0.0))
 
-    done = np.cumsum(sizes)[:rejected]
-    minima = list(zip(np.split(x_min, done)[:rejected], np.split(f_min, done)[:rejected]))
-    return minima, (rejected if rejected < len(balls) else None)
+    rows = sum(sizes[:rejected])
+    return x_min[:rows], f_min[:rows], rejected
 
 
 def _descend_rows(table, start):
@@ -649,25 +672,6 @@ def _descend_rows(table, start):
         pos[moving] += to_right.astype(int) - to_left.astype(int)
         moving = moving[to_left | to_right]
     return pos
-
-
-def _fiber_curves(u_grids, minima):
-    """(F, x_min) of each ball of ``minima`` as cubic splines in u.
-
-    Balls of equal u-grid length share one CubicSpline whose columns are
-    their f_min and x_min; each ball reads its own two columns.
-    """
-    by_length: dict[int, list[int]] = {}
-    for i in range(len(minima)):
-        by_length.setdefault(len(u_grids[i]), []).append(i)
-    curves = [None] * len(minima)
-    for group in by_length.values():
-        columns = [col for i in group for col in (minima[i][1], minima[i][0])]  # f_min, x_min
-        spline = CubicSpline(u_grids[group[0]], np.column_stack(columns))
-        for slot, i in enumerate(group):
-            coeffs = spline.c[..., 2 * slot], spline.c[..., 2 * slot + 1]
-            curves[i] = tuple(PPoly.construct_fast(c, spline.x) for c in coeffs)
-    return curves
 
 
 def evaluate_1d_squares(d: Decomposition, points: np.ndarray, f_of_u) -> list[np.ndarray]:

@@ -10,8 +10,9 @@ tuple and target loops, one determinant or one Fraction barycentric solve
 per candidate.  The
 numerical oracles are likewise the plain scans the decomposition replaced:
 ball coloring over all earlier balls, fiber minima over the whole domain
-diagonal, the windowed fiber search, its descent, its parabola and the
-two fiber splines one ball at a time in Python floats, the cover layer ball by
+diagonal, the windowed fiber search one ball or one block at a time, its
+descent, its parabola and the two fiber splines one ball at a time in
+Python floats, the cover layer ball by
 ball (greedy scan over a grid mask, one
 window of bumps, overlap counts and k-d tree query per ball), one
 Hoelder pair scan per semi-norm, the row-order pair loops of the slow
@@ -41,6 +42,8 @@ from halfsquares.decompose import (
     DecompositionError,
     _NuTooLarge,
     _calibrate_omega,
+    _descend_rows,
+    _parabolic_min,
     _normalized,
     _rescaled,
 )
@@ -474,6 +477,133 @@ def full_diagonal_fiber_minima(f, spline, ball, eu, ev, u_grid):
     return x_min, f_min
 
 
+def lattice_walks(f, spline, ball, eu, ev, u_grid):
+    """The whole-lattice scan of ``full_diagonal_fiber_minima``, row by row.
+
+    Returns the lattice offsets (start, stop) of each row's descent, or
+    (None, None) for a row with no in-domain sample, and the clipped point
+    and in-domain flag of every sample, offset i in column n_v + i.
+    """
+    h = f.spacing
+    lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
+    hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
+    n_v = int(float(np.hypot(hi[0] - lo[0], hi[1] - lo[1])) / h) + 1
+    v_grid = h * np.arange(-n_v, n_v + 1)
+    pts = (
+        np.array(ball.center)
+        + np.outer(u_grid, eu).reshape(len(u_grid), 1, 2)
+        + np.outer(v_grid, ev).reshape(1, len(v_grid), 2)
+    )
+    inside = np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
+    clipped = np.clip(pts, lo, hi)
+    values = np.where(inside, spline.ev(clipped[..., 0], clipped[..., 1]), np.inf)
+    walks = []
+    for row, ok in zip(values, inside):
+        columns = np.flatnonzero(ok)
+        if not columns.size:
+            walks.append((None, None))
+            continue
+        start = int(columns[np.argmin(np.abs(columns - n_v))])
+        walks.append((start - n_v, descend(row, start) - n_v))
+    return walks, clipped, inside
+
+
+def windowed_block_fiber_minima(f, spline, balls, eu, ev, u_grids):
+    """``decompose._block_fiber_minima`` by windows that double: minimizer
+    and minimum of v -> f(x_j + u eu_j + v ev_j) for each u of each ball's
+    u grid, over a block of balls at once.
+
+    Each fiber row is sampled on the lattice v = h i, |i| <= n_v, which
+    spans the domain diagonal, but evaluated only on a window |i| <= w of
+    its own: w starts a few cells past its ball's radius and doubles,
+    capped at n_v, while the row's descent stops on the window edge or the
+    window holds no in-domain sample.  A round evaluates the windows of
+    all open rows with one ``spline.ev`` call and descends on all of them
+    at once in a table padded with +inf, which stands for the end of the
+    row (``_descend_rows``).  ``spline.ev`` evaluates each point on
+    its own, descent steps only to lower neighbours, and the in-domain
+    samples of a line through the box are one run of the lattice, so
+    every start, minimum, edge verdict and parabolic vertex is that of the
+    whole-lattice scan of the fiber alone.
+
+    Returns x_min and f_min, row after row, of the balls before the first
+    ball crossed by a fiber with no interior minimum, and that ball's
+    position in ``balls`` (len(balls) when there is none).  Rows of that
+    ball and of later ones are dropped as soon as it is known.
+    """
+    h = f.spacing
+    lo = np.array([f.axis_coords(0)[0], f.axis_coords(1)[0]])
+    hi = np.array([f.axis_coords(0)[-1], f.axis_coords(1)[-1]])
+    extent = float(np.hypot(hi[0] - lo[0], hi[1] - lo[1]))
+    n_v = int(extent / h) + 1
+    v_grid = h * np.arange(-n_v, n_v + 1)
+
+    # one row per (ball, u): its owner, base point x_j + u eu, direction and window
+    sizes = [len(u_grid) for u_grid in u_grids]
+    owner = np.repeat(np.arange(len(balls)), sizes)
+    u = np.concatenate(u_grids)
+    base = balls.center[owner] + u[:, None] * eu[owner]
+    direction = ev[owner]
+    interior_needed = np.abs(u) <= balls.radius[owner] + h
+    half = np.minimum(n_v, (balls.radius / h).astype(np.intp) + 4)[owner]
+
+    x_min = np.empty(u.size)
+    f_min = np.empty(u.size)
+    rejected = len(balls)
+    rows = np.arange(u.size)
+    while rows.size:
+        w = half[rows]
+        wide = int(w.max())
+        width = 2 * w + 1
+        entry = np.repeat(np.arange(rows.size), width)
+        offset = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width + w, width)
+        pts = base[rows[entry]] + v_grid[n_v + offset][:, None] * direction[rows[entry]]
+        inside = np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
+        clipped = np.clip(pts, lo, hi)
+        # clipped samples repeat the boundary value; poison them so descent
+        # cannot mistake the clip shelf for an interior minimum
+        fiber_vals = np.where(inside, spline.ev(clipped[:, 0], clipped[:, 1]), np.inf)
+        # column wide + 1 + i holds lattice offset i; columns 0 and -1 stay +inf
+        table = np.full((rows.size, 2 * wide + 3), np.inf)
+        table[entry, wide + 1 + offset] = fiber_vals
+        # free the point arrays before the descent allocates its own
+        del pts, inside, clipped, fiber_vals, entry, offset
+
+        finite = np.isfinite(table)
+        sampled = finite.any(axis=1)
+        # the finite column nearest the window centre, the lower one on a tie
+        gap = np.abs(np.arange(table.shape[1]) - (wide + 1))
+        start = np.argmin(np.where(finite, gap, table.shape[1]), axis=1)
+        pos = _descend_rows(table, start)
+        arg = pos - (wide + 1)
+        pick = np.arange(rows.size)
+        here, left, right = table[pick, pos], table[pick, pos - 1], table[pick, pos + 1]
+
+        grow = (np.abs(arg) == w) | ~sampled
+        grow &= w < n_v
+        edge = sampled & ~grow & ((np.abs(arg) == w) | ~np.isfinite(left) | ~np.isfinite(right))
+        vertex = sampled & ~grow & ~edge
+        empty = ~sampled & ~grow
+        x_min[rows[empty]] = 0.0
+        f_min[rows[empty]] = 0.0
+        x_min[rows[edge]] = v_grid[n_v + arg[edge]]
+        f_min[rows[edge]] = np.maximum(here[edge], 0.0)
+        v_star, f_star = _parabolic_min(
+            v_grid[n_v + arg[vertex]], h, left[vertex], here[vertex], right[vertex]
+        )
+        x_min[rows[vertex]] = v_star
+        f_min[rows[vertex]] = np.maximum(f_star, 0.0)
+        fails = rows[edge & interior_needed[rows]]
+        if fails.size:
+            rejected = min(rejected, int(owner[fails].min()))
+        rows = rows[grow]
+        half[rows] = np.minimum(2 * half[rows], n_v)
+        rows = rows[owner[rows] < rejected]
+
+    rows = sum(sizes[:rejected])
+    return x_min[:rows], f_min[:rows], rejected
+
+
 def _window(shape, index, steps):
     return tuple(
         slice(max(0, i - steps), min(s, i + steps + 1)) for i, s in zip(index, shape)
@@ -599,9 +729,21 @@ def loop_partition_functions(field, balls, nu):
         table=WindowTable(lo, hi, shape),
         psi=np.concatenate([p.ravel() for p in psis]) if psis else np.zeros(0),
     )
-    # the parts the kernel builds on first read, given here by the loops
-    part.windows, part.psis, part.colors = windows, psis, loop_color_classes(balls)
+    # the part the kernel builds on first read, given here by the loop
+    part.colors = loop_color_classes(balls)
     return part
+
+
+def windows(part):
+    """Each ball's window of ``part`` as a tuple of slices."""
+    return [tuple(map(slice, a, b)) for a, b in zip(part.table.lo.tolist(), part.table.hi.tolist())]
+
+
+def psis(part):
+    """Each ball's psi of ``part`` on its window, shaped like the window."""
+    ends = np.cumsum(part.table.sizes).tolist()
+    shapes = (part.table.hi - part.table.lo).tolist()
+    return [part.psi[a:b].reshape(x) for a, b, x in zip([0] + ends, ends, shapes)]
 
 
 def cover_of(balls, n=1):
@@ -775,7 +917,7 @@ def loop_resolved_mask(d):
     from scipy.ndimage import binary_erosion
 
     resolved = d.verified_mask().copy()
-    for ball, win in zip(d.partition.balls, d.partition.windows):
+    for ball, win in zip(d.partition.balls, windows(d.partition)):
         if d.nu * ball.r < 3.0 * d.spacing:
             resolved[win] = False
     if resolved.any() and not resolved.all():
@@ -826,7 +968,7 @@ def _loop_decompose_at(f, cf, k, alpha, nu, omega):
             fd_partial(f.values, h, (0, 2)),
         )
 
-    for ball, win, psi in zip(part.balls, part.windows, part.psis):
+    for ball, win, psi in zip(part.balls, windows(part), psis(part)):
         fc = float(f.values[ball.index])
         threshold = threshold_scale * ball.r ** (k + alpha)
         if fc >= threshold:
@@ -975,9 +1117,8 @@ def pointwise_evaluate_1d_squares(d, points, f_of_u):
 
 def _loop_recombine(shape, part, per_ball_squares):
     acc = {}
-    for ball_idx, squares in enumerate(per_ball_squares):
+    for ball_idx, (squares, win) in enumerate(zip(per_ball_squares, windows(part))):
         color = part.colors[ball_idx]
-        win = part.windows[ball_idx]
         for slot, g in enumerate(squares):
             key = (color, slot)
             if key not in acc:
@@ -1017,7 +1158,7 @@ def loop_partial_decompose(f, k, alpha, eps):
             values = np.clip(unit.values, 0.0, None)
             per_ball = [
                 [psi * np.sqrt(values[win])] if a else []
-                for a, win, psi in zip(bounded, part.windows, part.psis)
+                for a, win, psi in zip(bounded, windows(part), psis(part))
             ]
             branch_a = sum(bounded)
             squares, labels = _loop_recombine(unit.values.shape, part, per_ball)

@@ -50,7 +50,10 @@ def test_traced_run_counts_every_ball_built(monkeypatch):
     """A small decompose, partial_decompose and verify run under the installed
     tracer, and its build_cover amounts add up to the balls of the covers built.
     The 2D decompose of paraboloid-21 recurses on a fiber curve, so the
-    traced evaluate_1d_squares and partition_functions see real work."""
+    traced evaluate_1d_squares and partition_functions see real work.  The
+    2D fiber searches evaluate through ``RectBivariateSpline.ev``, the
+    binding decompose.fiber_eval reads, so its calls and amount are every
+    call and point the searches pass to the spline."""
     from halfsquares.fixtures import build_fixture
 
     dec = importlib.import_module("halfsquares.decompose")
@@ -62,7 +65,22 @@ def test_traced_run_counts_every_ball_built(monkeypatch):
         built.append(len(cover))
         return cover
 
+    fiber_points = []
+    block_fiber_minima = dec._block_fiber_minima
+
+    class CountingSpline:
+        def __init__(self, spline):
+            self.spline = spline
+
+        def ev(self, x, y):
+            fiber_points.append(len(x))
+            return self.spline.ev(x, y)
+
+    def counting_search(f, spline, *args):
+        return block_fiber_minima(f, CountingSpline(spline), *args)
+
     monkeypatch.setattr(dec, "build_cover", counting)
+    monkeypatch.setattr(dec, "_block_fiber_minima", counting_search)
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
@@ -85,3 +103,5 @@ def test_traced_run_counts_every_ball_built(monkeypatch):
     assert stats.calls["holder.check_slow_variation"] > 0
     assert stats.calls["holder.estimate_seminorm"] > 0
     assert 0 < stats.amount["cover.color_classes"] <= sum(built)
+    assert stats.calls["decompose.fiber_eval"] == len(fiber_points) > 0
+    assert stats.amount["decompose.fiber_eval"] == sum(fiber_points)
