@@ -33,7 +33,7 @@ from .certificates import (
 from .errors import InputError
 from .exactpoly import SparsePolynomial
 from .multiindex import MultiIndex, order
-from .polytope import SimplexPolytope
+from .polytope import SimplexPolytope, _box
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def _interior_targets(qs):
     n = len(qs[0])
     simplex = SimplexPolytope([tuple(2 * x for x in q) for q in qs])
     hi = tuple(max(2 * q[i] for q in qs) for i in range(n))
-    box = np.indices([h + 1 for h in hi]).reshape(n, -1).T
+    box = _box((0,) * n, hi)
     # |U| <= n max(hi) max|adj|, far inside int64 for any box that fits in memory
     U = box @ np.array(simplex.adjugate, dtype=np.int64).T
     total = U.sum(axis=1)

@@ -4,19 +4,18 @@ Simplex polytopes (origin plus n independent lattice vertices) keep the
 integer adjugate of their vertex matrix: barycentric weights are integer
 dot products divided once by the determinant.  General vertex sets are
 described once by integer equalities for their affine hull and one
-integer inequality per facet; a membership query is then a few integer
-dot products.  Each subset of generators of the hull's dimension gives a
-candidate facet normal as signed integer minors, all batched through
-``ratmat.det_stack``.  Trying every subset suits the small supports of the
-catalog and the search; the exact route for large ones is lrs (Avis &
-Fukuda 1992).
+integer inequality per facet, whose normals are signed integer minors of
+every generator subset of the hull's dimension, batched through
+``ratmat.det_stack`` (lrs, Avis & Fukuda 1992, is the exact route for
+supports far past the catalog's).  One kernel tests an integer array of
+points with one product per constraint: the lattice scans give it a
+whole box, ``member`` one row, and the pair witness reads the half lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, prod
 
 import numpy as np
@@ -27,7 +26,7 @@ from .multiindex import MultiIndex
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
-# points of the half-lattice box a certifier may scan; the catalog needs 720 at most
+# points of a lattice box a scan may test at once; the catalog's half boxes need 720 at most
 HALF_BOX_LIMIT = 10**6
 
 
@@ -108,7 +107,7 @@ class GeneralPolytope:
 
     The hull is stored as its H-representation, computed once: integer
     equalities a.x = b cutting out the affine hull and integer facet
-    inequalities a.x <= b.  Membership is then a few integer dot products.
+    inequalities a.x <= b.  Membership is one integer product per constraint.
     """
 
     def __init__(self, generators):
@@ -129,6 +128,8 @@ class GeneralPolytope:
         normals = [_primitive(v) for v in kernel]
         self.equalities = tuple((a, _dot(a, p0)) for a in normals)
         self.facets = self._facets(n - len(normals), normals)
+        self._normals = np.array([a for a, _ in self.equalities + self.facets], dtype=object)
+        self._span = n * int(np.abs(self._normals).max())
 
     def _facets(self, dim, normals):
         """Primitive integer (a, b) with a.x <= b on the hull, one per facet.
@@ -168,15 +169,28 @@ class GeneralPolytope:
             found.update(zip(map(tuple, a.tolist()), b.tolist()))
         return tuple(sorted(found))
 
+    def _inside(self, points, den=1):
+        """Mask of the rows p of an integer array with p / den in the hull.
+
+        One integer product per constraint, a.p == b den or a.p <= b den,
+        in int64 while n max|a| max(|p|, den max|g|) over the generators g
+        stays below 2^63 (|b| <= n max|a| max|g|), else in Python ints.
+        """
+        top = self._span * max(int(points.max(initial=0)), -int(points.min(initial=0)), den * max(self._coord_max))
+        points = points.astype(np.int64 if top < 2**63 else object, copy=False)
+        inside = np.ones(len(points), dtype=bool)
+        normals = self._normals.astype(points.dtype)
+        for k, (_, b) in enumerate(self.equalities + self.facets):
+            values = points @ normals[k]
+            inside &= values == b * den if k < len(self.equalities) else values <= b * den
+        return inside
+
     def member(self, point) -> bool:
         """Exact test point in conv(generators)."""
-        # a.(p/den) <= b  <=>  a.p <= b*den
         p, den = ratmat.over_common_denominator(point)
         if len(p) != self.n:
             raise ValueError("dimension mismatch")
-        return all(_dot(a, p) == b * den for a, b in self.equalities) and all(
-            _dot(a, p) <= b * den for a, b in self.facets
-        )
+        return bool(self._inside(np.array([p], dtype=object), den)[0])
 
     def lattice_points(self) -> list[MultiIndex]:
         """All integer points of the hull, lex-sorted."""
@@ -185,49 +199,35 @@ class GeneralPolytope:
     def half_lattice_points(self) -> list[MultiIndex]:
         """Integer points t with 2t in the hull, i.e. the lattice of (1/2)C."""
         if self._half_lattice is None:
-            self._half_lattice = self._box_lattice(*self._half_box(), scale=2)
+            lo = tuple((x + 1) // 2 for x in self._coord_min)
+            hi = tuple(x // 2 for x in self._coord_max)
+            self._half_lattice = self._box_lattice(lo, hi, scale=2)
         return list(self._half_lattice)
 
-    def _half_box(self) -> tuple[MultiIndex, MultiIndex]:
-        """Corners of the box of integer t with 2t in the hull's bounding box.
-
-        The half-lattice scans walk this box point by point, so a box of
-        more than HALF_BOX_LIMIT points raises ValueError instead.
-        """
-        lo = tuple((x + 1) // 2 for x in self._coord_min)
-        hi = tuple(x // 2 for x in self._coord_max)
-        if prod(max(h - l + 1, 0) for l, h in zip(lo, hi)) > HALF_BOX_LIMIT:
-            raise ValueError(f"the half polytope's box has more than {HALF_BOX_LIMIT} lattice points to scan")
-        return lo, hi
-
     def _box_lattice(self, lo, hi, scale) -> list[MultiIndex]:
-        return [t for t in _box(lo, hi) if self.member(tuple(scale * x for x in t))]
+        """Integer t of the box lo <= t <= hi with scale * t in the hull, lex-sorted.
+        The box is tested whole: more than HALF_BOX_LIMIT points raise ValueError."""
+        if prod(max(h - l + 1, 0) for l, h in zip(lo, hi)) > HALF_BOX_LIMIT:
+            raise ValueError(f"the box has more than {HALF_BOX_LIMIT} lattice points to scan")
+        box = _box(lo, hi)
+        return list(map(tuple, box[self._inside(scale * box)].tolist()))
 
     def distinct_pair_witness(self, m) -> tuple[MultiIndex, MultiIndex] | None:
         """Distinct lattice t1 != t2 of (1/2)C with t1 + t2 = m, if any.
 
-        Scans the half-polytope lattice in lex order and returns the first
-        pair encountered, or None after an exhaustive scan, whose lattice
-        ``half_lattice_points`` then reuses.  A pair is met at its lesser
-        point t1, with t2 ahead of the scan: a t2 found outside the lattice
-        is not tested again when the scan reaches it.
+        Read from the half lattice, listed once per hull: the first t1 in lex
+        order whose partner t2 = m - t1 is a lattice point after it, or None.
         """
-        m = tuple(int(x) for x in m)
-        lo, hi = self._half_box()
-        lattice, outside = [], set()
-        for t1 in _box(lo, hi):
-            if t1 in outside or not self.member(tuple(2 * x for x in t1)):
-                continue
-            lattice.append(t1)
-            t2 = tuple(a - b for a, b in zip(m, t1))
-            if t2 > t1 and all(l <= x <= h for l, x, h in zip(lo, t2, hi)):
-                if self.member(tuple(2 * x for x in t2)):
-                    return t1, t2
-                outside.add(t2)
-        self._half_lattice = lattice
+        lattice = self.half_lattice_points()
+        members = set(lattice)
+        for t1 in lattice:
+            t2 = tuple(int(a) - b for a, b in zip(m, t1))
+            if t2 > t1 and t2 in members:
+                return t1, t2
         return None
 
 
 def _box(lo, hi):
-    """The integer points of the box lo <= t <= hi in lex order."""
-    return product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+    """The integer points of the box lo <= t <= hi as array rows in lex order."""
+    steps = np.indices([max(h - l + 1, 0) for l, h in zip(lo, hi)]).reshape(len(lo), -1).T
+    return steps + np.array(lo, dtype=np.int64 if max(map(abs, (*lo, *hi))) < 2**62 else object)

@@ -4,7 +4,8 @@ The derivative oracles differentiate explicit polynomial expressions by
 repeated single-variable differentiation, never through the term-list
 formulas under test.  The exact-arithmetic oracles are the plain
 algorithms the fast paths replaced: Fraction evaluation term by term,
-hull membership by a Caratheodory scan over generator subsets, facets by
+hull membership by a Caratheodory scan over generator subsets, the
+lattice and pair-witness scans one membership query per box point, facets by
 one Fraction kernel solve per generator subset, and the direct search's
 tuple and target loops, one determinant or one Fraction barycentric solve
 per candidate.  The
@@ -87,6 +88,44 @@ def caratheodory_member(generators, point) -> bool:
             if lam is not None and all(w >= 0 for w in lam):
                 return True
     return False
+
+
+def _lattice_box(generators, scale):
+    """Corners of the box of integer t with scale * t in the generators' bounding box."""
+    n = len(generators[0])
+    lo = tuple(-(-min(g[i] for g in generators) // scale) for i in range(n))
+    hi = tuple(max(g[i] for g in generators) // scale for i in range(n))
+    return lo, hi
+
+
+def scan_lattice(member, generators, scale=1):
+    """Integer t of the hull's box with scale * t in the hull, lex-sorted,
+    asking ``member`` about one box point at a time."""
+    lo, hi = _lattice_box(generators, scale)
+    box = product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+    return [t for t in box if member(tuple(scale * x for x in t))]
+
+
+def scan_pair_witness(member, generators, m):
+    """``GeneralPolytope.distinct_pair_witness`` as a per-point scan.
+
+    Scans the half box in lex order, asking ``member`` about 2t, and
+    returns the first pair met.  A pair is met at its lesser point t1,
+    with t2 ahead of the scan, and stops the scan; a t2 found outside the
+    half polytope is not asked about again when the scan reaches it.
+    """
+    m = tuple(int(x) for x in m)
+    lo, hi = _lattice_box(generators, 2)
+    outside = set()
+    for t1 in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
+        if t1 in outside or not member(tuple(2 * x for x in t1)):
+            continue
+        t2 = tuple(a - b for a, b in zip(m, t1))
+        if t2 > t1 and all(l <= x <= h for l, x, h in zip(lo, t2, hi)):
+            if member(tuple(2 * x for x in t2)):
+                return t1, t2
+            outside.add(t2)
+    return None
 
 
 def _primitive_kernel(rows, n):

@@ -121,18 +121,28 @@ def test_not_sos_zero_rejected():
 
 
 def test_not_sos_witness_scans_the_half_box_once(monkeypatch):
-    """The pair search and the reported half lattice share one scan of the box."""
+    """The pair search and the reported half lattice share one pass of the
+    half box through the membership kernel."""
     from halfsquares.polytope import GeneralPolytope
 
-    queried = []
-    member = GeneralPolytope.member
+    calls = []
+    inside = GeneralPolytope._inside
 
-    def counting(self, point):
-        queried.append(tuple(point))
-        return member(self, point)
+    def recording(self, points, den=1):
+        calls.append((sorted(map(tuple, points.tolist())), den))
+        return inside(self, points, den)
 
-    monkeypatch.setattr(GeneralPolytope, "member", counting)
+    monkeypatch.setattr(GeneralPolytope, "_inside", recording)
     witness = certify_not_sos(MOTZKIN)
     assert witness.monomial == (2, 2)
-    # the Motzkin hull spans [0, 4]^2: its half box is [0, 2]^2, each point queried once
-    assert sorted(queried) == [(2 * a, 2 * b) for a in range(3) for b in range(3)]
+    # the Motzkin hull spans [0, 4]^2: its half box is [0, 2]^2, tested once as the doubled points
+    assert calls == [(sorted((2 * a, 2 * b) for a in range(3) for b in range(3)), 1)]
+
+
+def test_not_sos_witness_on_a_long_half_polytope():
+    """1 - 3x^2y^2 + x^2y^4 + x^100000 y^2: (2, 2) is no sum of two distinct
+    points among the 50,002 of the half polytope, in a half box of 150,003."""
+    P = SparsePolynomial(2, {(0, 0): 1, (2, 2): -3, (2, 4): 1, (100000, 2): 1})
+    witness = certify_not_sos(P)
+    assert witness.monomial == (2, 2)
+    assert len(witness.half_lattice) == 50002

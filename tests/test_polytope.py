@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from halfsquares.polytope import (
     SimplexPolytope,
 )
 
-from oracles import caratheodory_member, subset_facets
+from oracles import caratheodory_member, scan_lattice, scan_pair_witness, subset_facets
 
 
 def test_barycentric_motzkin_triangle():
@@ -173,13 +174,6 @@ def query_points(n):
     )
 
 
-def _oracle_hull(gens):
-    """The same hull, deciding membership with the Caratheodory scan."""
-    hull = GeneralPolytope(gens)
-    hull.member = functools.cache(lambda p: caratheodory_member(gens, p))
-    return hull
-
-
 @settings(max_examples=300)
 @given(st.data())
 def test_member_matches_caratheodory_scan(data):
@@ -194,12 +188,52 @@ def test_member_matches_caratheodory_scan(data):
 @given(st.data())
 def test_lattice_scans_match_caratheodory_scan(data):
     gens = data.draw(supports())
-    hull, oracle = GeneralPolytope(gens), _oracle_hull(gens)
-    assert hull.lattice_points() == oracle.lattice_points()
-    assert hull.half_lattice_points() == oracle.half_lattice_points()
+    hull = GeneralPolytope(gens)
+    member = functools.cache(lambda p: caratheodory_member(gens, p))
+    assert hull.lattice_points() == scan_lattice(member, gens)
+    assert hull.half_lattice_points() == scan_lattice(member, gens, scale=2)
     for _ in range(3):
         m = tuple(data.draw(st.integers(0, 5)) for _ in range(hull.n))
-        assert hull.distinct_pair_witness(m) == oracle.distinct_pair_witness(m), (gens, m)
+        assert hull.distinct_pair_witness(m) == scan_pair_witness(member, gens, m), (gens, m)
+
+
+@pytest.mark.parametrize("den", [1, 3])
+@pytest.mark.parametrize("side", [0, 1], ids=["int64", "python-int"])
+def test_kernel_matches_fractions_across_the_int64_bound(den, side):
+    """The simplex B + conv{0, 2e_1, ..., 2e_4} has facets -x_i <= -B and
+    x_1 + ... + x_4 <= 4B + 2.  A point p / den with max|p| = den (B + 2)
+    has the kernel's bound n max|a| max(|p|, den max|g|) = 4 den (B + 2),
+    which B puts just below 2^63 or at or above it.  There int64 would wrap
+    the coordinate sum of the far point and call it inside."""
+    n = 4
+    B = (2**63 - 1) // (4 * den) - 2 + side
+    assert (4 * den * (B + 2) < 2**63) == (side == 0)
+    gens = [(B,) * n] + [tuple(B + 2 * (i == j) for j in range(n)) for i in range(n)]
+    hull = GeneralPolytope(gens)
+
+    def inside(p):
+        x = [Fraction(v) - B for v in p]
+        return min(x) >= 0 and sum(x) <= 2
+
+    if den == 1:
+        box = itertools.product(range(B, B + 3), repeat=n)
+        assert hull.lattice_points() == [t for t in box if inside(t)]
+    rng = random.Random(2 * den + side)
+    grid = [B + Fraction(k, den) for k in range(-1, 2 * den + 1)]
+    far = (B + 2,) * (n - 1) + (B + 2 - Fraction(den - 1, den),)
+    points = [far, (Fraction(1, 2**40),) * n] + [tuple(rng.choice(grid) for _ in range(n)) for _ in range(300)]
+    for p in points:
+        assert hull.member(p) == inside(p), p
+    for p in points[:8]:
+        assert hull.member(p) == caratheodory_member(gens, p), p
+
+
+def test_lattice_scans_refuse_a_box_past_the_limit():
+    # the full box has 2 (10^6 + 1) points, the half box 500,001
+    hull = GeneralPolytope([(0, 0), (10**6, 1)])
+    with pytest.raises(ValueError, match="lattice points to scan"):
+        hull.lattice_points()
+    assert hull.half_lattice_points() == [(0, 0)]
 
 
 def _rank(rows, n):
