@@ -134,20 +134,32 @@ def emitted_certificate(inst: GeneratorInstance) -> AmgmCertificate:
 
 
 def _half_vertex_tuples(n: int, d: int):
-    """All unordered, linearly independent tuples of n nonzero lattice
-    points with |q|_1 <= d/2, at least one attaining d/2, lex-sorted.
+    """(points, rows): the nonzero lattice points with |q|_1 <= d/2, and
+    the index rows (K, n) of every unordered, linearly independent tuple
+    of them with at least one point attaining d/2, in lex order.
     Combinations stream in chunks, each filtered by array masks."""
     bound = d // 2
     points = [p for p in product(range(bound + 1), repeat=n) if 0 < order(p) <= bound]
     coords = np.array(points, dtype=np.int64).reshape(-1, n)
     orders = coords.sum(axis=1)
-    tuples = []
+    rows = [np.empty((0, n), dtype=np.intp)]
     for chunk in ratmat.combination_chunks(len(points), n):
         chunk = chunk[orders[chunk].max(axis=1) == bound]
         # rows q_j: the transpose of the column matrix, same determinant
-        chunk = chunk[ratmat.det_stack(coords[chunk]) != 0]
-        tuples.extend(tuple(points[i] for i in row) for row in chunk.tolist())
-    return tuples
+        rows.append(chunk[ratmat.det_stack(coords[chunk]) != 0])
+    return points, np.concatenate(rows)
+
+
+def _seeded_order(count: int, seed: int):
+    """A seeded random permutation of range(count), drawn one item at a
+    time: a forward Fisher-Yates shuffle that keeps only the slots it has
+    moved, so b draws cost O(b) whatever the count."""
+    rng = random.Random(seed)
+    moved = {}
+    for i in range(count):
+        j = rng.randrange(i, count)
+        yield moved.get(j, j)
+        moved[j] = moved.get(i, i)
 
 
 def _interior_targets(qs):
@@ -183,23 +195,24 @@ def direct_search(
 
     Deterministic for a fixed seed: tuples are enumerated exhaustively in
     lex order when there are at most ``exhaustive_limit`` of them, else
-    sampled without replacement by a seeded RNG.  ``budget`` counts
-    (vertex-tuple, target) pairs examined.  Raises InputError for n < 2,
-    an odd d or d < 4, a negative budget or ``max_hits`` below 1.
+    drawn one at a time in a seeded random order (``_seeded_order``: the
+    same for a fixed seed, though not ``random.shuffle``'s permutation).
+    Either way a tuple is built only when its turn comes.  ``budget``
+    counts (vertex-tuple, target) pairs examined.  Raises InputError for
+    n < 2, an odd d or d < 4, a negative budget or ``max_hits`` below 1.
     """
     if n < 2 or d < 4 or d % 2:
         raise InputError("need n >= 2 and even d >= 4")
     if budget < 0 or (max_hits is not None and max_hits < 1):
         raise InputError("need budget >= 0 and max_hits >= 1")
-    tuples = _half_vertex_tuples(n, d)
-    if len(tuples) > exhaustive_limit:
-        rng = random.Random(seed)
-        rng.shuffle(tuples)
+    points, rows = _half_vertex_tuples(n, d)
+    count = len(rows)
     hits = []
     examined = 0
-    for qs in tuples:
+    for k in range(count) if count <= exhaustive_limit else _seeded_order(count, seed):
         if examined >= budget:
             break
+        qs = tuple(points[i] for i in rows[k])
         for m in _interior_targets(qs):
             if examined >= budget:
                 break

@@ -75,16 +75,18 @@ class SimplexPolytope:
             raise ValueError("need exactly n lattice points of dimension n")
         if any(x < 0 for q in qs for x in q):
             raise ValueError("vertex coordinates must be non-negative")
-        matrix = [[qs[j][i] for j in range(n)] for i in range(n)]  # columns q_j
-        d = ratmat.det(matrix)
-        if d == 0:
+        # one fraction-free elimination of [Q | I]: the last pivot is +-det Q
+        # and the right block pivot Q^-1, so +-adj Q with the pivot's sign
+        rows, pivot_cols, pivot, _, _ = ratmat._reduce(
+            [[qs[j][i] for j in range(n)] + [int(i == j) for j in range(n)] for i in range(n)]
+        )
+        if pivot_cols[:n] != list(range(n)):
             raise ValueError("vertices are linearly dependent")
         self.n = n
         self.vertices = tuple(qs)
-        self.absdet = abs(d.numerator)
-        self.adjugate = tuple(
-            tuple((x * self.absdet).numerator for x in row) for row in ratmat.inverse(matrix)
-        )
+        self.absdet = abs(pivot)
+        sign = 1 if pivot > 0 else -1
+        self.adjugate = tuple(tuple(sign * x for x in row[n:]) for row in rows)
 
     def barycentric(self, point) -> BarycentricCoords:
         """Exact weights with point = sum lambda_j q_j and total weight 1.

@@ -138,16 +138,6 @@ def combination_chunks(m: int, k: int):
         yield chunk.reshape(-1, k)
 
 
-def inverse(matrix) -> list[list[Fraction]] | None:
-    """Exact inverse of a square matrix; None if singular."""
-    n = len(matrix)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    rows, pivot_cols, pivot, _, _ = _reduce(aug)
-    if pivot_cols[:n] != list(range(n)):
-        return None
-    return [[Fraction(x, pivot) for x in row[n:]] for row in rows]
-
-
 def solve_rectangular(matrix, rhs) -> list[Fraction] | None:
     """Unique solution of an overdetermined consistent system.
 

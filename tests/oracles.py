@@ -6,9 +6,10 @@ formulas under test.  The exact-arithmetic oracles are the plain
 algorithms the fast paths replaced: Fraction evaluation term by term,
 hull membership by a Caratheodory scan over generator subsets, the
 lattice and pair-witness scans one membership query per box point, facets by
-one Fraction kernel solve per generator subset, and the direct search's
-tuple and target loops, one determinant or one Fraction barycentric solve
-per candidate.  The
+one Fraction kernel solve per generator subset, the matrix inverse by
+Fraction Gauss-Jordan, the direct search's tuple and target loops, one
+determinant or one Fraction barycentric solve per candidate, and the
+search itself with every tuple built and shuffled before the first visit.  The
 numerical oracles are likewise the plain scans the decomposition replaced:
 ball coloring over all earlier balls, fiber minima over the whole domain
 diagonal, the windowed fiber search one ball or one block at a time, its
@@ -27,12 +28,13 @@ arbitrary points), recursing on every 2D fiber curve, zero or not.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
-from halfsquares import ratmat
+from halfsquares import generate, ratmat
 from halfsquares.cover import Cover, CoverBall, PartitionOfUnity, WindowTable, bump
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
@@ -178,7 +180,8 @@ def subset_facets(generators):
 
 
 def loop_half_vertex_tuples(n: int, d: int):
-    """``generate._half_vertex_tuples`` by one exact determinant per combination."""
+    """The tuples of ``generate._half_vertex_tuples``'s index rows, by one
+    exact determinant per combination."""
     bound = d // 2
     points = [p for p in product(range(bound + 1), repeat=n) if 0 < order(p) <= bound]
     tuples = []
@@ -213,6 +216,62 @@ def fraction_interior_targets(qs):
             continue
         out.append(m)
     return out
+
+
+def inverse(matrix) -> list[list[Fraction]] | None:
+    """Exact inverse of a square matrix by Fraction Gauss-Jordan; None if singular."""
+    n = len(matrix)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for col in range(n):
+        found = next((i for i in range(col, n) if rows[i][col]), None)
+        if found is None:
+            return None
+        rows[col], rows[found] = rows[found], rows[col]
+        top = [x / rows[col][col] for x in rows[col]]
+        rows[col] = top
+        for i in range(n):
+            if i != col and rows[i][col]:
+                a = rows[i][col]
+                rows[i] = [x - a * y for x, y in zip(rows[i], top)]
+    return [row[n:] for row in rows]
+
+
+def shuffled_direct_search(
+    n, d, budget=10000, seed=0, single_zero_coeff=0, max_hits=None, exhaustive_limit=5000
+):
+    """``generate.direct_search`` as it was with every tuple built up front:
+    the determinant loop's list, in lex order up to ``exhaustive_limit``
+    tuples and else ``random.shuffle``d by ``random.Random(seed)``."""
+    tuples = loop_half_vertex_tuples(n, d)
+    if len(tuples) > exhaustive_limit:
+        rng = random.Random(seed)
+        rng.shuffle(tuples)
+    hits = []
+    examined = 0
+    for qs in tuples:
+        if examined >= budget:
+            break
+        for m in generate._interior_targets(qs):
+            if examined >= budget:
+                break
+            examined += 1
+            try:
+                inst = generate.make_instance(qs, m, single_zero_coeff)
+            except ValueError:
+                continue
+            P = generate.construct_candidate(inst)
+            try:
+                generate.certify_nonnegative(P, generate.emitted_certificate(inst))
+                generate.certify_not_sos(P)
+            except (generate.CertificateError, generate.SosCriterionInconclusive):
+                continue
+            hits.append(inst)
+            if max_hits is not None and len(hits) >= max_hits:
+                return hits
+    return hits
 
 
 def poly_derivative(P: SparsePolynomial, axis: int) -> SparsePolynomial:

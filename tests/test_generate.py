@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -13,6 +14,7 @@ from halfsquares.generate import (
     TABLE_ROWS,
     _half_vertex_tuples,
     _interior_targets,
+    _seeded_order,
     construct_candidate,
     degree_lift,
     direct_search,
@@ -22,7 +24,7 @@ from halfsquares.generate import (
     reproduce_table,
 )
 
-from oracles import fraction_interior_targets, loop_half_vertex_tuples
+from oracles import fraction_interior_targets, loop_half_vertex_tuples, shuffled_direct_search
 
 
 def test_motzkin_instance():
@@ -97,8 +99,8 @@ SEEDED = {"exhaustive_limit": 10}  # (2, 8) has 48 tuples, so these shuffle them
 UNLIMITED = 10**9
 
 
-def _search_and_pairs(monkeypatch, **kwargs):
-    """(2, 8) hits and the (tuple, target) pairs examined, in order."""
+def _spy_search(monkeypatch, search, n, d, **kwargs):
+    """Hits and (tuple, target) pairs examined by ``search``, in order."""
     examined = []
 
     def spy(qs, m, single_zero_coeff=0):
@@ -107,8 +109,13 @@ def _search_and_pairs(monkeypatch, **kwargs):
 
     with monkeypatch.context() as patch:
         patch.setattr(generate, "make_instance", spy)
-        hits = direct_search(2, 8, **kwargs)
+        hits = search(n, d, **kwargs)
     return [(h.half_vertices, h.target) for h in hits], examined
+
+
+def _search_and_pairs(monkeypatch, **kwargs):
+    """(2, 8) hits and the (tuple, target) pairs examined, in order."""
+    return _spy_search(monkeypatch, direct_search, 2, 8, **kwargs)
 
 
 def test_seeded_search_repeats_with_its_seed(monkeypatch):
@@ -137,6 +144,38 @@ def test_seeded_search_with_unlimited_budget_finds_the_lex_hits(monkeypatch):
         assert set(hits) == set(lex_hits) and len(hits) == len(lex_hits) == 2
 
 
+@settings(max_examples=200)
+@given(st.integers(0, 300), st.integers(0, 2**64), st.data())
+def test_seeded_order_is_a_permutation_drawn_lazily(count, seed, data):
+    order = list(_seeded_order(count, seed))
+    assert sorted(order) == list(range(count))
+    b = data.draw(st.integers(0, count))
+    # the first b draws are the same however many more are drawn after them
+    assert list(islice(_seeded_order(count, seed), b)) == order[:b]
+
+
+@pytest.mark.parametrize("n,d,budget", [(2, 8, 10000), (3, 6, 10000), (3, 8, 2000)])
+def test_lex_search_examines_the_pairs_of_the_list_search(monkeypatch, n, d, budget):
+    new = _spy_search(monkeypatch, direct_search, n, d, budget=budget, seed=5)
+    old = _spy_search(monkeypatch, shuffled_direct_search, n, d, budget=budget, seed=5)
+    assert new == old and new[1]
+
+
+def test_path_rule_counts_the_independent_tuples():
+    # 3,875 of the C(34, 3) = 5,984 (3, 8) combinations pass the filter, so
+    # the default limit of 5,000 keeps (3, 8) on the lex path
+    points, rows = _half_vertex_tuples(3, 8)
+    assert len(points) == 34 and len(rows) == 3875
+
+
+def test_budget_zero_search_builds_no_simplex(monkeypatch):
+    calls = []
+    monkeypatch.setattr(generate, "_interior_targets", lambda qs: calls.append(qs) or [])
+    monkeypatch.setattr(generate, "make_instance", lambda *args: calls.append(args))
+    assert direct_search(3, 10, budget=0) == []
+    assert calls == []
+
+
 def test_direct_search_bad_parameters():
     with pytest.raises(ValueError):
         direct_search(1, 6)
@@ -153,7 +192,9 @@ def test_direct_search_bad_parameters():
     [(2, 4), (2, 8), (2, 12), (2, 20), (3, 4), (3, 6), (3, 8), (3, 10), (4, 4), (4, 6)],
 )
 def test_half_vertex_tuples_match_determinant_loop(n, d):
-    assert _half_vertex_tuples(n, d) == loop_half_vertex_tuples(n, d)
+    points, rows = _half_vertex_tuples(n, d)
+    assert rows.shape == (len(rows), n)
+    assert [tuple(points[i] for i in row) for row in rows.tolist()] == loop_half_vertex_tuples(n, d)
 
 
 @st.composite

@@ -16,7 +16,7 @@ from halfsquares.polytope import (
     SimplexPolytope,
 )
 
-from oracles import caratheodory_member, scan_lattice, scan_pair_witness, subset_facets
+from oracles import caratheodory_member, inverse, scan_lattice, scan_pair_witness, subset_facets
 
 
 def test_barycentric_motzkin_triangle():
@@ -48,6 +48,34 @@ def test_classify_examples():
 def test_degenerate_vertices_rejected():
     with pytest.raises(ValueError):
         SimplexPolytope([(1, 2), (2, 4)])
+
+
+@st.composite
+def simplex_vertices(draw):
+    """n <= 5 non-negative lattice vertices; swapping the first two flips
+    the sign of det Q, and some draws repeat a multiple of a vertex."""
+    n = draw(st.integers(1, 5))
+    qs = [draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)) for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        qs[0], qs[1] = qs[1], qs[0]
+    if n >= 2 and draw(st.booleans()):
+        qs[-1] = [draw(st.integers(0, 2)) * x for x in qs[0]]
+    return qs
+
+
+@settings(max_examples=300)
+@given(simplex_vertices())
+def test_adjugate_is_absdet_times_the_fraction_inverse(qs):
+    n = len(qs)
+    inv = inverse([[q[i] for q in qs] for i in range(n)])  # columns q_j
+    if inv is None:
+        with pytest.raises(ValueError):
+            SimplexPolytope(qs)
+        return
+    simplex = SimplexPolytope(qs)
+    assert simplex.absdet == abs(ratmat.det(qs)) > 0
+    assert simplex.adjugate == tuple(tuple(simplex.absdet * x for x in row) for row in inv)
+    assert all(type(x) is int for row in simplex.adjugate for x in row)
 
 
 def test_member_general_examples():
