@@ -12,14 +12,14 @@ Branch-A balls contribute psi_j sqrt(f); the others locate the interior
 minimizer along the distinguished direction, split off
 psi_j * sgn * sqrt(f - F), and handle the remainder F either as a
 constant (one dimension) or by recursing on the fiber minimum curve (two
-dimensions, one recursion level).  In two dimensions the branch-B balls
-are taken in blocks of FIBER_BLOCK, in ball order: the fiber rows of a
-block descend together and evaluate only the samples they read, one
-``spline.ev`` call per round; the fiber curves come from one cubic spline
-per u-grid length, and the main squares of a block are taken on the
-window entries of all its balls at once.  Squares from balls of one color
-class have disjoint supports and are summed, which keeps the final square
-count bounded by the dimensional constant.  The sums are taken per entry
+dimensions, one recursion level).  In two dimensions the fiber rows of
+all branch-B balls of a cover descend together and evaluate only the
+samples they read, one ``spline.ev`` call per round; the fiber curves come
+from one cubic spline per u-grid length, and the main squares are taken
+SQUARE_BLOCK balls at a time, in ball order, on the window entries of all
+the block's balls at once.  Squares from balls of one color class have
+disjoint supports and are summed, which keeps the final square count
+bounded by the dimensional constant.  The sums are taken per entry
 of the window table, a class at a time, 2D branch-B squares included.
 ``evaluate_1d_squares`` takes the same path on a table that pairs each
 ball with each point.
@@ -62,12 +62,12 @@ DIRECTIONS = 64
 _DIRECTION_TABLE = np.array(
     [(math.cos(t), math.sin(t)) for t in (math.pi * idx / DIRECTIONS for idx in range(DIRECTIONS))]
 )
-# Branch-B balls of a 2D cover are taken this many at a time: one fiber
-# search, one fiber spline per u-grid length and one pass of main squares
-# serve a block, and nothing of a block but its squares outlives it.  On
-# radial_bump-121^2 all 957 balls in one block peak at 8.9 MB of traced
-# allocations, blocks of 64 at 5.0 MB and one ball at a time at 6.9 MB.
-FIBER_BLOCK = 64
+# The main squares of a 2D cover's branch-B balls are taken this many balls
+# at a time, and nothing of a block but its squares outlives it.  On
+# radial_bump-121^2 all 957 balls in one block peak at 9.2 MB of traced
+# allocations; blocks of 64 and blocks of one ball both peak at 5.3 MB,
+# the peak of the cover's one fiber search.
+SQUARE_BLOCK = 64
 # Largest sup |sum g^2 - f| / max |f| that verify accepts.  The fixtures
 # reach 2.5e-9 (radial_bump-121^2); times their max |f| (7.8 at most) it is
 # below criterion 8's absolute 1e-6 and criterion 9's 1e-4.
@@ -479,75 +479,76 @@ def _branch_b_2d(f, part, bounded, k, alpha):
     curve and recurses on F.  F(u) is the minimum of f along the fiber
     through x_j + u eu in the distinguished direction ev, the first
     sampled argmax of the second directional derivative at x_j; F and its
-    minimizer are interpolated by cubic splines in u.  A block of
-    FIBER_BLOCK balls has one fiber search (``_block_fiber_minima``), one
-    CubicSpline per u-grid length and one main square on the window
-    entries of all its balls (``_cubic_at``); only a ball whose cutoff
-    curve is not zero recurses on its own.  When a fiber crossing some ball
-    has no interior minimum, the block's balls before it still get their
-    squares, recursion included, before _NuTooLarge is raised, so a
-    recursion that fails first still wins.
+    minimizer are interpolated by cubic splines in u.  A cover has one
+    fiber search (``_block_fiber_minima``) and one CubicSpline per u-grid
+    length; main squares are taken SQUARE_BLOCK balls at a time, and only
+    a ball whose cutoff curve is not zero recurses on its own.  When a
+    fiber crossing some ball has no interior minimum, the balls before it
+    still get their squares, recursion included, in ball order, before
+    _NuTooLarge is raised, so a recursion that fails first still wins.
     """
+    members = np.flatnonzero(np.logical_not(bounded))
+    if not members.size:
+        return [], 0.0
     h = f.spacing
     xs, ys = f.axis_coords(0), f.axis_coords(1)
     spline = RectBivariateSpline(xs, ys, f.values, kx=3, ky=3)
     hessian = [fd_partial(f.values, h, beta) for beta in ((2, 0), (1, 1), (0, 2))]
     c, s = _DIRECTION_TABLE.T
-    members = np.flatnonzero(np.logical_not(bounded))
+    balls = part.balls.select(members)
+    fxx, fxy, fyy = (d2[tuple(balls.index.T)][:, None] for d2 in hessian)
+    ev = _DIRECTION_TABLE[np.argmax(c * c * fxx + 2 * c * s * fxy + s * s * fyy, axis=1)]
+    eu = np.column_stack((-ev[:, 1], ev[:, 0]))
+    # u spans the cutoff support plus a stencil margin
+    n_us = ((2.0 * balls.radius + 6.0 * h) / h).astype(np.intp) + 1
+    u_grids = [h * np.arange(-n_u, n_u + 1) for n_u in n_us.tolist()]
+    x_min, f_min, done = _block_fiber_minima(f, spline, balls, eu, ev, u_grids)
+    # the balls before the one that rejects nu, if any: F and x_min of
+    # each from one CubicSpline per u-grid length, pieces ball after ball
+    n_us, width = n_us[:done], 2.0 * balls.radius[:done]
+    starts = np.cumsum(2 * n_us + 1) - (2 * n_us + 1)  # each ball's first row
+    firsts = starts - np.arange(done)  # and first cubic piece
+    coeffs = np.empty((4, f_min.size - done, 2))
+    for n in np.unique(n_us).tolist():
+        group = np.flatnonzero(n_us == n)
+        rows = starts[group, None] + np.arange(2 * n + 1)
+        fit = CubicSpline(u_grids[group[0]], np.stack((f_min[rows], x_min[rows]), axis=-1), axis=1)
+        coeffs[:, (firsts[group, None] + np.arange(2 * n)).ravel()] = fit.c.transpose(0, 2, 1, 3).reshape(4, -1, 2)
+    knots = h * np.arange(-n_us.max(initial=0), n_us.max(initial=0) + 1)
+    # the cutoff extension of each fiber-minimum curve; a curve that is zero
+    # at every sample decomposes into no squares, so its ball does not recurse
+    u = np.concatenate(u_grids)[: f_min.size]
+    curve = np.clip(bump(u / np.repeat(width, 2 * n_us + 1)) * f_min, 0.0, None)
+    recurse = np.logical_or.reduceat(curve != 0, starts)
     squares, clamp = [], 0.0
-    for first in range(0, members.size, FIBER_BLOCK):
-        block = members[first : first + FIBER_BLOCK]
-        balls = part.balls.select(block)
-        at = tuple(balls.index.T)
-        fxx, fxy, fyy = (d2[at][:, None] for d2 in hessian)
-        ev = _DIRECTION_TABLE[np.argmax(c * c * fxx + 2 * c * s * fxy + s * s * fyy, axis=1)]
-        eu = np.column_stack((-ev[:, 1], ev[:, 0]))
-        # u spans the cutoff support plus a stencil margin
-        n_us = ((2.0 * balls.radius + 6.0 * h) / h).astype(np.intp) + 1
-        u_grids = [h * np.arange(-n_u, n_u + 1) for n_u in n_us.tolist()]
-        x_min, f_min, done = _block_fiber_minima(f, spline, balls, eu, ev, u_grids)
-        # the balls before the one that rejects nu, if any: F and x_min of
-        # each from one CubicSpline per u-grid length, pieces ball after ball
-        block, n_us, width = block[:done], n_us[:done], 2.0 * balls.radius[:done]
-        starts = np.cumsum(2 * n_us + 1) - (2 * n_us + 1)  # each ball's first row
-        firsts = starts - np.arange(done)  # and first cubic piece
-        coeffs = np.empty((4, f_min.size - done, 2))
-        for n in np.unique(n_us).tolist():
-            group = np.flatnonzero(n_us == n)
-            rows = starts[group, None] + np.arange(2 * n + 1)
-            fit = CubicSpline(u_grids[group[0]], np.stack((f_min[rows], x_min[rows]), axis=-1), axis=1)
-            coeffs[:, (firsts[group, None] + np.arange(2 * n)).ravel()] = fit.c.transpose(0, 2, 1, 3).reshape(4, -1, 2)
-        knots = h * np.arange(-n_us.max(initial=0), n_us.max(initial=0) + 1)
-        # the main squares, on the window entries of all the balls
-        table = part.table.select(block)
-        ball, cells, ends = table.per_entry(np.arange(done)), table.cells(), np.cumsum(table.sizes)
-        psi = part.psi[part.table.entries().select(block).cells()]
+    for first in range(0, done, SQUARE_BLOCK):
+        block = np.arange(first, min(first + SQUARE_BLOCK, done))  # positions among the branch-B balls
+        # the main squares, on the window entries of all the block's balls
+        table = part.table.select(members[block])
+        ball, cells, ends = table.per_entry(block), table.cells(), np.cumsum(table.sizes)
+        psi = part.psi[part.table.entries().select(members[block]).cells()]
         row, col = np.divmod(cells, f.values.shape[1])
         dx, dy = xs[row] - balls.center[ball, 0], ys[col] - balls.center[ball, 1]
         du, dv = dx * eu[ball, 0] + dy * eu[ball, 1], dx * ev[ball, 0] + dy * ev[ball, 1]
         f_curve, x_curve = _cubic_at(coeffs, knots, firsts[ball], n_us[ball], du).T
         g, main_clamp = _signed_root(psi, dv, x_curve, f.values.ravel()[cells], f_curve)
-        squares.append((block, 0, g))
+        squares.append((members[block], 0, g))
         clamp = max(clamp, main_clamp)
-        # recurse on the cutoff extension of the fiber-minimum curve; the
-        # sub-squares are composed with the rotation by re-evaluating their
-        # closed forms at the rotated coordinate, not by resampling arrays.
-        # A curve that is zero at every sample decomposes into no squares.
-        u = np.concatenate(u_grids)[: f_min.size]
-        curve = np.clip(bump(u / np.repeat(width, 2 * n_us + 1)) * f_min, 0.0, None)
-        for i in np.flatnonzero(np.logical_or.reduceat(curve != 0, starts)).tolist():
+        # the sub-squares are composed with the rotation by re-evaluating their
+        # closed forms at the rotated coordinate, not by resampling arrays
+        for i in block[recurse[block]].tolist():
             fiber = curve[starts[i] : starts[i] + 2 * n_us[i] + 1]
             sub = decompose(SampledFunction((float(u[starts[i]]),), h, fiber), k, alpha)
 
             def f_of_u(at):
                 return np.clip(bump(at / width[i]) * _cubic_at(coeffs, knots, firsts[i], n_us[i], at)[:, 0], 0.0, None)
 
-            mine = slice(ends[i] - table.sizes[i], ends[i])
+            mine = slice(ends[i - first] - table.sizes[i - first], ends[i - first])
             for slot, g_sub in enumerate(evaluate_1d_squares(sub, du[mine], f_of_u), 1):
-                squares.append((block[i : i + 1], slot, psi[mine] * g_sub))
+                squares.append((members[i : i + 1], slot, psi[mine] * g_sub))
             clamp = max(clamp, sub.clamp_max)
-        if done < len(balls):
-            raise _NuTooLarge(f"fiber minimum hits the domain edge at ball {balls[done].index}")
+    if done < len(balls):
+        raise _NuTooLarge(f"fiber minimum hits the domain edge at ball {balls[done].index}")
     return squares, clamp
 
 
@@ -569,15 +570,15 @@ def _cubic_at(coeffs, knots, first, n, u):
 
 def _block_fiber_minima(f, spline, balls, eu, ev, u_grids):
     """Minimizer and minimum of v -> f(x_j + u eu_j + v ev_j) for each u of
-    each ball's u grid, over a block of balls at once.
+    each ball's u grid, over all the given balls at once.
 
     Each fiber row is sampled on the lattice v = h i, |i| <= n_v, which
     spans the domain diagonal; a sample outside the domain reads +inf.  A
     row starts at its in-domain sample nearest v = 0, the lower one on a
     tie, found from the geometry alone, and descends as ``_descend_rows``
     does, but evaluates only the samples it reads: the first round the
-    start and its two neighbours, then the next sample of each row that
-    still moves, every round one ``spline.ev`` call for all rows.  The
+    start and each of its two neighbours in one ``spline.ev`` call, then
+    the next sample of each row that still moves, one call a round.  The
     in-domain samples of a line through the box are one run of the
     lattice and ``spline.ev`` evaluates each point on its own, so every
     start, minimum, edge verdict and parabolic vertex is that of the
@@ -595,17 +596,16 @@ def _block_fiber_minima(f, spline, balls, eu, ev, u_grids):
     lattice = np.arange(-n_v, n_v + 1)
     v_grid = h * lattice
 
-    # one row per (ball, u): its owner, base point x_j + u eu and direction
+    # one row per (ball, u): its owner and u; row r samples x_j + u eu + v ev
     sizes = [len(u_grid) for u_grid in u_grids]
     owner = np.repeat(np.arange(len(balls)), sizes)
     u = np.concatenate(u_grids)
-    base = balls.center[owner] + u[:, None] * eu[owner]
-    direction = ev[owner]
     interior_needed = np.abs(u) <= balls.radius[owner] + h
 
     def inside(rows, i):
         """The points of samples i of ``rows`` and whether each lies in the domain."""
-        pts = base[rows] + v_grid[n_v + np.clip(i, -n_v, n_v)][..., None] * direction[rows]
+        j = owner[rows]
+        pts = balls.center[j] + u[rows][..., None] * eu[j] + v_grid[n_v + np.clip(i, -n_v, n_v)][..., None] * ev[j]
         return pts, (np.abs(i) <= n_v) & np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
 
     def sample(rows, i):
@@ -621,7 +621,7 @@ def _block_fiber_minima(f, spline, balls, eu, ev, u_grids):
     # a row whose v = 0 lies outside the domain scans its whole lattice for the start
     out = rows[~inside(rows, pos)[1]]
     pos[out] = lattice[np.argmin(np.where(inside(out[:, None], lattice)[1], np.abs(lattice), n_v + 1), axis=1)]
-    left, here, right = sample(np.tile(rows, 3), np.concatenate((pos - 1, pos, pos + 1))).reshape(3, -1)
+    left, here, right = (sample(rows, pos + step) for step in (-1, 0, 1))
     empty = ~np.isfinite(here)  # a row with no in-domain sample
     moving = rows[~empty]
 

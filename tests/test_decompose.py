@@ -341,9 +341,10 @@ def _traced_peak(run):
 
 def test_block_fiber_search_memory_stays_near_per_ball_search():
     """The traced peak of a decompose of radial_bump-121^2 stays within 1 MB
-    of the per-ball oracle's, so the block of FIBER_BLOCK balls bounds what
-    the fiber search holds at once.  (All 957 branch-B balls in one block
-    peak about 2 MB higher.)"""
+    of the per-ball oracle's, so neither the cover's one fiber search nor a
+    block of SQUARE_BLOCK balls' main squares holds too much at once.  (The
+    main squares of all 957 branch-B balls in one block peak about 2.6 MB
+    higher.)"""
     f = build_fixture("radial_bump", points=121)
     decompose(f, 2, 1.0)  # imports and caches that a first run allocates
     block = _traced_peak(lambda: decompose(f, 2, 1.0))
@@ -541,10 +542,12 @@ def test_decompose_matches_two_loop_oracle(monkeypatch, name, points, k):
     out per path.
 
     The oracle recurses on every 2D fiber curve; ``decompose`` recurses on
-    none that is zero at every sample, and that changes no square.  The
-    radial bumps have branch-B balls for several blocks; corner_paraboloid
-    rejects nu in the fiber search, in blocks with balls after the one
-    that rejects.
+    none that is zero at every sample, and that changes no square.  A 2D
+    input is decomposed again in square blocks of 3 balls, against the
+    same oracle run, so that a slip between a block's own ball positions
+    and the cover's fails bit for bit.  The radial bumps then cross many
+    square blocks; corner_paraboloid rejects nu in the fiber search at its
+    fifth ball, with balls after it, and its first four cross a block.
     """
     zero_inputs = {"core": 0, "oracle": 0}
 
@@ -565,9 +568,23 @@ def test_decompose_matches_two_loop_oracle(monkeypatch, name, points, k):
     assert zero_inputs["core"] == 0
     if name == "radial_bump":
         assert zero_inputs["oracle"] > 0
-        assert got.branch_b > decompose_module.FIBER_BLOCK
+        assert got.branch_b > decompose_module.SQUARE_BLOCK
     if name == "corner_paraboloid":
         assert got.nu < decompose_module.NU_START
+    if f.n == 2:
+        searches, search = [], decompose_module._block_fiber_minima
+
+        def recording(*args):
+            minima = search(*args)
+            searches.append((minima[2], len(args[2])))
+            return minima
+
+        monkeypatch.setattr(decompose_module, "SQUARE_BLOCK", 3)
+        monkeypatch.setattr(decompose_module, "_block_fiber_minima", recording)
+        _assert_same_decomposition(decompose_module.decompose(f, k, 1.0), want)
+        assert zero_inputs["core"] == 0
+        if name == "corner_paraboloid":
+            assert any(3 < done < balls - 1 for done, balls in searches), searches
 
 
 def _edge_minimum_1d(vanish_at):
@@ -593,6 +610,58 @@ def test_fixed_nu_rejected_in_fiber_search_fails_like_oracle(build, message):
         decompose(f, 2, 1.0, nu=0.25)
     assert str(got.value) == str(want.value)
     assert message in str(got.value)
+
+
+def test_failed_fiber_recursion_wins_over_a_later_fiber_rejection(monkeypatch):
+    """The cover's fiber search, made to reject nu at the last branch-B ball
+    of radial_bump-61, leaves every ball before it its squares, in ball
+    order: the first fiber recursion, made to fail, ends decompose with its
+    own message, not with a halving of nu."""
+    search, core, recursions = decompose_module._block_fiber_minima, decompose_module.decompose, []
+
+    def last_ball_rejects(f, spline, balls, eu, ev, u_grids):
+        x_min, f_min, done = search(f, spline, balls, eu, ev, u_grids)
+        assert done == len(balls) > decompose_module.SQUARE_BLOCK
+        rows = x_min.size - len(u_grids[-1])
+        return x_min[:rows], f_min[:rows], done - 1
+
+    def failing_recursion(g, *args, **kwargs):
+        if g.n == 1:
+            recursions.append(g)
+            raise DecompositionError("the fiber recursion fails")
+        return core(g, *args, **kwargs)
+
+    monkeypatch.setattr(decompose_module, "_block_fiber_minima", last_ball_rejects)
+    monkeypatch.setattr(decompose_module, "decompose", failing_recursion)
+    with pytest.raises(DecompositionError) as err:
+        failing_recursion(build_fixture("radial_bump", points=61), 2, 1.0)
+    assert str(err.value) == "the fiber recursion fails"
+    assert len(recursions) == 1
+
+
+def test_2d_cover_makes_one_fiber_search_and_one_spline_per_u_grid_length(monkeypatch):
+    """Each 2D cover of radial_bump-121^2 makes one fiber search over all
+    its branch-B balls and one CubicSpline per distinct u-grid length,
+    however many square blocks the balls fill."""
+    covers, searches, fits = [], [], []
+
+    def counted(fn, calls, record):
+        def wrapper(*args, **kwargs):
+            calls.append(record(*args))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, calls, record in (
+        ("_branch_b_2d", covers, lambda f, part, bounded, *_: bounded.count(False)),
+        ("_block_fiber_minima", searches, lambda *args: sorted({len(u_grid) for u_grid in args[-1]})),
+        ("CubicSpline", fits, lambda x, *_: len(x)),
+    ):
+        monkeypatch.setattr(decompose_module, name, counted(getattr(decompose_module, name), calls, record))
+    d = decompose(build_fixture("radial_bump", points=121), 2, 1.0)
+    assert len(covers) == len(searches) == 1
+    assert covers[0] == d.branch_b > decompose_module.SQUARE_BLOCK
+    assert sorted(fits) == searches[0]
 
 
 @pytest.mark.parametrize("name,points,k,eps", [
@@ -668,6 +737,25 @@ def test_partial_decompose_bounds_residual_and_reconstructs(coeffs, c, points, k
     """
     x = np.linspace(-1.0, 1.0, points)
     f = SampledFunction((-1.0,), 2.0 / (points - 1), np.polyval(coeffs, x) ** 2 + c)
+    try:
+        p = partial_decompose(f, k, 1.0, eps)
+    except DecompositionError as err:
+        assert "exceeds eps" in str(err)
+        reject()
+    assert float(p.residual.min()) >= 0.0
+    assert float(p.residual.max()) <= eps
+    mask = p.verified_mask()
+    gap = float(np.max(np.abs(p.reconstruction() - f.values)[mask], initial=0.0))
+    assert gap <= 1e-12 * float(f.values.max())
+
+
+@settings(max_examples=30)
+@given(terms=_terms, points=st.integers(12, 30), k=st.sampled_from([2, 3]), eps=st.floats(1e-5, 1e-1))
+def test_2d_partial_decompose_bounds_residual_and_reconstructs(terms, points, k, eps):
+    """0 <= h <= eps and sum g^2 + h = f on the verified region, on random
+    non-negative 2D grids.  As in 1D, inputs on which nu runs to its floor
+    with the residual still above eps are set aside."""
+    f = _bumps_and_quadratics(terms, points)
     try:
         p = partial_decompose(f, k, 1.0, eps)
     except DecompositionError as err:
