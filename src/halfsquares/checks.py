@@ -62,7 +62,7 @@ def check_malgrange(f: SampledFunction, alpha: float, slack: float = DEFAULT_SLA
     h = f.spacing
     if f.n == 1:
         grad = np.abs(finitediff.diff_axis(f.values, h, 1))
-        sn = _gradient_seminorm_1d(f, alpha)
+        sn = estimate_seminorm(f, alpha, derivative=(1,)).value
     else:
         grad = finitediff.gradient_norm(f.values, h)
         sn = _gradient_seminorm_2d(f, alpha)
@@ -79,10 +79,6 @@ def check_malgrange(f: SampledFunction, alpha: float, slack: float = DEFAULT_SLA
         max_ratio=float(np.max(ratios)),
         slack=slack,
     )
-
-
-def _gradient_seminorm_1d(f: SampledFunction, alpha: float) -> float:
-    return estimate_seminorm(f, alpha, derivative=(1,)).value
 
 
 def _gradient_seminorm_2d(f: SampledFunction, alpha: float) -> float:

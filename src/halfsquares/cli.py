@@ -280,7 +280,7 @@ COEFF_MODES = {
         {"binom": c, "gamma": g, "complement": d} for c, g, d in leibniz_expand(beta)
     ]},
     "implicit": lambda beta, order: {"terms": [
-        {"x_deriv": t.x_deriv, "vertical_order": t.vertical_order, "coefficient": t.coefficient,
+        {"x_deriv": t.x_deriv, "vertical_order": t.inner_order, "coefficient": t.coefficient,
          "factors": t.factors.expand()}
         for t in implicit_derivative_terms(beta)
     ]},

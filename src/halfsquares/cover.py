@@ -9,9 +9,9 @@ A ``Cover`` holds the balls as arrays, ball j in row j; ``cover[j]`` is a
 ``CoverBall`` view.  The partition's colors are built on first read, so a
 cover the decomposition rejects is never colored.
 The per-ball arithmetic runs on one flat *window table*: the cells of all
-balls' windows, ball after ball, each window in row-major order.  Bumps,
-psi_j and overlap counts are array operations over the table, taken a
-batch of balls at a time, and sums over balls are unbuffered
+balls' windows, ball after ball, each window in row-major order.  Bumps
+and psi_j are array operations over the table, taken a batch of balls at
+a time, overlap counts are read off psi, and sums over balls are unbuffered
 ``np.add.at`` calls, which add in table order and so give each cell the
 sum, in ball order, that a loop of window updates gives.  The grid and the
 re-evaluation of 1D squares off the grid share one ``normalize_bumps``.
@@ -35,6 +35,8 @@ OVERLAP_BOUND_BASE = 15  # N_n = 15^n
 # balls per window table or k-d tree query: one table of a whole 2D cover
 # holds megabytes of temporaries, and their heap fragments raise peak memory
 BATCH = 128
+# the least ball radius in grid cells, unless {r = 0} is nearer (see build_cover)
+MIN_RADIUS_CELLS = 4.0
 
 
 def bump(t: np.ndarray) -> np.ndarray:
@@ -143,37 +145,11 @@ class WindowTable:
         return (np.cumsum(depth[:-1]) > 0).reshape(self.shape)
 
 
-def window_batches(field: ControlField, cover: Cover, table: WindowTable):
-    """``table``, the window table of ``cover``, ``BATCH`` balls at a time:
-    each batch's slice of the balls, its table, the flat grid index of each
-    entry and the entry's distance from its ball's center.
-
-    Coordinates are origin + spacing * index, the centers' own formula, so
-    each distance is the float that a per-window coordinate grid gives.
-    """
-    shape = field.values.shape
-    h, origin = field.spacing, field.origin
-    for first in range(0, len(cover), BATCH):
-        batch = slice(first, first + BATCH)
-        part = table.select(batch)
-        center = cover.center[batch]
-        cells = part.cells()
-        if len(shape) == 1:
-            dist = np.abs((origin[0] + h * cells) - part.per_entry(center[:, 0]))
-        else:
-            ball, first_cells, length = part.runs()
-            row = first_cells // shape[1]
-            du = np.repeat((origin[0] + h * row) - center[ball, 0], length)
-            col = cells - np.repeat(row * shape[1], length)
-            dist = np.hypot(du, (origin[1] + h * col) - part.per_entry(center[:, 1]))
-        yield batch, part, cells, dist
-
-
-def build_cover(field: ControlField, nu: float, min_radius_cells: float = 4.0) -> Cover:
+def build_cover(field: ControlField, nu: float) -> Cover:
     """Greedy half-radius cover of {r > 0}, scanning in row-major order.
 
     A sampled partition function narrower than a few cells aliases to a
-    spike, so radii are floored at ``min_radius_cells`` grid cells; the
+    spike, so radii are floored at MIN_RADIUS_CELLS grid cells; the
     floor is capped by half the distance to {r = 0} so that no ball ever
     touches the degenerate set and the zero branch of the partition
     identity stays exact.  A ball covers the cells within
@@ -187,7 +163,7 @@ def build_cover(field: ControlField, nu: float, min_radius_cells: float = 4.0) -
     positive = field.positive_mask()
     shape = positive.shape
     axes = [field.origin[axis] + h * np.arange(size) for axis, size in enumerate(shape)]
-    floor = np.minimum(min_radius_cells * h, 0.5 * distance_transform_edt(positive, sampling=h))
+    floor = np.minimum(MIN_RADIUS_CELLS * h, 0.5 * distance_transform_edt(positive, sampling=h))
     radius = np.maximum(nu * field.values, floor).ravel()  # of a ball centered on each cell
 
     centers: list[int] = []  # flat grid index of each ball's center
@@ -228,14 +204,6 @@ def build_cover(field: ControlField, nu: float, min_radius_cells: float = 4.0) -
     index = np.column_stack(np.unravel_index(flat_index, shape))
     center = np.column_stack([axis[i] for axis, i in zip(axes, index.T)])
     return Cover(index, center, field.values.ravel()[flat_index], radius[flat_index])
-
-
-def overlap_counts(field: ControlField, cover: Cover) -> np.ndarray:
-    """Number of balls containing each grid point."""
-    counts = np.zeros(field.values.size, dtype=np.intp)
-    for batch, part, cells, dist in window_batches(field, cover, WindowTable.around(cover, field)):
-        counts += np.bincount(cells[dist < part.per_entry(cover.radius[batch])], minlength=counts.size)
-    return counts.reshape(field.values.shape)
 
 
 def color_classes(cover: Cover) -> list[int]:
@@ -322,13 +290,31 @@ def normalize_bumps(w: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
 
 
 def partition_functions(field: ControlField, cover: Cover, nu: float) -> PartitionOfUnity:
-    """Normalize per-ball bumps by the root of their summed squares."""
+    """Normalize per-ball bumps by the root of their summed squares.
+
+    The bumps are taken on the window table ``BATCH`` balls at a time, at
+    each entry's distance from its ball's center.  Coordinates are
+    origin + spacing * index, the centers' own formula, so each distance
+    is the float that a per-window coordinate grid gives.
+    """
     shape, table = field.values.shape, WindowTable.around(cover, field)
     if not len(cover):  # as most covers of the 2D fiber recursion are: skip the table's fixed cost
         return PartitionOfUnity(cover, np.zeros(shape), nu, table, np.zeros(0))
-    batches = window_batches(field, cover, table)
-    bumps = [(cells, bump(dist / part.per_entry(cover.radius[b]))) for b, part, cells, dist in batches]
-    cells, psi = map(np.concatenate, zip(*bumps))
+    h, origin, cells, psi = field.spacing, field.origin, [], []
+    for first in range(0, len(cover), BATCH):
+        batch = slice(first, first + BATCH)
+        part, center = table.select(batch), cover.center[batch]
+        cells.append(part.cells())
+        if len(shape) == 1:
+            dist = np.abs((origin[0] + h * cells[-1]) - part.per_entry(center[:, 0]))
+        else:
+            ball, first_cells, length = part.runs()
+            row = first_cells // shape[1]
+            du = np.repeat((origin[0] + h * row) - center[ball, 0], length)
+            col = cells[-1] - np.repeat(row * shape[1], length)
+            dist = np.hypot(du, (origin[1] + h * col) - part.per_entry(center[:, 1]))
+        psi.append(bump(dist / part.per_entry(cover.radius[batch])))
+    cells, psi = np.concatenate(cells), np.concatenate(psi)
     denom = normalize_bumps(psi, cells, field.values.size)
     if float(denom[field.positive_mask().ravel()].min(initial=np.inf)) < 1.0 - 1e-9:
         raise RuntimeError(
@@ -337,3 +323,20 @@ def partition_functions(field: ControlField, cover: Cover, nu: float) -> Partiti
     total = np.zeros(field.values.size)
     np.add.at(total, cells, psi**2)
     return PartitionOfUnity(cover, total.reshape(shape), nu, table, psi)
+
+
+def overlap_counts(part: PartitionOfUnity) -> np.ndarray:
+    """Number of balls containing each grid point: its entries with psi > 0.
+
+    These are the entries within distance < radius of their ball: then, and
+    only then, dist / radius < 1, as the division is correctly rounded, the
+    bump is positive exactly on t < 1, and psi = w / sqrt(sum w^2) does not
+    underflow.  Counted ``BATCH`` balls at a time.
+    """
+    size, entries = math.prod(part.table.shape), np.cumsum(np.append(0, part.table.sizes))
+    counts = np.zeros(size, dtype=np.intp)
+    for first in range(0, len(part.balls), BATCH):
+        last = min(first + BATCH, len(part.balls))
+        cells = part.table.select(slice(first, last)).cells()
+        counts += np.bincount(cells[part.psi[entries[first] : entries[last]] > 0], minlength=size)
+    return counts.reshape(part.table.shape)

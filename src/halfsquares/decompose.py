@@ -12,14 +12,16 @@ Branch-A balls contribute psi_j sqrt(f); the others locate the interior
 minimizer along the distinguished direction, split off
 psi_j * sgn * sqrt(f - F), and handle the remainder F either as a
 constant (one dimension) or by recursing on the fiber minimum curve (two
-dimensions, one recursion level).  In two dimensions the fiber rows of
-all branch-B balls of a cover descend together and evaluate only the
-samples they read, one ``spline.ev`` call per round; the fiber curves come
-from one cubic spline per u-grid length, and the main squares are taken
-SQUARE_BLOCK balls at a time, in ball order, on the window entries of all
-the block's balls at once.  Squares from balls of one color class have
-disjoint supports and are summed, which keeps the final square count
-bounded by the dimensional constant.  The sums are taken per entry
+dimensions, one recursion level).  One descent kernel, ``_descend``,
+finds the minima of both: the 1D windows' on the grid, and in two
+dimensions the fiber rows of all branch-B balls of a cover, which descend
+together and evaluate only the samples they read, one ``spline.ev`` call
+per round.  The fiber curves come from one cubic spline per u-grid
+length, and the main squares are taken SQUARE_BLOCK balls at a time, in
+ball order, on the window entries of all the block's balls at once.
+Squares from balls of one color class have disjoint supports and are
+summed, which keeps the final square count bounded by the dimensional
+constant.  The sums are taken per entry
 of the window table, a class at a time, 2D branch-B squares included.
 ``evaluate_1d_squares`` takes the same path on a table that pairs each
 ball with each point.
@@ -456,17 +458,16 @@ def _fiber_minima_1d(f, coords, part, bounded):
     table = part.table.select(branch_b)
     cells, first = table.cells(), np.cumsum(table.sizes) - table.sizes
     values = f.values[cells]
-    # the first lowest sample of each window, the one np.argmin picks
+    # descent starts at the first lowest sample of each window, the one np.argmin picks
     low = np.flatnonzero(values == np.repeat(np.minimum.reduceat(values, first), table.sizes))
-    start = cells[low[np.searchsorted(low, first)]]
+    pos = cells[low[np.searchsorted(low, first)]]
     padded = np.pad(f.values, 1, constant_values=np.inf)
-    arg = _descend_rows(np.broadcast_to(padded, (start.size, padded.size)), start + 1) - 1
-    at_edge = (arg == 0) | (arg == f.values.size - 1)
-    if at_edge.any():
-        ball = part.balls[int(branch_b[np.argmax(at_edge)])]
+    every = np.ones(pos.size, dtype=bool)  # each ball needs an interior minimum
+    fm, f0, fp, rejected = _descend(lambda rows, i: padded[i + 1], pos, np.arange(pos.size), every)
+    if rejected < pos.size:
+        ball = part.balls[int(branch_b[rejected])]
         raise _NuTooLarge(f"minimum hits the domain edge at ball {ball.index}")
-    fm, f0, fp = f.values[arg - 1], f.values[arg], f.values[arg + 1]
-    x_min, f_min = _parabolic_min(coords[arg], f.spacing, fm, f0, fp)
+    x_min, f_min = _parabolic_min(coords[pos], f.spacing, fm, f0, fp)
     return zip(x_min.tolist(), np.maximum(f_min, 0.0).tolist())
 
 
@@ -575,10 +576,10 @@ def _block_fiber_minima(f, spline, balls, eu, ev, u_grids):
     Each fiber row is sampled on the lattice v = h i, |i| <= n_v, which
     spans the domain diagonal; a sample outside the domain reads +inf.  A
     row starts at its in-domain sample nearest v = 0, the lower one on a
-    tie, found from the geometry alone, and descends as ``_descend_rows``
-    does, but evaluates only the samples it reads: the first round the
-    start and each of its two neighbours in one ``spline.ev`` call, then
-    the next sample of each row that still moves, one call a round.  The
+    tie, found from the geometry alone, and descends by ``_descend``, which
+    evaluates only the samples it reads: the first round the start and
+    each of its two neighbours, one ``spline.ev`` call each, then the next
+    sample of each row that still moves, one call a round.  The
     in-domain samples of a line through the box are one run of the
     lattice and ``spline.ev`` evaluates each point on its own, so every
     start, minimum, edge verdict and parabolic vertex is that of the
@@ -621,28 +622,12 @@ def _block_fiber_minima(f, spline, balls, eu, ev, u_grids):
     # a row whose v = 0 lies outside the domain scans its whole lattice for the start
     out = rows[~inside(rows, pos)[1]]
     pos[out] = lattice[np.argmin(np.where(inside(out[:, None], lattice)[1], np.abs(lattice), n_v + 1), axis=1)]
-    left, here, right = (sample(rows, pos + step) for step in (-1, 0, 1))
-    empty = ~np.isfinite(here)  # a row with no in-domain sample
-    moving = rows[~empty]
+    left, here, right, rejected = _descend(sample, pos, owner, interior_needed)
 
-    rejected = len(balls)
-    while moving.size:
-        low, mid, high = left[moving], here[moving], right[moving]
-        step = np.where((low < mid) & (low <= high), -1, (high < mid).astype(np.intp))
-        stop = moving[step == 0]
-        fails = stop[interior_needed[stop] & ~(np.isfinite(left[stop]) & np.isfinite(right[stop]))]
-        rejected = min(rejected, int(owner[fails].min(initial=rejected)))
-        keep = (step != 0) & (owner[moving] < rejected)
-        moving, step = moving[keep], step[keep]
-        pos[moving] += step
-        ahead, behind = sample(moving, pos[moving] + step), here[moving]
-        here[moving] = np.where(step < 0, left[moving], right[moving])
-        left[moving] = np.where(step < 0, ahead, behind)
-        right[moving] = np.where(step < 0, behind, ahead)
-
-    # an edge row keeps its sample, a row with both neighbours in the domain takes the vertex
-    vertex = np.isfinite(left) & np.isfinite(right)
-    x_min, f_min = np.where(empty, 0.0, v_grid[n_v + pos]), here.copy()
+    # an empty row has no in-domain sample; an edge row keeps its sample,
+    # a row with both neighbours in the domain takes the vertex
+    empty, vertex = ~np.isfinite(here), np.isfinite(left) & np.isfinite(right)
+    x_min, f_min = np.where(empty, 0.0, v_grid[n_v + pos]), here
     x_min[vertex], f_min[vertex] = _parabolic_min(x_min[vertex], h, left[vertex], here[vertex], right[vertex])
     f_min = np.where(empty, 0.0, np.maximum(f_min, 0.0))
 
@@ -650,28 +635,46 @@ def _block_fiber_minima(f, spline, balls, eu, ev, u_grids):
     return x_min[:rows], f_min[:rows], rejected
 
 
-def _descend_rows(table, start):
-    """Walk each row of ``table`` downhill from its column ``start`` to the
-    nearest discrete local minimum; the columns it stops at.
+def _descend(sample, pos, owner, interior_needed):
+    """Walk each row downhill from its sample ``pos``, in place, to the
+    nearest discrete local minimum, all rows at once.
 
-    A step goes to the lower neighbour, the left one on a tie, and only
-    to a strictly lower value, so descent cannot leave the well the start
-    sits in: the located minimizer is local in the sense of the
+    ``sample(rows, i)`` reads samples i of ``rows``, +inf past the end of a
+    row.  A step goes to the lower neighbour, the left one on a tie, and
+    only to a strictly lower value, so descent cannot leave the well the
+    start sits in: the located minimizer is local in the sense of the
     construction, and where the second derivative is bounded below along
-    the whole row it is the row's unique minimum.  The first and last
-    columns must be +inf, which stands for the end of the row; a row that
-    starts on +inf stays there.
+    the whole row it is the row's unique minimum.  A row that starts on
+    +inf stays there.  The first round reads each start and its two
+    neighbours, every later round one sample of each row that still moves.
+
+    A row stopping next to +inf rejects its ``owner`` when
+    ``interior_needed``; rows stop moving as soon as an owner at or below
+    their own rejects.  Returns the left, here and right samples at each
+    stop and the least rejecting owner, one past the last owner if none.
     """
-    pos = start.copy()
-    moving = np.flatnonzero(np.isfinite(table[np.arange(pos.size), pos]))
+    rows = np.arange(pos.size)
+    left, here, right = (sample(rows, pos + step) for step in (-1, 0, 1))
+    moving = rows[np.isfinite(here)]
+    rejected = int(owner.max(initial=-1)) + 1
     while moving.size:
-        p = pos[moving]
-        left, here, right = table[moving, p - 1], table[moving, p], table[moving, p + 1]
-        to_left = (left < here) & (left <= right)
-        to_right = ~to_left & (right < here)
-        pos[moving] += to_right.astype(int) - to_left.astype(int)
-        moving = moving[to_left | to_right]
-    return pos
+        low, mid, high = left[moving], here[moving], right[moving]
+        step = (high < mid).astype(np.intp)
+        step[(low < mid) & (low <= high)] = -1
+        stop = step == 0
+        if stop.any():  # only a round in which rows stop can reject an owner or drop rows
+            own = owner[moving]
+            fails = stop & interior_needed[moving] & ~(np.isfinite(low) & np.isfinite(high))
+            rejected = min(rejected, int(own[fails].min(initial=rejected)))
+            keep = ~stop & (own < rejected)
+            moving, step, low, mid, high = moving[keep], step[keep], low[keep], mid[keep], high[keep]
+        at = pos[moving] + step
+        pos[moving] = at
+        ahead, back = sample(moving, at + step), step < 0
+        here[moving] = np.where(back, low, high)
+        left[moving] = np.where(back, ahead, mid)
+        right[moving] = np.where(back, mid, ahead)
+    return left, here, right, rejected
 
 
 def evaluate_1d_squares(d: Decomposition, points: np.ndarray, f_of_u) -> list[np.ndarray]:
@@ -804,7 +807,7 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
     if zero_region.any():
         deviation = max(deviation, float(np.max(np.abs(pou[zero_region]), initial=0.0)))
 
-    counts = overlap_counts(d.control, d.partition.balls)
+    counts = overlap_counts(d.partition)
     return VerifyReport(
         reconstruction_error=err,
         reconstruction_bound=RECONSTRUCTION_TOLERANCE * f_max,

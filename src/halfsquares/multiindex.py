@@ -38,10 +38,6 @@ def leq(gamma: MultiIndex, beta: MultiIndex) -> bool:
     return len(gamma) == len(beta) and all(g <= b for g, b in zip(gamma, beta))
 
 
-def add(beta: MultiIndex, gamma: MultiIndex) -> MultiIndex:
-    return tuple(b + g for b, g in zip(beta, gamma))
-
-
 def sub(beta: MultiIndex, gamma: MultiIndex) -> MultiIndex:
     if not leq(gamma, beta):
         raise ValueError(f"{gamma} is not <= {beta}")
@@ -99,16 +95,6 @@ class MultiSetPartition:
     def size(self) -> int:
         """Cardinality |Gamma| counting multiplicity."""
         return self._size
-
-    @property
-    def support(self) -> tuple[MultiIndex, ...]:
-        return tuple(part for part, _ in self.parts)
-
-    def multiplicity(self, gamma: MultiIndex) -> int:
-        for part, mult in self.parts:
-            if part == gamma:
-                return mult
-        return 0
 
     def expand(self) -> tuple[MultiIndex, ...]:
         """Parts repeated by multiplicity, lex-sorted."""
@@ -269,42 +255,20 @@ def leibniz_expand(beta: MultiIndex) -> tuple[tuple[int, MultiIndex, MultiIndex]
     return tuple((binom(beta, gamma), gamma, sub(beta, gamma)) for gamma in below(beta))
 
 
-@dataclass(frozen=True)
-class ImplicitTerm:
-    """Term of the recursion for d^beta g when G(x, g(x)) = 0.
+@lru_cache(maxsize=None)
+def implicit_derivative_terms(beta: MultiIndex) -> tuple[ChainTerm, ...]:
+    """Terms of the recursion for d^beta g when G(x, g(x)) = 0.
 
     d^beta g = -(1 / d_n G) * sum of
-        coefficient * (d^x_deriv d_n^vertical_order G) * prod d^gamma g,
-    all right-hand functions evaluated at (x, g(x)); the term with
-    Gamma = {beta} is excluded, so every factor has order < |beta|.
+        coefficient * (d^x_deriv d_n^inner_order G) * prod d^gamma g,
+    all right-hand functions evaluated at (x, g(x)): the chain-rule terms
+    of d^beta G(x, g(x)) = 0 but the one with Gamma = {beta}, so every
+    factor has order < |beta|.
     """
-
-    x_deriv: MultiIndex
-    vertical_order: int
-    coefficient: Fraction
-    factors: MultiSetPartition
-
-
-@lru_cache(maxsize=None)
-def implicit_derivative_terms(beta: MultiIndex) -> tuple[ImplicitTerm, ...]:
     beta = check_multiindex(beta)
     if order(beta) < 1:
         raise InputError("order of beta must be >= 1")
-    singleton = ((beta, 1),)
-    out = []
-    for eta in below(beta):
-        for part in _partitions_allow_empty(eta):
-            if part.parts == singleton:
-                continue
-            out.append(
-                ImplicitTerm(
-                    x_deriv=sub(beta, eta),
-                    vertical_order=part.size,
-                    coefficient=chain_coefficient(beta, eta, part),
-                    factors=part,
-                )
-            )
-    return tuple(out)
+    return tuple(term for term in chain_terms(beta) if term.factors.parts != ((beta, 1),))
 
 
 def implicit_derivatives(beta: MultiIndex, g_partial: Callable[[MultiIndex, int], object]) -> dict:
@@ -322,7 +286,7 @@ def implicit_derivatives(beta: MultiIndex, g_partial: Callable[[MultiIndex, int]
             continue
         acc = None
         for term in implicit_derivative_terms(gamma):
-            val = term.coefficient * g_partial(term.x_deriv, term.vertical_order)
+            val = term.coefficient * g_partial(term.x_deriv, term.inner_order)
             for factor in term.factors.expand():
                 val = val * derivs[factor]
             acc = val if acc is None else acc + val

@@ -47,10 +47,6 @@ class BarycentricCoords:
 
     weights: tuple[Fraction, ...]
 
-    @property
-    def last(self) -> Fraction:
-        return self.weights[-1]
-
     def classify(self) -> str:
         if any(w < 0 for w in self.weights):
             return EXTERIOR

@@ -145,11 +145,8 @@ def solve_rectangular(matrix, rhs) -> list[Fraction] | None:
     the matrix has full column rank and the system is consistent, else
     None (rank-deficient or inconsistent).
     """
-    k = len(matrix[0]) if matrix else 0
-    rows, pivot_cols, pivot, _, _ = _reduce(_augmented(matrix, rhs))
-    if pivot_cols != list(range(k)):
-        return None
-    return [Fraction(row[k], pivot) for row in rows[:k]]
+    solved = solve_underdetermined(matrix, rhs)
+    return solved[0] if solved is not None and not solved[1] else None
 
 
 def solve_underdetermined(matrix, rhs):

@@ -12,11 +12,12 @@ determinant or one Fraction barycentric solve per candidate, and the
 search itself with every tuple built and shuffled before the first visit.  The
 numerical oracles are likewise the plain scans the decomposition replaced:
 ball coloring over all earlier balls, fiber minima over the whole domain
-diagonal, the windowed fiber search one ball or one block at a time, its
+diagonal, the windowed fiber search one ball at a time with a scalar
 descent, its parabola and the two fiber splines one ball at a time in
-Python floats, the cover layer ball by
-ball (greedy scan over a grid mask, one
-window of bumps, overlap counts and k-d tree query per ball), one
+Python floats, the windowed fiber search one block at a time (whose
+descent is the program's ``_descend`` over a padded table), the cover
+layer ball by ball (greedy scan over a grid mask, one window of bumps,
+overlap counts by distance and k-d tree query per ball), one
 Hoelder pair scan per semi-norm, the row-order pair loops of the slow
 variation, omega, Malgrange and 2D pointwise scans over offsets of their
 own, and the decomposition with a nu loop of
@@ -45,7 +46,7 @@ from halfsquares.decompose import (
     DecompositionError,
     _NuTooLarge,
     _calibrate_omega,
-    _descend_rows,
+    _descend,
     _parabolic_min,
     _normalized,
     _rescaled,
@@ -617,8 +618,8 @@ def windowed_block_fiber_minima(f, spline, balls, eu, ev, u_grids):
     capped at n_v, while the row's descent stops on the window edge or the
     window holds no in-domain sample.  A round evaluates the windows of
     all open rows with one ``spline.ev`` call and descends on all of them
-    at once in a table padded with +inf, which stands for the end of the
-    row (``_descend_rows``).  ``spline.ev`` evaluates each point on
+    at once (``decompose._descend``) in a table padded with +inf, which
+    stands for the end of the row.  ``spline.ev`` evaluates each point on
     its own, descent steps only to lower neighbours, and the in-domain
     samples of a line through the box are one run of the lattice, so
     every start, minimum, edge verdict and parabolic vertex is that of the
@@ -671,8 +672,9 @@ def windowed_block_fiber_minima(f, spline, balls, eu, ev, u_grids):
         sampled = finite.any(axis=1)
         # the finite column nearest the window centre, the lower one on a tie
         gap = np.abs(np.arange(table.shape[1]) - (wide + 1))
-        start = np.argmin(np.where(finite, gap, table.shape[1]), axis=1)
-        pos = _descend_rows(table, start)
+        pos = np.argmin(np.where(finite, gap, table.shape[1]), axis=1)
+        # descends in place; no row needs an interior minimum here, edges are judged below
+        _descend(lambda at, i: table[at, i], pos, np.zeros(rows.size, dtype=np.intp), np.zeros(rows.size, dtype=bool))
         arg = pos - (wide + 1)
         pick = np.arange(rows.size)
         here, left, right = table[pick, pos], table[pick, pos - 1], table[pick, pos + 1]

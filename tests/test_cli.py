@@ -45,6 +45,27 @@ def test_coeffs_sqrt_fractions(capsys):
     assert coeffs == {"1/2", "-1/4"}
 
 
+def test_coeffs_implicit_terms(capsys):
+    """The terms of d^(2,1) g where G(x, g(x)) = 0: the chain-rule terms of
+    d^(2,1) G(x, g(x)) but the one with Gamma = {(2, 1)}, in their order."""
+    code, out = run(capsys, "coeffs", "--beta", "2,1", "--mode", "implicit")
+    assert code == 0
+    terms = json.loads(out)["terms"]
+    assert all(set(t) == {"x_deriv", "vertical_order", "coefficient", "factors"} for t in terms)
+    assert [(t["x_deriv"], t["vertical_order"], t["coefficient"], t["factors"]) for t in terms] == [
+        ([2, 1], 0, "1", []),
+        ([2, 0], 1, "1", [[0, 1]]),
+        ([1, 1], 1, "2", [[1, 0]]),
+        ([1, 0], 2, "2", [[0, 1], [1, 0]]),
+        ([1, 0], 1, "2", [[1, 1]]),
+        ([0, 1], 2, "1", [[1, 0], [1, 0]]),
+        ([0, 1], 1, "1", [[2, 0]]),
+        ([0, 0], 3, "1", [[0, 1], [1, 0], [1, 0]]),
+        ([0, 0], 2, "1", [[0, 1], [2, 0]]),
+        ([0, 0], 2, "2", [[1, 0], [1, 1]]),
+    ]
+
+
 def test_verify_motzkin_file(tmp_path, capsys):
     path = tmp_path / "motzkin.json"
     path.write_text(MOTZKIN.dumps())

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from halfsquares.cover import (
@@ -58,7 +58,7 @@ def test_cover_of_constant_function():
     # greedy spacing: consecutive centers at most half a radius apart
     gaps = np.diff(centers)
     assert np.all(gaps <= 0.25 / 2 + 2e-3)
-    counts = overlap_counts(cf, balls)
+    counts = overlap_counts(partition_functions(cf, balls, 0.25))
     assert counts.max() <= 15
     # every interior positive point is covered by a half-radius ball
     half_covered = np.zeros_like(cf.values, dtype=bool)
@@ -73,7 +73,7 @@ def test_overlap_bound_on_fixtures():
         f = build_fixture(name, points=2001)
         cf = control_field(f, k, 1.0)
         balls = build_cover(cf, 0.01)
-        assert overlap_counts(cf, balls).max() <= 15
+        assert overlap_counts(partition_functions(cf, balls, 0.01)).max() <= 15
 
 
 def test_color_classes_disjoint_and_chain():
@@ -186,7 +186,7 @@ def test_two_dimensional_cover_and_partition():
     part = partition_functions(cf, balls, 0.25)
     positive = cf.positive_mask()
     assert np.max(np.abs(part.sum_squares[positive] - 1.0)) < 1e-12
-    assert overlap_counts(cf, balls).max() <= 225
+    assert overlap_counts(part).max() <= 225
     colors = part.colors
     assert max(colors) + 1 <= 225
 
@@ -234,6 +234,10 @@ def _assert_same_partition(part, want):
 
 @settings(max_examples=300)
 @given(control_fields(), st.integers(0, 6))
+# radius 8 / 2 = 4 cells of spacing 1 from origin 0: every ball has grid points
+# at distance exactly its radius, which neither psi nor the overlap counts hold
+@example(ControlField(k=2, alpha=1.0, spacing=1.0, origin=(0.0,), values=np.full(41, 8.0),
+                      valid=np.ones(41, dtype=bool)), 1)
 def test_cover_kernels_match_per_ball_loops(cf, halvings):
     nu = 0.5**halvings
     balls = build_cover(cf, nu)
@@ -245,9 +249,9 @@ def test_cover_kernels_match_per_ball_loops(cf, halvings):
         assert got.dtype == expected.dtype and got.shape == expected.shape, name
         assert_array_equal(got, expected)
     assert color_classes(balls) == loop_color_classes(balls) == pairwise_color_classes(list(balls))
-    assert_array_equal(overlap_counts(cf, balls), loop_overlap_counts(cf, balls))
     part = partition_functions(cf, balls, nu)
     _assert_same_partition(part, loop_partition_functions(cf, balls, nu))
+    assert_array_equal(overlap_counts(part), loop_overlap_counts(cf, balls))
     # the class sums of the squares rely on it: at most one nonzero psi per class and cell
     nonzero = part.psi != 0
     owner_class = part.table.per_entry(np.asarray(part.colors, dtype=np.intp))[nonzero]
@@ -308,7 +312,7 @@ def test_decompositions_match_per_ball_oracles(monkeypatch, run):
     for name, oracle in (
         ("build_cover", loop_build_cover),
         ("partition_functions", loop_partition_functions),
-        ("overlap_counts", loop_overlap_counts),
+        ("overlap_counts", lambda part: loop_overlap_counts(fast.control, part.balls)),
     ):
         monkeypatch.setattr(decompose_module, name, oracle)
     slow = method(f, k, 1.0, *extra)

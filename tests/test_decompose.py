@@ -612,6 +612,36 @@ def test_fixed_nu_rejected_in_fiber_search_fails_like_oracle(build, message):
     assert message in str(got.value)
 
 
+@pytest.mark.parametrize("fn,ends,message", [
+    (lambda x: 2.0 - (x - 0.5) ** 2, {0, 300}, "ball (1,)"),
+    (lambda x: 2.0 - x + 0.1 * np.exp(-(((x - 0.1) / 0.03) ** 2)), {300}, "ball (30,)"),
+], ids=["concave", "dip_then_slope"])
+def test_1d_descents_to_the_domain_ends_reject_nu_at_the_lowest_ball(monkeypatch, fn, ends, message):
+    """With every ball in branch B (omega = 1e6), descents that stop on a
+    domain end reject the given nu at the lowest such ball, with the
+    per-ball oracle's message.  The concave input reaches both ends; on the
+    other, the balls past a dip at x = 0.06 slope down to the right end,
+    where the highest balls stop at once and the lowest walks farthest."""
+    f = SampledFunction.from_callable(fn, (0.0,), 1 / 300, (301,))
+    walks, descend = [], decompose_module._descend
+
+    def recorded(sample, pos, owner, interior_needed):
+        start = pos.copy()
+        result = descend(sample, pos, owner, interior_needed)
+        walks.extend(zip(start.tolist(), pos.tolist()))
+        return result
+
+    monkeypatch.setattr(decompose_module, "_descend", recorded)
+    with pytest.raises(DecompositionError) as want:
+        oracles.loop_decompose(f, 2, 1.0, nu=0.25, omega=1e6)
+    with pytest.raises(DecompositionError) as got:
+        decompose(f, 2, 1.0, nu=0.25, omega=1e6)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith(message)
+    assert {stop for _, stop in walks} & {0, 300} == ends
+    assert any(start == stop == 300 for start, stop in walks)
+
+
 def test_failed_fiber_recursion_wins_over_a_later_fiber_rejection(monkeypatch):
     """The cover's fiber search, made to reject nu at the last branch-B ball
     of radial_bump-61, leaves every ball before it its squares, in ball
