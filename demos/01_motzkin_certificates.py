@@ -1,7 +1,8 @@
 """Certify the Motzkin polynomial: non-negative, yet not a sum of squares.
 
 The non-negativity certificate is a weighted AM-GM inequality dominating
-the negative monomial by the even-support monomials; the non-SOS witness
+the negative monomial by the even-support monomials (with several negative
+monomials, one per monomial from one exact LP); the non-SOS witness
 is a negative monomial that is not the sum of two distinct lattice points
 of the half Newton polytope.  Both sides run in exact rational arithmetic.
 """
@@ -23,6 +24,14 @@ verified = certify_nonnegative(MOTZKIN)
 print("\nAM-GM certificate for the negative monomial x^2 y^2:")
 print("  (2,2) =", " + ".join(f"{lam} * {v}" for v, lam in ineq.shares),
       f"+ {ineq.origin_share} * (0,0)")
+
+# Several risky monomials share the dominators' capacities: one exact LP
+# splits them for all the monomials at once.
+P = SparsePolynomial(1, {(6,): 2, (5,): -2, (4,): -1, (2,): 2, (0,): 2})
+print("\nP =", P)
+for ineq in certify_nonnegative(P).certificate.inequalities:
+    print(f"  {ineq.target} =", " + ".join(f"{lam} * {v}" for v, lam in ineq.shares),
+          f"+ {ineq.origin_share} * (0,)")
 
 witness = certify_not_sos(MOTZKIN)
 print("\nNot a sum of squares: monomial", witness.monomial,

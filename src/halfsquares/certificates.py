@@ -3,11 +3,12 @@
 Non-negativity certificates dominate every monomial that can go negative
 (odd-exponent monomials of either sign and even ones with a negative
 coefficient) through a weighted AM-GM inequality against even-exponent
-monomials with positive coefficients.  The non-SOS side is the Newton
-polytope criterion: a negative monomial that is not the sum of two
-distinct lattice points of the half polytope cannot arise from a sum of
-squares.  The criterion is sufficient only; when every negative monomial
-admits such a pair the outcome is "inconclusive", never "SOS".
+monomials with positive coefficients.  One exact LP over all of them at
+once finds such a certificate whenever one exists.  The non-SOS side is
+the Newton polytope criterion: a negative monomial that is not the sum of
+two distinct lattice points of the half polytope cannot arise from a sum
+of squares.  The criterion is sufficient only; when every negative
+monomial admits such a pair the outcome is "inconclusive", never "SOS".
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from . import ratmat
 from .errors import InputError
@@ -198,89 +198,38 @@ def verify_certificate(P: SparsePolynomial, cert: AmgmCertificate) -> VerifiedCe
     return VerifiedCertificate(cert, tuple(risky), committed)
 
 
-def _feasible_weights(points, m, magnitude, capacities):
-    """Weights lambda >= 0 on ``points`` with sum 1, average m, and
-    magnitude * lambda_i <= capacity_i.  Tries affinely independent
-    subsets first, then one-parameter families over n+2 points."""
-    n = len(m)
-    target = list(m) + [1]
-
-    def bounds_ok(subset, lam):
-        return all(
-            0 <= w and magnitude * w <= capacities[v] for v, w in zip(subset, lam)
-        )
-
-    for size in range(1, min(n + 1, len(points)) + 1):
-        for subset in combinations(points, size):
-            matrix = [[v[i] for v in subset] for i in range(n)]
-            matrix.append([1] * size)
-            lam = ratmat.solve_rectangular(matrix, target)
-            if lam is not None and bounds_ok(subset, lam):
-                return dict(zip(subset, lam))
-    if len(points) >= n + 2:
-        for subset in combinations(points, n + 2):
-            matrix = [[v[i] for v in subset] for i in range(n)]
-            matrix.append([1] * (n + 2))
-            solved = ratmat.solve_underdetermined(matrix, target)
-            if solved is None:
-                continue
-            particular, basis = solved
-            if len(basis) != 1:
-                continue
-            direction = basis[0]
-            lo, hi = None, None
-            feasible = True
-            for v, p, d in zip(subset, particular, direction):
-                cap = capacities[v] / magnitude
-                if d == 0:
-                    if not (0 <= p <= cap):
-                        feasible = False
-                        break
-                    continue
-                t_at_zero = -p / d
-                t_at_cap = (cap - p) / d
-                lo_i, hi_i = sorted((t_at_zero, t_at_cap))
-                lo = lo_i if lo is None else max(lo, lo_i)
-                hi = hi_i if hi is None else min(hi, hi_i)
-            if not feasible or (lo is not None and hi is not None and lo > hi):
-                continue
-            t = Fraction(0)
-            if lo is not None:
-                t = (lo + hi) / 2 if hi is not None else lo
-            lam = [p + t * d for p, d in zip(particular, direction)]
-            if bounds_ok(subset, lam):
-                return dict(zip(subset, lam))
-    return None
-
-
 def discover_certificate(P: SparsePolynomial) -> AmgmCertificate:
-    """Find AM-GM inequalities monomial by monomial, greedily.
+    """One exact LP over every risky monomial m and dominator v at once.
 
-    Complete for the single-negative-monomial case the generator pipeline
-    relies on; with several risky monomials the capacities are consumed
-    greedily in order of decreasing magnitude.
+    mu[m, v] >= 0 is the part of |c_m| that v covers: sum_v mu[m, v] = |c_m|
+    and sum_v mu[m, v] v = |c_m| m for each m, and sum_m mu[m, v] plus a
+    slack s_v >= 0 is c_v for each v.  Such mu exist exactly when a
+    certificate of this class does (Reznick 1989);
+    ``ratmat.nonnegative_solution`` decides it, and the shares are
+    mu[m, v] / |c_m|.  The error names the first risky monomial by
+    decreasing |c|, then lex.
     """
-    origin = tuple(0 for _ in range(P.nvars))
-    remaining = _dominator_capacities(P)
     risky = risky_monomials(P)
-    risky.sort(key=lambda m: (-abs(P.terms[m]), m))
+    capacities = _dominator_capacities(P)
+    doms = sorted(capacities)
+    D, k = len(doms), len(risky) * len(doms)
+    matrix, rhs = [], []
+    for a, m in enumerate(risky):
+        for i, t in enumerate((1, *m)):  # the total weight, then each moment
+            matrix.append([0] * (a * D) + [(1, *v)[i] for v in doms] + [0] * (k - a * D))
+            rhs.append(abs(P.terms[m]) * t)
+    for b, v in enumerate(doms):  # mu[., v] and the slack of v: the columns b mod D
+        matrix.append([int(j % D == b) for j in range(k + D)])
+        rhs.append(capacities[v])
+    mu = ratmat.nonnegative_solution(matrix, rhs)
+    if mu is None:
+        m = min(risky, key=lambda m: (-abs(P.terms[m]), m))
+        raise CertificateError(f"no valid AM-GM certificate found for monomial {m}", m)
     inequalities = []
-    for m in risky:
-        magnitude = abs(P.terms[m])
-        points = sorted(v for v, cap in remaining.items() if cap > 0)
-        weights = _feasible_weights(points, m, magnitude, remaining)
-        if weights is None:
-            raise CertificateError(
-                f"no valid AM-GM certificate found for monomial {m}", m
-            )
-        shares = tuple(
-            (v, lam) for v, lam in sorted(weights.items()) if v != origin and lam
-        )
-        origin_share = weights.get(origin, Fraction(0))
-        inequalities.append(AmgmInequality(m, shares, origin_share))
-        for v, lam in weights.items():
-            remaining[v] = remaining[v] - magnitude * lam
-    inequalities.sort(key=lambda q: q.target)
+    for a, m in enumerate(risky):
+        lam = {v: x / abs(P.terms[m]) for v, x in zip(doms, mu[a * D:]) if x}
+        origin_share = lam.pop(tuple([0] * P.nvars), Fraction(0))
+        inequalities.append(AmgmInequality(m, tuple(lam.items()), origin_share))
     return AmgmCertificate(tuple(inequalities))
 
 
@@ -310,26 +259,6 @@ class NotSosWitness:
             raise ValueError("witness monomial must have a negative coefficient")
 
 
-def _support_pair(P: SparsePolynomial, m: MultiIndex):
-    """Distinct pair with both doubled halves in the support, if any.
-
-    Cheap sufficient check: support points are trivially in the polytope.
-    """
-    support = set(P.support())
-    doubled = tuple(2 * x for x in m)
-    for a in sorted(support):
-        if not _is_even(a):
-            continue
-        b = tuple(d - x for d, x in zip(doubled, a))
-        if b == a or any(x < 0 for x in b):
-            continue
-        if b in support and _is_even(b):
-            t1 = tuple(x // 2 for x in a)
-            t2 = tuple(x // 2 for x in b)
-            return (t1, t2) if t1 < t2 else (t2, t1)
-    return None
-
-
 def certify_not_sos(P: SparsePolynomial) -> NotSosWitness:
     """Newton-polytope witness that P is not a sum of squares.
 
@@ -345,7 +274,7 @@ def certify_not_sos(P: SparsePolynomial) -> NotSosWitness:
         raise SosCriterionInconclusive(pairs)
     hull = GeneralPolytope(P.support())
     for m in negatives:
-        pair = _support_pair(P, m) or hull.distinct_pair_witness(m)
+        pair = hull.distinct_pair_witness(m)
         if pair is None:
             return NotSosWitness(
                 monomial=m,

@@ -5,8 +5,9 @@ identity and multistep integer-preserving Gaussian elimination") serves
 every solver here: rows are scaled to integers and each update divides
 exactly by the previous pivot, so no Fraction arithmetic runs inside the
 loop.  Entries are ints or Fractions; results are Fractions, no floating
-point.  Matrices are lists of row lists; ``det_stack`` takes a numpy
-stack of integer matrices.
+point.  ``nonnegative_solution``, an exact phase-one simplex, pivots with
+the same row update.  Matrices are lists of row lists; ``det_stack`` takes
+a numpy stack of integer matrices.
 """
 
 from __future__ import annotations
@@ -64,15 +65,20 @@ def _reduce(matrix):
         if found != r:
             rows[r], rows[found] = rows[found], rows[r]
             sign = -sign
-        top = rows[r]
-        p = top[col]
-        for i in range(m):
-            if i != r:
-                a = rows[i][col]
-                rows[i] = [(p * x - a * y) // pivot for x, y in zip(rows[i], top)]
-        pivot = p
+        pivot = _pivot(rows, r, col, pivot)
         pivot_cols.append(col)
     return rows, pivot_cols, pivot, sign, scale
+
+
+def _pivot(rows, r, col, prev):
+    """Pivot on p = rows[r][col], dividing exactly by the previous pivot ``prev``; returns p."""
+    top = rows[r]
+    p = top[col]
+    for i, row in enumerate(rows):
+        if i != r:
+            a = row[col]
+            rows[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+    return p
 
 
 def _augmented(matrix, rhs):
@@ -171,3 +177,37 @@ def solve_underdetermined(matrix, rhs):
             vec[pc] = Fraction(-row[fc], pivot)
         basis.append(vec)
     return particular, basis
+
+
+def nonnegative_solution(matrix, rhs) -> list[Fraction] | None:
+    """A solution x >= 0 of matrix x = rhs, or None when there is none.
+
+    Phase one of the simplex method on the rows of [matrix | rhs], each
+    scaled to integers and signed so its rhs is >= 0.  The artificial
+    variables are the starting basis and are not stored, so one that leaves
+    stays 0, which loses no solution.  The last row holds the reduced costs
+    of the artificials' sum, and ``_pivot`` updates it with the others.
+    Bland's rule (Bland 1977) takes the lowest entering column and breaks
+    ratio ties by the lowest basic variable, so no basis repeats.  Every
+    pivot is positive, so the rows' signs are those of the tableau.
+    """
+    k = len(matrix[0]) if matrix else 0
+    rows = [over_common_denominator(row)[0] for row in _augmented(matrix, rhs)]
+    rows = [row if row[-1] >= 0 else [-x for x in row] for row in rows]
+    rows.append([-sum(col) for col in zip(*rows)] or [0])
+    basis = [k + i for i in range(len(rows) - 1)]
+    pivot = 1
+    while (col := next((j for j in range(k) if rows[-1][j] < 0), None)) is not None:
+        r = min(
+            (i for i in range(len(basis)) if rows[i][col] > 0),
+            key=lambda i: (Fraction(rows[i][k], rows[i][col]), basis[i]),
+        )
+        pivot = _pivot(rows, r, col, pivot)
+        basis[r] = col
+    if rows[-1][k]:
+        return None
+    x = [Fraction(0)] * k
+    for row, j in zip(rows, basis):
+        if j < k:
+            x[j] = Fraction(row[k], pivot)
+    return x

@@ -7,7 +7,9 @@ algorithms the fast paths replaced: Fraction evaluation term by term,
 hull membership by a Caratheodory scan over generator subsets, the
 lattice and pair-witness scans one membership query per box point, facets by
 one Fraction kernel solve per generator subset, the matrix inverse by
-Fraction Gauss-Jordan, the direct search's tuple and target loops, one
+Fraction Gauss-Jordan, AM-GM certificates by the greedy subset search
+the exact LP replaced, non-negative solutions by every basic solution,
+the direct search's tuple and target loops, one
 determinant or one Fraction barycentric solve per candidate, and the
 search itself with every tuple built and shuffled before the first visit.  The
 numerical oracles are likewise the plain scans the decomposition replaced:
@@ -36,6 +38,13 @@ from itertools import combinations, product
 import numpy as np
 
 from halfsquares import generate, ratmat
+from halfsquares.certificates import (
+    AmgmCertificate,
+    AmgmInequality,
+    CertificateError,
+    _dominator_capacities,
+    risky_monomials,
+)
 from halfsquares.cover import Cover, CoverBall, PartitionOfUnity, WindowTable, bump
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
@@ -238,6 +247,112 @@ def inverse(matrix) -> list[list[Fraction]] | None:
                 a = rows[i][col]
                 rows[i] = [x - a * y for x, y in zip(rows[i], top)]
     return [row[n:] for row in rows]
+
+
+def _feasible_weights(points, m, magnitude, capacities):
+    """Weights lambda >= 0 on ``points`` with sum 1, average m, and
+    magnitude * lambda_i <= capacity_i.  Tries affinely independent
+    subsets first, then one-parameter families over n+2 points."""
+    n = len(m)
+    target = list(m) + [1]
+
+    def bounds_ok(subset, lam):
+        return all(
+            0 <= w and magnitude * w <= capacities[v] for v, w in zip(subset, lam)
+        )
+
+    for size in range(1, min(n + 1, len(points)) + 1):
+        for subset in combinations(points, size):
+            matrix = [[v[i] for v in subset] for i in range(n)]
+            matrix.append([1] * size)
+            lam = ratmat.solve_rectangular(matrix, target)
+            if lam is not None and bounds_ok(subset, lam):
+                return dict(zip(subset, lam))
+    if len(points) >= n + 2:
+        for subset in combinations(points, n + 2):
+            matrix = [[v[i] for v in subset] for i in range(n)]
+            matrix.append([1] * (n + 2))
+            solved = ratmat.solve_underdetermined(matrix, target)
+            if solved is None:
+                continue
+            particular, basis = solved
+            if len(basis) != 1:
+                continue
+            direction = basis[0]
+            lo, hi = None, None
+            feasible = True
+            for v, p, d in zip(subset, particular, direction):
+                cap = capacities[v] / magnitude
+                if d == 0:
+                    if not (0 <= p <= cap):
+                        feasible = False
+                        break
+                    continue
+                t_at_zero = -p / d
+                t_at_cap = (cap - p) / d
+                lo_i, hi_i = sorted((t_at_zero, t_at_cap))
+                lo = lo_i if lo is None else max(lo, lo_i)
+                hi = hi_i if hi is None else min(hi, hi_i)
+            if not feasible or (lo is not None and hi is not None and lo > hi):
+                continue
+            t = Fraction(0)
+            if lo is not None:
+                t = (lo + hi) / 2 if hi is not None else lo
+            lam = [p + t * d for p, d in zip(particular, direction)]
+            if bounds_ok(subset, lam):
+                return dict(zip(subset, lam))
+    return None
+
+
+def greedy_discover_certificate(P: SparsePolynomial) -> AmgmCertificate:
+    """``certificates.discover_certificate`` as the greedy subset search.
+
+    Risky monomials in order of decreasing |c|, then lex, each take AM-GM
+    weights from what their predecessors left of the capacities: first on
+    affinely independent dominator subsets of size <= n+1, then on
+    one-parameter families over n+2 of them.  It can miss certificates
+    that exist, never report one that does not.
+    """
+    origin = tuple(0 for _ in range(P.nvars))
+    remaining = _dominator_capacities(P)
+    risky = risky_monomials(P)
+    risky.sort(key=lambda m: (-abs(P.terms[m]), m))
+    inequalities = []
+    for m in risky:
+        magnitude = abs(P.terms[m])
+        points = sorted(v for v, cap in remaining.items() if cap > 0)
+        weights = _feasible_weights(points, m, magnitude, remaining)
+        if weights is None:
+            raise CertificateError(
+                f"no valid AM-GM certificate found for monomial {m}", m
+            )
+        shares = tuple(
+            (v, lam) for v, lam in sorted(weights.items()) if v != origin and lam
+        )
+        origin_share = weights.get(origin, Fraction(0))
+        inequalities.append(AmgmInequality(m, shares, origin_share))
+        for v, lam in weights.items():
+            remaining[v] = remaining[v] - magnitude * lam
+    inequalities.sort(key=lambda q: q.target)
+    return AmgmCertificate(tuple(inequalities))
+
+
+def basic_nonnegative_solution_exists(matrix, rhs) -> bool:
+    """Whether matrix x = rhs has a solution x >= 0, by its basic solutions.
+
+    A feasible system has a basic feasible solution (the fundamental
+    theorem of linear programming): x >= 0 supported on linearly
+    independent columns.  Every column subset, the empty one included, is
+    solved exactly with ``ratmat.solve_underdetermined``.
+    """
+    k = len(matrix[0]) if matrix else 0
+    for size in range(k + 1):
+        for subset in combinations(range(k), size):
+            columns = [[row[j] for j in subset] for row in matrix]
+            solved = ratmat.solve_underdetermined(columns, rhs)
+            if solved is not None and not solved[1] and all(x >= 0 for x in solved[0]):
+                return True
+    return False
 
 
 def shuffled_direct_search(

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfsquares.certificates import (
     AmgmCertificate,
@@ -9,11 +10,14 @@ from halfsquares.certificates import (
     SosCriterionInconclusive,
     certify_nonnegative,
     certify_not_sos,
+    discover_certificate,
+    risky_monomials,
+    verify_certificate,
 )
 from halfsquares.exactpoly import SparsePolynomial
 from halfsquares.generate import CHOI_LAM, MOTZKIN
 
-from oracles import random_polynomial
+from oracles import greedy_discover_certificate, random_polynomial
 
 
 def test_motzkin_certificate_discovery():
@@ -58,6 +62,85 @@ def test_over_committed_certificate_rejected():
     assert P.evaluate([2, 2]) < 0
     with pytest.raises(CertificateError):
         certify_nonnegative(P)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(6,): 2, (3,): -2, (2,): 6, (1,): -1, (0,): 1},  # 2x^6 - 2x^3 + 6x^2 - x + 1
+        {(6,): 2, (5,): -2, (4,): -1, (2,): 2, (0,): 2},  # 2x^6 - 2x^5 - x^4 + 2x^2 + 2
+    ],
+)
+def test_joint_lp_certifies_what_the_greedy_search_misses(terms):
+    """Two risky monomials: the greedy search spends the capacities on the
+    larger one first and leaves the other none it can use."""
+    P = SparsePolynomial(1, terms)
+    with pytest.raises(CertificateError):
+        greedy_discover_certificate(P)
+    verified = certify_nonnegative(P)
+    assert [ineq.target for ineq in verified.certificate.inequalities] == sorted(
+        m for m in terms if m[0] % 2 or terms[m] < 0
+    )
+    assert all(P.evaluate([Fraction(t, 4)]) >= 0 for t in range(-12, 13))
+
+
+def test_failure_names_the_largest_risky_monomial_first():
+    # 3x^3 and x are both risky; |c| = 3 names (3,) although (1,) is first in lex order
+    P = SparsePolynomial(1, {(3,): 3, (1,): 1, (0,): 1})
+    with pytest.raises(CertificateError, match=r"monomial \(3,\)$") as err:
+        discover_certificate(P)
+    assert err.value.monomial == (3,)
+
+
+COEFF = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+
+@st.composite
+def certifiable_looking(draw):
+    """A few positive even terms (the constant among them at times) and a
+    few risky ones of degree <= 6 in one to three variables."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 6 // n) for _ in range(n)])
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        terms[tuple(2 * e for e in draw(st.tuples(*[st.integers(0, 3 // n + 1) for _ in range(n)])))] = abs(draw(COEFF))
+    if draw(st.booleans()):
+        terms[(0,) * n] = abs(draw(COEFF))
+    for _ in range(draw(st.integers(1, 3))):
+        terms[draw(exps)] = draw(COEFF)
+    return SparsePolynomial(n, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(certifiable_looking())
+def test_lp_certifies_whatever_the_greedy_search_certifies(P):
+    try:
+        greedy = greedy_discover_certificate(P)
+    except CertificateError as err:
+        greedy = err
+    try:
+        cert = discover_certificate(P)
+    except CertificateError as err:
+        assert isinstance(greedy, CertificateError)
+        if len(risky_monomials(P)) == 1:
+            assert str(err) == str(greedy)
+        return
+    verify_certificate(P, cert)
+    if isinstance(greedy, AmgmCertificate):
+        verify_certificate(P, greedy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    certifiable_looking(),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5), min_size=3, max_size=3),
+)
+def test_certified_polynomials_are_nonnegative(P, point):
+    try:
+        certify_nonnegative(P)
+    except CertificateError:
+        return
+    assert P.evaluate(point[: P.nvars]) >= 0
 
 
 def test_certificate_json_round_trip():

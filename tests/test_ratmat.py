@@ -10,6 +10,8 @@ Fractions.  Entries are ints or Fractions; shapes cover square, wide
 a combination of rows.  The batched determinant is checked against the
 single one on integer stacks.  The inverse checks pin the Fraction
 oracle that ``SimplexPolytope``'s integer adjugate is tested against.
+A non-negative solution is checked by substitution, and its absence
+against every basic solution of the system.
 """
 
 from fractions import Fraction
@@ -21,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from halfsquares import ratmat
 
-from oracles import inverse
+from oracles import basic_nonnegative_solution_exists, inverse
 
 ENTRY = st.one_of(
     st.integers(-3, 3),
@@ -206,3 +208,56 @@ def test_det_stack_mixes_singular_and_nonsingular():
     assert ratmat.det_stack(np.zeros((0, 3, 3), dtype=np.int64)).shape == (0,)
     with pytest.raises(ValueError):
         ratmat.det_stack(np.zeros((2, 2, 3), dtype=np.int64))
+
+
+@st.composite
+def nonnegative_systems(draw):
+    """Systems of up to 4 rows and 5 columns, with zero rows and columns
+    forced at times, and a right-hand side that is either drawn or A x0
+    for a drawn x0 >= 0 (zeros in x0 make it degenerate)."""
+    a = draw(matrices(cols=st.integers(0, 5)))
+    k = len(a[0])
+    if draw(st.booleans()):
+        a[draw(st.integers(0, len(a) - 1))] = [0] * k
+    if k and draw(st.booleans()):
+        j = draw(st.integers(0, k - 1))
+        for row in a:
+            row[j] = 0
+    if draw(st.booleans()):
+        x0 = [draw(st.sampled_from([0, 0, 1, 2, Fraction(1, 3)])) for _ in range(k)]
+        return a, matvec(a, x0)
+    return a, [draw(ENTRY) for _ in a]
+
+
+@settings(max_examples=400)
+@given(nonnegative_systems())
+def test_nonnegative_solution_is_none_exactly_when_no_basic_solution_is(system):
+    a, b = system
+    x = ratmat.nonnegative_solution(a, b)
+    assert (x is not None) == basic_nonnegative_solution_exists(a, b)
+    if x is not None:
+        assert all_fractions(x) and len(x) == len(a[0])
+        assert all(xj >= 0 for xj in x)
+        assert matvec(a, x) == b
+
+
+def test_nonnegative_solution_edge_cases():
+    # no columns: feasible exactly when the right-hand side is zero
+    assert ratmat.nonnegative_solution([[], []], [0, 0]) == []
+    assert ratmat.nonnegative_solution([[], []], [0, 1]) is None
+    assert ratmat.nonnegative_solution([], []) == []
+    # a zero row with a nonzero right-hand side, and with a zero one
+    assert ratmat.nonnegative_solution([[1, 1], [0, 0]], [1, 1]) is None
+    assert ratmat.nonnegative_solution([[1, 1], [0, 0]], [1, 0]) == [1, 0]
+    # a zero column stays at 0; a negative right-hand side needs a negative entry
+    assert ratmat.nonnegative_solution([[0, -1]], [-2]) == [0, 2]
+    assert ratmat.nonnegative_solution([[0, 1]], [-2]) is None
+    # degenerate: the only solution is x = 0, and a repeated row keeps an
+    # artificial basic at level 0
+    assert ratmat.nonnegative_solution([[1, 1], [1, -1]], [0, 0]) == [0, 0]
+    assert ratmat.nonnegative_solution([[1, 2], [1, 2]], [2, 2]) == [2, 0]
+    # Fractions in the rows and the right-hand side
+    x = ratmat.nonnegative_solution([[Fraction(1, 2), Fraction(1, 3)]], [Fraction(5, 6)])
+    assert x == [Fraction(5, 3), 0]
+    with pytest.raises(ValueError):
+        ratmat.nonnegative_solution([[1, 1]], [1, 2])
