@@ -14,7 +14,7 @@ monomial admits such a pair the outcome is "inconclusive", never "SOS".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratmat
@@ -147,7 +147,6 @@ class VerifiedCertificate:
 
     certificate: AmgmCertificate
     risky: tuple[MultiIndex, ...]
-    committed: dict = field(hash=False)
 
 
 def risky_monomials(P: SparsePolynomial) -> list[MultiIndex]:
@@ -195,7 +194,7 @@ def verify_certificate(P: SparsePolynomial, cert: AmgmCertificate) -> VerifiedCe
                 f"{capacities.get(v, Fraction(0))}",
                 v,
             )
-    return VerifiedCertificate(cert, tuple(risky), committed)
+    return VerifiedCertificate(cert, tuple(risky))
 
 
 def discover_certificate(P: SparsePolynomial) -> AmgmCertificate:

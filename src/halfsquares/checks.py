@@ -2,7 +2,7 @@
 
 Each checker evaluates both sides of a pointwise inequality from grid
 samples and reports the worst ratio or empirical constant; inequalities
-hold up to a configurable discretization slack (5% by default).
+hold up to a fixed discretization slack.
 """
 
 from __future__ import annotations
@@ -14,9 +14,11 @@ import numpy as np
 
 from . import finitediff
 from .errors import InputError
-from .holder import SampledFunction, _offset_pair, _offset_rings, estimate_seminorm
+from .holder import SampledFunction, _offset_pair, _offset_rings, estimate_seminorm, validate_alpha
 
-DEFAULT_SLACK = 0.05
+MALGRANGE_SLACK = 0.05
+INTERPOLATION_SLACK = 0.02
+REFINEMENT_FACTOR = 1.5
 
 
 def fd_noise(values: np.ndarray, h: float, order: int) -> float:
@@ -46,17 +48,15 @@ class MalgrangeReport:
     constant: float  # (alpha+1)/alpha^(alpha/(1+alpha)), used verbatim
     seminorm: float  # empirical [f']_alpha (or [grad f]_alpha)
     max_ratio: float
-    slack: float
 
     @property
     def ok(self) -> bool:
-        return self.max_ratio <= 1.0 + self.slack
+        return self.max_ratio <= 1.0 + MALGRANGE_SLACK
 
 
-def check_malgrange(f: SampledFunction, alpha: float, slack: float = DEFAULT_SLACK) -> MalgrangeReport:
+def check_malgrange(f: SampledFunction, alpha: float) -> MalgrangeReport:
     """|grad f| <= ((alpha+1)/alpha^(alpha/(1+alpha))) [grad f]_alpha^(1/(1+alpha)) f^(alpha/(1+alpha))."""
-    if not 0 < alpha <= 1:
-        raise InputError("alpha must lie in (0, 1]")
+    validate_alpha(alpha)
     if float(np.min(f.values)) < -1e-12:
         raise ValueError("not non-negative")
     h = f.spacing
@@ -77,7 +77,6 @@ def check_malgrange(f: SampledFunction, alpha: float, slack: float = DEFAULT_SLA
         constant=constant,
         seminorm=sn,
         max_ratio=float(np.max(ratios)),
-        slack=slack,
     )
 
 
@@ -110,9 +109,7 @@ class DerivativeControlReport:
         return math.isfinite(self.constant)
 
 
-def check_derivative_control(
-    f: SampledFunction, k: int, alpha: float, ell: int, directions: int = 64
-) -> DerivativeControlReport:
+def check_derivative_control(f: SampledFunction, k: int, alpha: float, ell: int) -> DerivativeControlReport:
     """Empirical constant in |grad^ell f| <= C max_j [d^j_xi f]_+^((k-ell+a)/(k-j+a)).
 
     The maximum runs over even j <= k and unit directions; a finite
@@ -120,8 +117,7 @@ def check_derivative_control(
     """
     if ell > k:
         raise InputError("need ell <= k")
-    if not 0 < alpha <= 1:
-        raise InputError("alpha must lie in (0, 1]")
+    validate_alpha(alpha)
     h = f.spacing
     num = finitediff.nabla_norm(f.values, h, ell)
     den = None
@@ -129,7 +125,7 @@ def check_derivative_control(
         if j == 0:
             dj = np.clip(f.values.astype(float), 0.0, None)
         else:
-            dj = np.clip(finitediff.max_directional_derivative(f.values, h, j, directions), 0.0, None)
+            dj = np.clip(finitediff.max_directional_derivative(f.values, h, j), 0.0, None)
         powered = dj ** ((k - ell + alpha) / (k - j + alpha))
         den = powered if den is None else np.fmax(den, powered)
     mask = np.isfinite(num) & np.isfinite(den)
@@ -145,16 +141,13 @@ class InterpolationReport:
     beta: float
     lhs: float  # [f]_gamma^(beta - alpha)
     rhs: float  # [f]_alpha^(beta - gamma) [f]_beta^(gamma - alpha)
-    slack: float
 
     @property
     def ok(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + self.slack) + 1e-300
+        return self.lhs <= self.rhs * (1.0 + INTERPOLATION_SLACK) + 1e-300
 
 
-def check_interpolation(
-    f: SampledFunction, alpha: float, gamma: float, beta: float, slack: float = 0.02
-) -> InterpolationReport:
+def check_interpolation(f: SampledFunction, alpha: float, gamma: float, beta: float) -> InterpolationReport:
     """Semi-norm interpolation [f]_gamma^(b-a) <= [f]_alpha^(b-g) [f]_beta^(g-a)."""
     if not 0 < alpha < gamma < beta <= 1:
         raise InputError("need 0 < alpha < gamma < beta <= 1")
@@ -167,7 +160,6 @@ def check_interpolation(
         beta=beta,
         lhs=sg ** (beta - alpha),
         rhs=sa ** (beta - gamma) * sb ** (gamma - alpha),
-        slack=slack,
     )
 
 
@@ -193,8 +185,7 @@ def check_induc(f: SampledFunction, k: int, alpha: float, eta: float) -> InducRe
     """
     if k < 4:
         raise InputError("need k >= 4")
-    if not 0 < alpha <= 1:
-        raise InputError("alpha must lie in (0, 1]")
+    validate_alpha(alpha)
     if not 0 < eta < (k - 2 + alpha) / (k + alpha):
         raise InputError("eta out of range")
     if float(np.min(f.values)) < -1e-12:
@@ -217,7 +208,6 @@ def check_induc(f: SampledFunction, k: int, alpha: float, eta: float) -> InducRe
 class StabilityReport:
     coarse: float
     fine: float
-    factor: float
 
     @property
     def ok(self) -> bool:
@@ -226,9 +216,9 @@ class StabilityReport:
         lo, hi = sorted((self.coarse, self.fine))
         if hi == 0.0:
             return True
-        return lo > 0.0 and hi / lo <= self.factor
+        return lo > 0.0 and hi / lo <= REFINEMENT_FACTOR
 
 
-def refinement_stability(coarse: float, fine: float, factor: float = 1.5) -> StabilityReport:
+def refinement_stability(coarse: float, fine: float) -> StabilityReport:
     """Compare an empirical constant across one grid refinement."""
-    return StabilityReport(coarse=coarse, fine=fine, factor=factor)
+    return StabilityReport(coarse=coarse, fine=fine)

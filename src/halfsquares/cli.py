@@ -34,7 +34,7 @@ from .checks import (
     check_malgrange,
     refinement_stability,
 )
-from .decompose import RECONSTRUCTION_TOLERANCE, DecompositionError, decompose, partial_decompose, verify
+from .decompose import NU_START, RECONSTRUCTION_TOLERANCE, DecompositionError, decompose, partial_decompose, verify
 from .errors import InputError
 from .exactpoly import SparsePolynomial
 from .fixtures import FIXTURES, build_fixture
@@ -233,7 +233,7 @@ def cmd_check(args) -> int:
         payload = {"estimate": est.value, "ok": True}
     elif kind == "slowvar":
         cf = control_field(f, args.k, args.alpha)
-        report = check_slow_variation(cf, 0.25 if args.nu is None else args.nu)
+        report = check_slow_variation(cf, NU_START if args.nu is None else args.nu)
         payload = {"worst_ratio": report.worst_ratio, "ok": report.ok}
     elif kind == "derivative-control":
         coarse = check_derivative_control(f, args.k, args.alpha, args.ell).constant

@@ -39,7 +39,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 from .cover import (OVERLAP_BOUND_BASE, PartitionOfUnity, WindowTable, bump, build_cover, normalize_bumps,
                     overlap_counts, partition_functions)
 from .errors import InputError
-from .finitediff import gradient_norm, partial as fd_partial
+from .finitediff import DIRECTIONS, gradient_norm, partial as fd_partial
 from .holder import (
     ControlField,
     SampledFunction,
@@ -48,6 +48,7 @@ from .holder import (
     control_field,
     estimate_seminorm,
     holder_norm,
+    validate_alpha,
 )
 
 NU_START = 0.25
@@ -58,12 +59,6 @@ NU_FLOOR = 1e-6
 # partial_decompose searches no minimizers, so its nu may shrink far below
 # the full decomposition's working range; this floor only ends the loop.
 PARTIAL_NU_FLOOR = 1e-12
-# sampled directions of the control field and of a 2D ball's fiber direction
-DIRECTIONS = 64
-# (cos, sin) of the fiber directions theta = pi idx / DIRECTIONS
-_DIRECTION_TABLE = np.array(
-    [(math.cos(t), math.sin(t)) for t in (math.pi * idx / DIRECTIONS for idx in range(DIRECTIONS))]
-)
 # The main squares of a 2D cover's branch-B balls are taken this many balls
 # at a time, and nothing of a block but its squares outlives it.  On
 # radial_bump-121^2 all 957 balls in one block peak at 9.2 MB of traced
@@ -285,8 +280,7 @@ def partial_decompose(f: SampledFunction, k: int, alpha: float, eps: float) -> D
 def _check_parameters(k: int, alpha: float) -> None:
     if k not in (2, 3):
         raise InputError("decomposition path supports k = 2 or 3 only")
-    if not 0 < alpha <= 1:
-        raise InputError("alpha must lie in (0, 1]")
+    validate_alpha(alpha)
 
 
 def _search_nu(f, k, alpha, attempt, floor, nu=None, omega=None) -> Decomposition:
@@ -301,7 +295,7 @@ def _search_nu(f, k, alpha, attempt, floor, nu=None, omega=None) -> Decompositio
     attempt.
     """
     unit, scale = _normalized(f, k, alpha)
-    cf = control_field(unit, k, alpha, directions=DIRECTIONS)
+    cf = control_field(unit, k, alpha)
     current = NU_START if nu is None else nu
     while True:
         report = check_slow_variation(cf, current, fail_fast=True)
@@ -326,7 +320,7 @@ def _normalized(f: SampledFunction, k: int, alpha: float) -> tuple[SampledFuncti
     Non-negativity is checked on f / M, so its tolerance is relative to M.
     """
     scale = holder_norm(f, k, alpha) or 1.0
-    unit = SampledFunction(f.origin, f.spacing, f.values / scale, name=f.name)
+    unit = SampledFunction(f.origin, f.spacing, f.values / scale)
     if float(np.min(unit.values)) < -1e-12:
         raise DecompositionError("f is negative beyond tolerance")
     return unit, scale
@@ -495,10 +489,10 @@ def _branch_b_2d(f, part, bounded, k, alpha):
     xs, ys = f.axis_coords(0), f.axis_coords(1)
     spline = RectBivariateSpline(xs, ys, f.values, kx=3, ky=3)
     hessian = [fd_partial(f.values, h, beta) for beta in ((2, 0), (1, 1), (0, 2))]
-    c, s = _DIRECTION_TABLE.T
+    c, s = DIRECTIONS.T
     balls = part.balls.select(members)
     fxx, fxy, fyy = (d2[tuple(balls.index.T)][:, None] for d2 in hessian)
-    ev = _DIRECTION_TABLE[np.argmax(c * c * fxx + 2 * c * s * fxy + s * s * fyy, axis=1)]
+    ev = DIRECTIONS[np.argmax(c * c * fxx + 2 * c * s * fxy + s * s * fyy, axis=1)]
     eu = np.column_stack((-ev[:, 1], ev[:, 0]))
     # u spans the cutoff support plus a stencil margin
     n_us = ((2.0 * balls.radius + 6.0 * h) / h).astype(np.intp) + 1

@@ -22,6 +22,8 @@ _STENCILS = {
     3: ((-2, -1, 0, 1, 2), (-0.5, 1.0, 0.0, -1.0, 0.5)),
     4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0)),
 }
+# the sampled unit directions of every 2D sup over xi: (cos, sin) of theta = pi i / 64
+DIRECTIONS = np.array([(math.cos(math.pi * i / 64), math.sin(math.pi * i / 64)) for i in range(64)])
 
 
 def stencil_reach(order: int) -> int:
@@ -111,22 +113,20 @@ def directional_derivative(values: np.ndarray, h: float, j: int, xi) -> np.ndarr
     return _directional_sum(values, j, xi, lambda beta: partial(values, h, beta))
 
 
-def max_directional_derivative(values: np.ndarray, h: float, j: int, directions: int = 64) -> np.ndarray:
+def max_directional_derivative(values: np.ndarray, h: float, j: int) -> np.ndarray:
     """Pointwise max over unit xi of (xi . grad)^j f for even j >= 2.
 
-    Even j gives d^j_{-xi} = d^j_xi, so on a 2D grid the angles
-    pi * i / directions cover [0, pi); on a 1D grid the one direction is
-    the axis.  The order-j partials are computed once and each
-    direction's sum runs in the order of ``directional_derivative``, so
-    the result is bit-identical to np.fmax over its outputs.
+    Even j gives d^j_{-xi} = d^j_xi, so on a 2D grid the DIRECTIONS
+    cover [0, pi); on a 1D grid the one direction is the axis.  The
+    order-j partials are computed once and each direction's sum runs in
+    the order of ``directional_derivative``, so the result is
+    bit-identical to np.fmax over its outputs.
     """
     if values.ndim == 1:
         return diff_axis(values, h, j)
     partials = {beta: partial(values, h, beta) for _, beta in directional_expand(j, values.ndim)}
     out = None
-    for idx in range(directions):
-        theta = math.pi * idx / directions
-        xi = np.asarray((math.cos(theta), math.sin(theta)))
+    for xi in DIRECTIONS:
         cand = _directional_sum(values, j, xi, partials.__getitem__)
         out = cand if out is None else np.fmax(out, cand)
     return out

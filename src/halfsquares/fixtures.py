@@ -164,4 +164,4 @@ def build_fixture(name: str, points: int | None = None, **params) -> SampledFunc
     spacing = (hi - lo) / (count - 1)
     origin = tuple(lo for _ in range(spec.n))
     shape = tuple(count for _ in range(spec.n))
-    return SampledFunction.from_callable(fn, origin, spacing, shape, name=name)
+    return SampledFunction.from_callable(fn, origin, spacing, shape)

@@ -35,6 +35,9 @@ from .exactpoly import SparsePolynomial
 from .multiindex import MultiIndex, order
 from .polytope import SimplexPolytope, _box
 
+# direct_search takes the vertex tuples in lex order up to this many, else seeded
+EXHAUSTIVE_LIMIT = 5000
+
 
 @dataclass(frozen=True)
 class GeneratorInstance:
@@ -173,13 +176,16 @@ def _interior_targets(qs):
     n = len(qs[0])
     simplex = SimplexPolytope([tuple(2 * x for x in q) for q in qs])
     hi = tuple(max(2 * q[i] for q in qs) for i in range(n))
-    box = _box((0,) * n, hi)
-    # |U| <= n max(hi) max|adj|, far inside int64 for any box that fits in memory
-    U = box @ np.array(simplex.adjugate, dtype=np.int64).T
-    total = U.sum(axis=1)
+    adjugate = np.array(simplex.adjugate, dtype=np.int64).T
     D = simplex.absdet
-    keep = (U > 0).all(axis=1) & (total < D) & (2 * total > D)
-    return [tuple(m) for m in box[keep].tolist()]
+    targets = []
+    for slab in _box((0,) * n, hi):
+        # |U| <= n max(hi) max|adj|, far inside int64 for any box small enough to scan
+        U = slab @ adjugate
+        total = U.sum(axis=1)
+        keep = (U > 0).all(axis=1) & (total < D) & (2 * total > D)
+        targets += map(tuple, slab[keep].tolist())
+    return targets
 
 
 def direct_search(
@@ -189,12 +195,11 @@ def direct_search(
     seed: int = 0,
     single_zero_coeff: int = 0,
     max_hits: int | None = None,
-    exhaustive_limit: int = 5000,
 ) -> list[GeneratorInstance]:
     """Scan vertex tuples and interior targets for verified instances.
 
     Deterministic for a fixed seed: tuples are enumerated exhaustively in
-    lex order when there are at most ``exhaustive_limit`` of them, else
+    lex order when there are at most EXHAUSTIVE_LIMIT of them, else
     drawn one at a time in a seeded random order (``_seeded_order``: the
     same for a fixed seed, though not ``random.shuffle``'s permutation).
     Either way a tuple is built only when its turn comes.  ``budget``
@@ -209,7 +214,7 @@ def direct_search(
     count = len(rows)
     hits = []
     examined = 0
-    for k in range(count) if count <= exhaustive_limit else _seeded_order(count, seed):
+    for k in range(count) if count <= EXHAUSTIVE_LIMIT else _seeded_order(count, seed):
         if examined >= budget:
             break
         qs = tuple(points[i] for i in rows[k])
@@ -243,17 +248,15 @@ class LiftResult:
     direct_witness: NotSosWitness | None
 
 
-def homogenize_lift(P: SparsePolynomial, c: int = 1) -> LiftResult:
+def homogenize_lift(P: SparsePolynomial) -> LiftResult:
     """Lift a certified non-SOS polynomial to n+1 variables, same degree.
 
     Homogenize, then append the origin to the support by adding
-    c * (x^(2q') + 1 - 2 x^(q')) for the lifted constant vertex 2q' =
+    x^(2q') + 1 - 2 x^(q') for the lifted constant vertex 2q' =
     (0, ..., 0, d).  Non-negativity is certified directly; the non-SOS
     property is inherited through dehomogenization, which is re-checked
     exactly (substituting 1 for the new variable recovers P).
     """
-    if c <= 0:
-        raise ValueError("c must be a positive integer")
     certify_nonnegative(P)
     d = P.degree()
     constant = tuple(0 for _ in range(P.nvars))
@@ -264,7 +267,7 @@ def homogenize_lift(P: SparsePolynomial, c: int = 1) -> LiftResult:
     qprime = tuple(0 for _ in range(n1 - 1)) + (d // 2,)
     top = tuple(0 for _ in range(n1 - 1)) + (d,)
     lifted = hP + SparsePolynomial(
-        n1, {top: Fraction(c), tuple(0 for _ in range(n1)): Fraction(c), qprime: Fraction(-2 * c)}
+        n1, {top: Fraction(1), tuple(0 for _ in range(n1)): Fraction(1), qprime: Fraction(-2)}
     )
     recovered = lifted.dehomogenize()
     if recovered != P:

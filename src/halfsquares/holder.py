@@ -35,7 +35,6 @@ class SampledFunction:
     origin: tuple[float, ...]
     spacing: float
     values: np.ndarray
-    name: str | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -65,14 +64,8 @@ class SampledFunction:
     def axis_coords(self, axis: int = 0) -> np.ndarray:
         return self.origin[axis] + self.spacing * np.arange(self.shape[axis])
 
-    def coords(self):
-        axes = [self.axis_coords(i) for i in range(self.n)]
-        if self.n == 1:
-            return axes[0]
-        return np.meshgrid(*axes, indexing="ij")
-
     @classmethod
-    def from_callable(cls, fn, origin, spacing, shape, name=None):
+    def from_callable(cls, fn, origin, spacing, shape):
         origin = tuple(float(o) for o in origin)
         shape = tuple(int(s) for s in shape)
         axes = [origin[i] + float(spacing) * np.arange(shape[i]) for i in range(len(shape))]
@@ -81,7 +74,7 @@ class SampledFunction:
         else:
             xx, yy = np.meshgrid(*axes, indexing="ij")
             values = fn(xx, yy)
-        return cls(origin, spacing, np.asarray(values, dtype=float), name=name)
+        return cls(origin, spacing, np.asarray(values, dtype=float))
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,6 +118,12 @@ class SampledFunction:
         return cls.from_json_dict(data)
 
 
+def validate_alpha(alpha: float) -> None:
+    """The one range rule for a Hoelder exponent: raise InputError unless 0 < alpha <= 1."""
+    if not 0 < alpha <= 1:
+        raise InputError("alpha must lie in (0, 1]")
+
+
 @dataclass
 class HolderEstimate:
     """Empirical [f]_alpha over sampled pairs, optionally pointwise.
@@ -135,7 +134,6 @@ class HolderEstimate:
 
     alpha: float
     value: float
-    window: float
     unmasked: float = 0.0
     pointwise: np.ndarray | None = None
     pointwise_windows: dict = field(default_factory=dict)
@@ -207,8 +205,7 @@ def estimate_seminorm(
     and 3 grid steps long and reports the shortest, approximating the
     limsup-based local semi-norm.
     """
-    if not 0 < alpha <= 1:
-        raise InputError("alpha must lie in (0, 1]")
+    validate_alpha(alpha)
     h = f.spacing
     values = f.values
     if derivative is not None and order(tuple(derivative)) > 0:
@@ -250,7 +247,7 @@ def estimate_seminorm(
                 gap = float(np.max(gaps, where=pairs, initial=-math.inf))
             best[k] = max(best[k], gap / dist**alpha)
 
-    estimate = HolderEstimate(alpha=alpha, value=best[-1], window=window, unmasked=best[0])
+    estimate = HolderEstimate(alpha=alpha, value=best[-1], unmasked=best[0])
     if pointwise:
         if mask is not None:
             values = np.where(mask, values, np.nan)
@@ -291,7 +288,6 @@ class ControlField:
     origin: tuple[float, ...]
     values: np.ndarray
     valid: np.ndarray
-    directions: int = 0
 
     @property
     def n(self) -> int:
@@ -301,14 +297,11 @@ class ControlField:
         return self.valid & (self.values > 0)
 
 
-def control_field(
-    f: SampledFunction, k: int, alpha: float, directions: int = 64
-) -> ControlField:
+def control_field(f: SampledFunction, k: int, alpha: float) -> ControlField:
     """Sample the control field r of f on the grid."""
     if k < 0:
         raise InputError("k must be non-negative")
-    if not 0 < alpha <= 1:
-        raise InputError("alpha must lie in (0, 1]")
+    validate_alpha(alpha)
     h = f.spacing
     values = f.values
     r = np.zeros_like(values, dtype=float)
@@ -317,7 +310,7 @@ def control_field(
         if j == 0:
             dj = values.astype(float)
         else:
-            dj = finitediff.max_directional_derivative(values, h, j, directions)
+            dj = finitediff.max_directional_derivative(values, h, j)
         finite = np.isfinite(dj)
         valid &= finite
         positive = np.clip(np.where(finite, dj, 0.0), 0.0, None)
@@ -332,7 +325,6 @@ def control_field(
         origin=f.origin,
         values=r,
         valid=valid,
-        directions=directions if f.n == 2 and k >= 2 else 0,
     )
 
 
@@ -361,7 +353,6 @@ def holder_norm(f: SampledFunction, k: int, alpha: float) -> float:
 class SlowVariationReport:
     ok: bool
     worst_ratio: float
-    nu: float
 
 
 def check_slow_variation(r: ControlField, nu: float, fail_fast: bool = False) -> SlowVariationReport:
@@ -384,5 +375,5 @@ def check_slow_variation(r: ControlField, nu: float, fail_fast: bool = False) ->
             ratios = np.abs(base[mask] - other[mask]) / base[mask]
             worst = max(worst, float(ratios.max()))
             if fail_fast and worst > 0.25:
-                return SlowVariationReport(False, worst, nu)
-    return SlowVariationReport(ok=worst <= 0.25, worst_ratio=worst, nu=nu)
+                return SlowVariationReport(False, worst)
+    return SlowVariationReport(ok=worst <= 0.25, worst_ratio=worst)

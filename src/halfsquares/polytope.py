@@ -9,7 +9,8 @@ every generator subset of the hull's dimension, batched through
 ``ratmat.det_stack`` (lrs, Avis & Fukuda 1992, is the exact route for
 supports far past the catalog's).  One kernel tests an integer array of
 points with one product per constraint: the lattice scans give it a
-whole box, ``member`` one row, and the pair witness reads the half lattice.
+box a slab at a time, ``member`` one row, and the pair witness reads the
+half lattice.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .multiindex import MultiIndex
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 EXTERIOR = "exterior"
-# points of a lattice box a scan may test at once; the catalog's half boxes need 720 at most
-HALF_BOX_LIMIT = 10**6
+# rows of a lattice box one scan tests at once, which bounds its memory whatever the box
+BOX_SLAB = 2**13
 
 
 def _dot(a, p):
@@ -203,12 +204,8 @@ class GeneralPolytope:
         return list(self._half_lattice)
 
     def _box_lattice(self, lo, hi, scale) -> list[MultiIndex]:
-        """Integer t of the box lo <= t <= hi with scale * t in the hull, lex-sorted.
-        The box is tested whole: more than HALF_BOX_LIMIT points raise ValueError."""
-        if prod(max(h - l + 1, 0) for l, h in zip(lo, hi)) > HALF_BOX_LIMIT:
-            raise ValueError(f"the box has more than {HALF_BOX_LIMIT} lattice points to scan")
-        box = _box(lo, hi)
-        return list(map(tuple, box[self._inside(scale * box)].tolist()))
+        """Integer t of the box lo <= t <= hi with scale * t in the hull, lex-sorted."""
+        return [tuple(t) for slab in _box(lo, hi) for t in slab[self._inside(scale * slab)].tolist()]
 
     def distinct_pair_witness(self, m) -> tuple[MultiIndex, MultiIndex] | None:
         """Distinct lattice t1 != t2 of (1/2)C with t1 + t2 = m, if any.
@@ -226,6 +223,11 @@ class GeneralPolytope:
 
 
 def _box(lo, hi):
-    """The integer points of the box lo <= t <= hi as array rows in lex order."""
-    steps = np.indices([max(h - l + 1, 0) for l, h in zip(lo, hi)]).reshape(len(lo), -1).T
-    return steps + np.array(lo, dtype=np.int64 if max(map(abs, (*lo, *hi))) < 2**62 else object)
+    """The integer points of lo <= t <= hi as array rows in lex order, BOX_SLAB rows at a time."""
+    shape = [max(h - l + 1, 0) for l, h in zip(lo, hi)]
+    origin = np.array(lo, dtype=np.int64 if max(map(abs, (*lo, *hi))) < 2**62 else object)
+    size = prod(shape)
+    if size >= 2**63:  # past what an index array can count
+        raise ValueError("the box has 2^63 or more lattice points to scan")
+    for start in range(0, size, BOX_SLAB):
+        yield np.column_stack(np.unravel_index(np.arange(start, min(start + BOX_SLAB, size)), shape)) + origin

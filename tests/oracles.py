@@ -1143,7 +1143,7 @@ def loop_resolved_mask(d):
 def loop_decompose(f, k, alpha, nu=None, omega=None):
     """``decompose`` by its own nu loop and per-branch square code."""
     unit, scale = _normalized(f, k, alpha)
-    cf = control_field(unit, k, alpha, directions=64)
+    cf = control_field(unit, k, alpha)
     current = NU_START if nu is None else nu
     last_err = None
     while current >= NU_FLOOR:
@@ -1350,7 +1350,7 @@ def loop_partial_decompose(f, k, alpha, eps):
     if eps <= 0:
         raise ValueError("eps must be positive")
     unit, scale = _normalized(f, k, alpha)
-    cf = control_field(unit, k, alpha, directions=64)
+    cf = control_field(unit, k, alpha)
     nu = NU_START
     while nu >= 1e-12:
         if not check_slow_variation(cf, nu, fail_fast=True).ok:

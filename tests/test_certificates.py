@@ -229,3 +229,12 @@ def test_not_sos_witness_on_a_long_half_polytope():
     witness = certify_not_sos(P)
     assert witness.monomial == (2, 2)
     assert len(witness.half_lattice) == 50002
+
+
+def test_not_sos_square_with_a_long_half_box_is_inconclusive():
+    """(x^120 y^120 z^120 - 1)^2: its half box [0, 120]^3 of 121^3 points is
+    scanned in slabs, and (120, 120, 120) is 0 + (120, 120, 120)."""
+    P = SparsePolynomial(3, {(240,) * 3: 1, (120,) * 3: -2, (0,) * 3: 1})
+    with pytest.raises(SosCriterionInconclusive) as err:
+        certify_not_sos(P)
+    assert err.value.pairs == {(120,) * 3: ((0,) * 3, (120,) * 3)}

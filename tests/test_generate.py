@@ -95,7 +95,6 @@ def test_direct_search_deterministic():
     ]
 
 
-SEEDED = {"exhaustive_limit": 10}  # (2, 8) has 48 tuples, so these shuffle them
 UNLIMITED = 10**9
 
 
@@ -118,20 +117,27 @@ def _search_and_pairs(monkeypatch, **kwargs):
     return _spy_search(monkeypatch, direct_search, 2, 8, **kwargs)
 
 
+def _seeded_pairs(monkeypatch, **kwargs):
+    """``_search_and_pairs`` with a lex limit of 10: (2, 8) has 48 tuples, so they are shuffled."""
+    with monkeypatch.context() as patch:
+        patch.setattr(generate, "EXHAUSTIVE_LIMIT", 10)
+        return _search_and_pairs(monkeypatch, **kwargs)
+
+
 def test_seeded_search_repeats_with_its_seed(monkeypatch):
-    first = _search_and_pairs(monkeypatch, budget=UNLIMITED, seed=3, **SEEDED)
-    assert first == _search_and_pairs(monkeypatch, budget=UNLIMITED, seed=3, **SEEDED)
-    _, other_seed = _search_and_pairs(monkeypatch, budget=UNLIMITED, seed=4, **SEEDED)
+    first = _seeded_pairs(monkeypatch, budget=UNLIMITED, seed=3)
+    assert first == _seeded_pairs(monkeypatch, budget=UNLIMITED, seed=3)
+    _, other_seed = _seeded_pairs(monkeypatch, budget=UNLIMITED, seed=4)
     _, lex = _search_and_pairs(monkeypatch, budget=UNLIMITED)
     # the seed reorders the tuples, so it changes the order pairs are examined in
     assert len({tuple(first[1]), tuple(other_seed), tuple(lex)}) == 3
 
 
 def test_seeded_search_budget_bounds_the_pairs_examined(monkeypatch):
-    hits, examined = _search_and_pairs(monkeypatch, budget=UNLIMITED, seed=3, **SEEDED)
+    hits, examined = _seeded_pairs(monkeypatch, budget=UNLIMITED, seed=3)
     assert len(examined) == 228
     for budget in (0, 1, 37, 150, 227):
-        cut_hits, cut = _search_and_pairs(monkeypatch, budget=budget, seed=3, **SEEDED)
+        cut_hits, cut = _seeded_pairs(monkeypatch, budget=budget, seed=3)
         assert cut == examined[:budget]
         assert cut_hits == [h for h in hits if examined.index(h) < budget]
 
@@ -139,7 +145,7 @@ def test_seeded_search_budget_bounds_the_pairs_examined(monkeypatch):
 def test_seeded_search_with_unlimited_budget_finds_the_lex_hits(monkeypatch):
     lex_hits, lex = _search_and_pairs(monkeypatch, budget=UNLIMITED)
     for seed in (0, 3, 11):
-        hits, examined = _search_and_pairs(monkeypatch, budget=UNLIMITED, seed=seed, **SEEDED)
+        hits, examined = _seeded_pairs(monkeypatch, budget=UNLIMITED, seed=seed)
         assert sorted(examined) == sorted(lex)
         assert set(hits) == set(lex_hits) and len(hits) == len(lex_hits) == 2
 

@@ -29,8 +29,8 @@ from oracles import (
 LOG32 = math.log(2) / math.log(3)
 
 
-def grid(fn, lo, hi, n, name=None):
-    return SampledFunction.from_callable(fn, (lo,), (hi - lo) / (n - 1), (n,), name=name)
+def grid(fn, lo, hi, n):
+    return SampledFunction.from_callable(fn, (lo,), (hi - lo) / (n - 1), (n,))
 
 
 def test_sqrt_abs_seminorm_is_one():

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -256,12 +257,18 @@ def test_kernel_matches_fractions_across_the_int64_bound(den, side):
         assert hull.member(p) == caratheodory_member(gens, p), p
 
 
-def test_lattice_scans_refuse_a_box_past_the_limit():
-    # the full box has 2 (10^6 + 1) points, the half box 500,001
+def test_lattice_scans_stream_a_box_in_slabs():
+    """The full box has 2 (10^6 + 1) points, more than 32 MB as one int64
+    array; scanned a slab at a time the traced peak stays below 16 MB."""
     hull = GeneralPolytope([(0, 0), (10**6, 1)])
-    with pytest.raises(ValueError, match="lattice points to scan"):
-        hull.lattice_points()
-    assert hull.half_lattice_points() == [(0, 0)]
+    tracemalloc.start()
+    try:
+        assert hull.lattice_points() == [(0, 0), (10**6, 1)]
+        assert hull.half_lattice_points() == [(0, 0)]  # a half box of 500,001 points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def _rank(rows, n):
