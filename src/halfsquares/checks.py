@@ -2,7 +2,9 @@
 
 Each checker evaluates both sides of a pointwise inequality from grid
 samples and reports the worst ratio or empirical constant; inequalities
-hold up to a fixed discretization slack.
+hold up to a fixed discretization slack.  The Malgrange checker's
+[grad f]_alpha is a ``holder._sup_ratio`` scan over every pair of the
+grid, in one and two dimensions.
 """
 
 from __future__ import annotations
@@ -14,22 +16,11 @@ import numpy as np
 
 from . import finitediff
 from .errors import InputError
-from .holder import SampledFunction, _offset_pair, _offset_rings, estimate_seminorm, validate_alpha
+from .holder import SampledFunction, _sup_ratio, estimate_seminorm, validate_alpha
 
 MALGRANGE_SLACK = 0.05
 INTERPOLATION_SLACK = 0.02
 REFINEMENT_FACTOR = 1.5
-
-
-def fd_noise(values: np.ndarray, h: float, order: int) -> float:
-    """Resolution limit of an order-``order`` central difference.
-
-    Roundoff of the samples is amplified by roughly the stencil weight
-    sum over h^order; numerators below this cannot be distinguished from
-    zero and are treated as such.
-    """
-    scale = float(np.max(np.abs(values), initial=0.0))
-    return 16.0 * np.finfo(float).eps * scale / h**order
 
 
 def _ratio(num: np.ndarray, den: np.ndarray, noise: float = 0.0) -> np.ndarray:
@@ -60,17 +51,14 @@ def check_malgrange(f: SampledFunction, alpha: float) -> MalgrangeReport:
     if float(np.min(f.values)) < -1e-12:
         raise ValueError("not non-negative")
     h = f.spacing
-    if f.n == 1:
-        grad = np.abs(finitediff.diff_axis(f.values, h, 1))
-        sn = estimate_seminorm(f, alpha, derivative=(1,)).value
-    else:
-        grad = finitediff.gradient_norm(f.values, h)
-        sn = _gradient_seminorm_2d(f, alpha)
+    grads = [finitediff.partial(f.values, h, tuple(int(i == axis) for i in range(f.n))) for axis in range(f.n)]
+    sn = _sup_ratio(grads, h, alpha, math.inf)[0]
+    grad = np.abs(grads[0]) if f.n == 1 else finitediff.nabla_norm(f.values, h, 1)
     constant = (alpha + 1.0) / alpha ** (alpha / (1.0 + alpha))
     fx = np.clip(f.values, 0.0, None)
     rhs = constant * sn ** (1.0 / (1.0 + alpha)) * fx ** (alpha / (1.0 + alpha))
     finite = np.isfinite(grad)
-    ratios = _ratio(np.where(finite, grad, 0.0), rhs, noise=fd_noise(f.values, h, 1))
+    ratios = _ratio(np.where(finite, grad, 0.0), rhs, noise=finitediff.fd_noise(f.values, h, 1))
     ratios[~finite] = 0.0
     return MalgrangeReport(
         alpha=alpha,
@@ -78,23 +66,6 @@ def check_malgrange(f: SampledFunction, alpha: float) -> MalgrangeReport:
         seminorm=sn,
         max_ratio=float(np.max(ratios)),
     )
-
-
-def _gradient_seminorm_2d(f: SampledFunction, alpha: float) -> float:
-    """[grad f]_alpha with the Euclidean norm of gradient differences."""
-    h = f.spacing
-    gx = finitediff.partial(f.values, h, (1, 0))
-    gy = finitediff.partial(f.values, h, (0, 1))
-    best = 0.0
-    for _, off in _offset_rings(2, max(f.shape)):
-        a, b = _offset_pair(f.shape, off)
-        gaps = np.hypot(gx[a] - gx[b], gy[a] - gy[b])
-        finite = np.isfinite(gaps)
-        if not finite.any():
-            continue
-        dist = h * math.hypot(*off)
-        best = max(best, float(np.max(gaps[finite])) / dist**alpha)
-    return best
 
 
 @dataclass
@@ -129,7 +100,7 @@ def check_derivative_control(f: SampledFunction, k: int, alpha: float, ell: int)
         powered = dj ** ((k - ell + alpha) / (k - j + alpha))
         den = powered if den is None else np.fmax(den, powered)
     mask = np.isfinite(num) & np.isfinite(den)
-    ratios = _ratio(num[mask], den[mask], noise=fd_noise(f.values, h, ell))
+    ratios = _ratio(num[mask], den[mask], noise=finitediff.fd_noise(f.values, h, ell))
     constant = float(np.max(ratios)) if ratios.size else 0.0
     return DerivativeControlReport(k=k, alpha=alpha, ell=ell, constant=constant)
 
@@ -199,7 +170,7 @@ def check_induc(f: SampledFunction, k: int, alpha: float, eta: float) -> InducRe
     for ell, exponent in levels:
         num = finitediff.nabla_norm(f.values, h, ell)
         mask = np.isfinite(num)
-        ratios = _ratio(num[mask], fx[mask] ** exponent, noise=fd_noise(f.values, h, ell))
+        ratios = _ratio(num[mask], fx[mask] ** exponent, noise=finitediff.fd_noise(f.values, h, ell))
         constants[ell] = float(np.max(ratios)) if ratios.size else 0.0
     return InducReport(k=k, alpha=alpha, eta=eta, constants=constants)
 

@@ -34,7 +34,7 @@ from .checks import (
     check_malgrange,
     refinement_stability,
 )
-from .decompose import NU_START, RECONSTRUCTION_TOLERANCE, DecompositionError, decompose, partial_decompose, verify
+from .decompose import NU_START, DecompositionError, decompose, partial_decompose, verify
 from .errors import InputError
 from .exactpoly import SparsePolynomial
 from .fixtures import FIXTURES, build_fixture
@@ -189,10 +189,7 @@ def cmd_decompose(args) -> int:
 def cmd_partial(args) -> int:
     f = _load(SampledFunction, args.infile)
     result = partial_decompose(f, args.k, args.alpha, args.eps)
-    mask = result.verified_mask()
-    gap = float(np.max(np.abs(result.reconstruction() - f.values)[mask])) if mask.any() else 0.0
-    # VerifyReport's rule: the gap is relative to max |f| on the verified region
-    bound = RECONSTRUCTION_TOLERANCE * float(np.max(np.abs(f.values)[mask], initial=0.0))
+    gap, bound = result.reconstruction_gap(f)
     payload = _report(
         {
             "residual_max": float(result.residual.max(initial=0.0)),

@@ -261,7 +261,6 @@ class PartitionOfUnity:
 
     balls: Cover
     sum_squares: np.ndarray
-    nu: float
     table: WindowTable
     psi: np.ndarray
 
@@ -289,7 +288,7 @@ def normalize_bumps(w: np.ndarray, cells: np.ndarray, size: int) -> np.ndarray:
     return denom
 
 
-def partition_functions(field: ControlField, cover: Cover, nu: float) -> PartitionOfUnity:
+def partition_functions(field: ControlField, cover: Cover) -> PartitionOfUnity:
     """Normalize per-ball bumps by the root of their summed squares.
 
     The bumps are taken on the window table ``BATCH`` balls at a time, at
@@ -299,7 +298,7 @@ def partition_functions(field: ControlField, cover: Cover, nu: float) -> Partiti
     """
     shape, table = field.values.shape, WindowTable.around(cover, field)
     if not len(cover):  # as most covers of the 2D fiber recursion are: skip the table's fixed cost
-        return PartitionOfUnity(cover, np.zeros(shape), nu, table, np.zeros(0))
+        return PartitionOfUnity(cover, np.zeros(shape), table, np.zeros(0))
     h, origin, cells, psi = field.spacing, field.origin, [], []
     for first in range(0, len(cover), BATCH):
         batch = slice(first, first + BATCH)
@@ -322,7 +321,7 @@ def partition_functions(field: ControlField, cover: Cover, nu: float) -> Partiti
         )
     total = np.zeros(field.values.size)
     np.add.at(total, cells, psi**2)
-    return PartitionOfUnity(cover, total.reshape(shape), nu, table, psi)
+    return PartitionOfUnity(cover, total.reshape(shape), table, psi)
 
 
 def overlap_counts(part: PartitionOfUnity) -> np.ndarray:

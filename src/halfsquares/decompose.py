@@ -39,7 +39,7 @@ from scipy.interpolate import CubicSpline, RectBivariateSpline
 from .cover import (OVERLAP_BOUND_BASE, PartitionOfUnity, WindowTable, bump, build_cover, normalize_bumps,
                     overlap_counts, partition_functions)
 from .errors import InputError
-from .finitediff import DIRECTIONS, gradient_norm, partial as fd_partial
+from .finitediff import DIRECTIONS, fd_noise, nabla_norm, partial as fd_partial
 from .holder import (
     ControlField,
     SampledFunction,
@@ -137,6 +137,13 @@ class Decomposition:
         positive = self.control.positive_mask()
         return binary_erosion(positive, structure=np.ones((3,) * self.n, dtype=bool))
 
+    def reconstruction_gap(self, f: SampledFunction) -> tuple[float, float]:
+        """(gap, bound): sup |reconstruction - f| on the verified region, and
+        the largest gap accepted there, RECONSTRUCTION_TOLERANCE * max |f|."""
+        mask = self.verified_mask()
+        gap = float(np.max(np.abs(self.reconstruction() - f.values)[mask])) if mask.any() else 0.0
+        return gap, RECONSTRUCTION_TOLERANCE * float(np.max(np.abs(f.values)[mask], initial=0.0))
+
     def to_json_dict(self) -> dict:
         return {
             "origin": list(self.origin),
@@ -188,12 +195,10 @@ def _calibrate_omega(f: SampledFunction, cf: ControlField, nu: float) -> float:
     """
     from scipy.ndimage import maximum_filter, minimum_filter
 
-    from .checks import fd_noise
-
     h = f.spacing
     r = cf.values
     power = cf.k + cf.alpha
-    grad = gradient_norm(f.values, h)
+    grad = nabla_norm(f.values, h, 1)
     grad = np.where(grad > fd_noise(f.values, h, 1), grad, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         probe = grad / r ** (power - 1.0)
@@ -202,13 +207,10 @@ def _calibrate_omega(f: SampledFunction, cf: ControlField, nu: float) -> float:
     ok = np.isfinite(probe) & (r > 0) & (grad > 0) & resolved
     best = float(probe[ok].max()) if ok.any() else 0.0
 
-    for dist, a, b in _pairs_within(cf, nu):
-        rbase = r[a]
-        with np.errstate(invalid="ignore"):
-            mask = np.isfinite(rbase) & (rbase > 0) & (dist <= nu * rbase)
-        if not mask.any():
+    for a, b, within in _pairs_within(cf, nu):
+        if not within.any():
             continue
-        ratios = np.abs(f.values[a][mask] - f.values[b][mask]) / (nu * rbase[mask] ** power)
+        ratios = np.abs(f.values[a][within] - f.values[b][within]) / (nu * r[a][within] ** power)
         best = max(best, float(ratios.max()))
     return 2.0 * best
 
@@ -342,7 +344,7 @@ def _rescaled(d: Decomposition, scale: float) -> Decomposition:
 
 def _cover(f, cf, nu, omega):
     """The partition of unity at nu and each ball's branch test (True: branch A)."""
-    part = partition_functions(cf, build_cover(cf, nu), nu)
+    part = partition_functions(cf, build_cover(cf, nu))
     # float_power is the C pow that a Python float's ** calls; numpy's ** may round otherwise
     threshold = omega * nu * np.float_power(part.balls.r, cf.k + cf.alpha)
     return part, (f.values[tuple(part.balls.index.T)] >= threshold).tolist()
@@ -711,7 +713,6 @@ class VerifyReport:
     resolved_fraction: float  # share of the verified region that is resolved
     value_constant: float  # sup |g| / r^((k+alpha)/2), g and r both of f / M
     derivative_constant: float  # sup |g'| / r^((k+alpha)/2 - 1), likewise
-    residual_max: float
 
     @property
     def ok(self) -> bool:
@@ -741,10 +742,8 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
     and over the whole grid.  Regularity below grid resolution is not
     measurable, so the resolved figures are the meaningful ones.
     """
+    err, err_bound = d.reconstruction_gap(f)
     mask = d.verified_mask()
-    recon = d.reconstruction()
-    err = float(np.max(np.abs(recon - f.values)[mask])) if mask.any() else 0.0
-    f_max = float(np.max(np.abs(f.values)[mask], initial=0.0))
 
     part = d.partition
     coarse = d.nu * part.balls.r < 3.0 * d.spacing
@@ -786,7 +785,7 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
             den = r[mask] ** power
             ratios = np.where(den > 0, num / den, np.where(num > 1e-12, np.inf, 0.0))
             value_constant = max(value_constant, float(np.max(ratios, initial=0.0)))
-            gnorm = gradient_norm(g, d.spacing)[mask]
+            gnorm = nabla_norm(g, d.spacing, 1)[mask]
             den = r[mask] ** (power - 1.0)
             ok = np.isfinite(gnorm)
             ratios = np.where(
@@ -804,7 +803,7 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
     counts = overlap_counts(d.partition)
     return VerifyReport(
         reconstruction_error=err,
-        reconstruction_bound=RECONSTRUCTION_TOLERANCE * f_max,
+        reconstruction_bound=err_bound,
         square_count=d.square_count,
         square_bound=square_count_bound(d.n),
         overlap_max=int(counts.max(initial=0)),
@@ -817,5 +816,4 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
         resolved_fraction=resolved_fraction,
         value_constant=value_constant,
         derivative_constant=deriv_constant,
-        residual_max=float(d.residual.max(initial=0.0)),
     )

@@ -70,14 +70,6 @@ def partial(values: np.ndarray, h: float, beta) -> np.ndarray:
     return out
 
 
-def gradient_norm(values: np.ndarray, h: float) -> np.ndarray:
-    parts = []
-    for axis in range(values.ndim):
-        beta = tuple(1 if i == axis else 0 for i in range(values.ndim))
-        parts.append(partial(values, h, beta))
-    return np.sqrt(sum(p**2 for p in parts))
-
-
 def nabla_norm(values: np.ndarray, h: float, ell: int) -> np.ndarray:
     """Euclidean norm of the vector of all order-ell partials (each once)."""
     if ell == 0:
@@ -87,6 +79,17 @@ def nabla_norm(values: np.ndarray, h: float, ell: int) -> np.ndarray:
         p = partial(values, h, beta)
         total = p**2 if total is None else total + p**2
     return np.sqrt(total)
+
+
+def fd_noise(values: np.ndarray, h: float, order: int) -> float:
+    """Resolution limit of an order-``order`` central difference.
+
+    Roundoff of the samples is amplified by roughly the stencil weight
+    sum over h^order; numerators below this cannot be distinguished from
+    zero and are treated as such.
+    """
+    scale = float(np.max(np.abs(values), initial=0.0))
+    return 16.0 * np.finfo(float).eps * scale / h**order
 
 
 def _directional_sum(values, j, xi, partial_of) -> np.ndarray:

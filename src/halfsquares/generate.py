@@ -54,10 +54,6 @@ class GeneratorInstance:
     def nvars(self) -> int:
         return len(self.target)
 
-    @property
-    def degree(self) -> int:
-        return max(2 * order(q) for q in self.half_vertices)
-
 
 def make_instance(half_vertices, target, single_zero_coeff=0) -> GeneratorInstance:
     """Build an instance, checking strict interiority of the target exactly."""
@@ -204,12 +200,15 @@ def direct_search(
     same for a fixed seed, though not ``random.shuffle``'s permutation).
     Either way a tuple is built only when its turn comes.  ``budget``
     counts (vertex-tuple, target) pairs examined.  Raises InputError for
-    n < 2, an odd d or d < 4, a negative budget or ``max_hits`` below 1.
+    n < 2, an odd d or d < 4, a negative budget, a negative
+    ``single_zero_coeff`` or ``max_hits`` below 1.
     """
     if n < 2 or d < 4 or d % 2:
         raise InputError("need n >= 2 and even d >= 4")
     if budget < 0 or (max_hits is not None and max_hits < 1):
         raise InputError("need budget >= 0 and max_hits >= 1")
+    if single_zero_coeff < 0:
+        raise InputError("single-zero coefficient must be non-negative")
     points, rows = _half_vertex_tuples(n, d)
     count = len(rows)
     hits = []
@@ -222,10 +221,7 @@ def direct_search(
             if examined >= budget:
                 break
             examined += 1
-            try:
-                inst = make_instance(qs, m, single_zero_coeff)
-            except ValueError:
-                continue
+            inst = make_instance(qs, m, single_zero_coeff)
             P = construct_candidate(inst)
             try:
                 certify_nonnegative(P, emitted_certificate(inst))

@@ -3,12 +3,14 @@
 Everything here is binary64 and deliberately inexact: it estimates
 analytic suprema from uniform-grid samples in one or two dimensions.
 
-Every sup over sampled pairs in the package walks them the same way:
-``_offset_rings`` gives the half-space offsets ring by ring,
-``_offset_pair`` the two equal-shape blocks an offset apart, and
-``_pairs_within`` both orientations of every pair at most nu * max r
-apart.  The semi-norms, the slow variation of r, the decomposition's
-omega and the Malgrange gradient semi-norm all read these three.
+Every sup over sampled pairs in the package walks them the same way.
+``_pairs`` is the one walker: it turns a real reach, in grid steps, into
+the half-space offsets no longer than it, ring by ring, each with the
+two equal-shape blocks it joins.  ``_sup_ratio`` is the one stopping
+kernel on it, for the semi-norms of one component and the Malgrange
+gradient semi-norm of two; ``_pairs_within`` gives both orientations of
+every pair at most nu * max r apart, with the mask |x - y| <= nu r(x)
+that the slow variation of r and the decomposition's omega read.
 """
 
 from __future__ import annotations
@@ -139,51 +141,95 @@ class HolderEstimate:
     pointwise_windows: dict = field(default_factory=dict)
 
 
-def _offset_rings(n: int, max_steps: int):
-    """Half-space pair offsets ring by ring: (s, offset) with max |offset_i| = s.
+# rounding slack, in grid steps, of every reach: window / h may land an ulp below a whole step count
+_REACH_SLACK = 1e-9
 
-    Every offset of ring s is at least s steps long, so a scan that can
-    stop once pairs are long enough needs no sort of all the offsets.
-    Only offsets within Euclidean length ``max_steps`` are yielded.
+
+def _pairs(shape, reach: float):
+    """Every unordered pair of cells at most ``reach`` steps apart, one offset at a time.
+
+    Yields (ring, length, a, b) for each half-space offset whose Euclidean
+    length is at most ``reach``: its ring max |offset_i|, its length, and
+    the index tuples of the equal-shape blocks a, b with b = a + offset.
+    Rings come in increasing order and every offset of ring s is at least
+    s long, so a scan can stop once no longer pair can win.  Offsets that
+    do not fit in the grid are skipped.
     """
-    for s in range(1, max_steps + 1):
-        if n == 1:
-            yield s, (s,)
-            continue
-        ring = [(s, dj) for dj in range(-s, s + 1)]
-        ring += [(di, s) for di in range(s)] + [(di, -s) for di in range(1, s)]
-        for di, dj in ring:
-            if di * di + dj * dj <= max_steps * max_steps:
-                yield s, (di, dj)
-
-
-def _offset_pair(shape, off):
-    """Index tuples (a, b) of equal-shape blocks with b = a + ``off``.
-
-    Offsets beyond the array extent give empty blocks.
-    """
-    a, b = [], []
-    for n, d in zip(shape, off):
-        lo, hi = slice(0, max(0, n - abs(d))), slice(min(abs(d), n), n)
-        a.append(lo if d >= 0 else hi)
-        b.append(hi if d >= 0 else lo)
-    return tuple(a), tuple(b)
+    reach += _REACH_SLACK
+    for s in range(1, int(min(reach, max(shape) - 1)) + 1):
+        if len(shape) == 1:
+            ring = [(s,)]
+        else:
+            ring = [(s, dj) for dj in range(-s, s + 1)]
+            ring += [(di, s) for di in range(s)] + [(di, -s) for di in range(1, s)]
+        for off in ring:
+            length = math.hypot(*off)
+            if length > reach or any(abs(d) >= n for d, n in zip(off, shape)):
+                continue
+            a = tuple(slice(0, n - d) if d >= 0 else slice(-d, n) for d, n in zip(off, shape))
+            b = tuple(slice(d, n) if d >= 0 else slice(0, n + d) for d, n in zip(off, shape))
+            yield s, length, a, b
 
 
 def _pairs_within(r: ControlField, nu: float):
-    """Every sampled pair at most nu * max r apart, as (distance, base, partner).
+    """Every sampled pair at most nu * max r apart, as (base, partner, within).
 
     Each offset is yielded twice, once per orientation; base and partner
-    index equal-shape blocks of the grid.
+    index equal-shape blocks of the grid, and ``within`` marks the pairs
+    with |x - y| <= nu * r(x), x the base (never where r(x) is NaN).
     """
     finite = np.isfinite(r.values)
     rmax = float(r.values[finite].max()) if finite.any() else 0.0
-    max_steps = min(int(nu * rmax / r.spacing + 1e-9), max(r.values.shape) - 1)
-    for _, off in _offset_rings(r.n, max_steps):
-        dist = r.spacing * math.hypot(*off)
-        a, b = _offset_pair(r.values.shape, off)
-        yield dist, a, b
-        yield dist, b, a
+    for _, length, a, b in _pairs(r.values.shape, nu * rmax / r.spacing):
+        for base, partner in ((a, b), (b, a)):
+            with np.errstate(invalid="ignore"):
+                within = r.spacing * length <= nu * r.values[base]
+            yield base, partner, within
+
+
+def _sup_ratio(components, h: float, alpha: float, reach: float, mask=None) -> list[float]:
+    """sup of gap / |x - y|^alpha over pairs of cells at most ``reach`` steps apart.
+
+    The gap is |v(x) - v(y)| for one component and the Euclidean norm of
+    the component differences for two; cells where a component is not
+    finite (a derivative's margin) are ignored, and a ValueError says
+    when that leaves none.  Returns [sup over all pairs], or with a ``mask``
+    [sup over all pairs, sup over pairs with both ends in it], from one
+    walk that ends when no longer pair can beat either: no gap exceeds
+    max - min of one component, nor the norm of the component ranges
+    (given a relative margin for the rounding of np.hypot).
+    """
+    finite = np.logical_and.reduce([np.isfinite(c) for c in components])
+    if not finite.any():
+        raise ValueError("grid too small for the requested derivative")
+    regions = [finite] if mask is None else [finite, finite & np.asarray(mask, dtype=bool)]
+    bounds = [-math.inf] * len(regions)
+    for k, region in enumerate(regions):
+        if region.any():
+            spans = [float(c[region].max() - c[region].min()) for c in components]
+            bounds[k] = spans[0] if len(spans) == 1 else math.hypot(*spans) * (1.0 + 1e-12)
+    clean = [bool(region.all()) for region in regions]
+    best = [0.0] * len(regions)
+    for steps, length, a, b in _pairs(finite.shape, reach):
+        # a supremum that no pair of this ring or beyond can beat is final
+        live = [k for k, bound in enumerate(bounds) if bound / (h * steps) ** alpha > best[k]]
+        if not live:
+            break
+        if len(components) == 1:
+            gaps = np.abs(components[0][a] - components[0][b])
+        else:
+            gaps = np.hypot(*(c[a] - c[b] for c in components))
+        dist = h * length
+        for k in live:
+            if clean[k]:
+                gap = float(np.max(gaps))
+            else:
+                pairs = regions[k][a] & regions[k][b]
+                if not pairs.any():
+                    continue
+                gap = float(np.max(gaps, where=pairs, initial=-math.inf))
+            best[k] = max(best[k], gap / dist**alpha)
+    return best
 
 
 def estimate_seminorm(
@@ -198,9 +244,9 @@ def estimate_seminorm(
 
     ``derivative`` is an optional multi-index applied by central
     differences first, and ``mask`` optionally restricts the pair scan to
-    a sub-region (cells outside it are ignored).  One walk over the pair
-    offsets gives both the masked and the unmasked supremum, each ending
-    when no longer pair can beat it.  The pointwise variant takes, at
+    a sub-region (cells outside it are ignored).  The default window
+    reaches every pair of the grid.  One ``_sup_ratio`` walk gives both
+    the masked and the unmasked supremum.  The pointwise variant takes, at
     each point, the largest ratio over the pairs through it at most 9, 5
     and 3 grid steps long and reports the shortest, approximating the
     limsup-based local semi-norm.
@@ -210,43 +256,12 @@ def estimate_seminorm(
     values = f.values
     if derivative is not None and order(tuple(derivative)) > 0:
         values = finitediff.partial(values, h, tuple(derivative))
-        if not np.isfinite(values).any():
-            raise ValueError("grid too small for the requested derivative")
-    extent = max((s - 1) * h for s in f.shape)
     if window is None:
-        window = extent * math.sqrt(f.n)
-    max_steps = int(window / h + 1e-9)
-    if max_steps < 1:
+        window = max((s - 1) * h for s in f.shape) * math.sqrt(f.n)
+    if window / h + _REACH_SLACK < 1:
         raise ValueError("window is smaller than one grid step")
 
-    # the supremum over all pairs, then over the pairs with both ends in the mask
-    regions = [None] if mask is None else [None, np.asarray(mask, dtype=bool)]
-    finite = np.isfinite(values)
-    kept = [values[finite if region is None else finite & region] for region in regions]
-    bounds = [float(v.max() - v.min()) if v.size else -math.inf for v in kept]
-    clean = [v.size == values.size for v in kept]
-    best = [0.0] * len(regions)
-    for steps, off in _offset_rings(f.n, max_steps):
-        # a supremum that no pair of this ring or beyond can beat is final
-        live = [k for k, bound in enumerate(bounds) if bound / (h * steps) ** alpha > best[k]]
-        if steps >= max(f.shape) or not live:
-            break
-        dist = h * math.hypot(*off)
-        a, b = _offset_pair(values.shape, off)
-        gaps = np.abs(values[a] - values[b])
-        if gaps.size == 0:
-            continue
-        finite = None if all(clean[k] for k in live) else np.isfinite(gaps)
-        for k in live:
-            if clean[k]:
-                gap = float(np.max(gaps))
-            else:
-                pairs = finite if regions[k] is None else finite & regions[k][a] & regions[k][b]
-                if not pairs.any():
-                    continue
-                gap = float(np.max(gaps, where=pairs, initial=-math.inf))
-            best[k] = max(best[k], gap / dist**alpha)
-
+    best = _sup_ratio((values,), h, alpha, window / h, mask)
     estimate = HolderEstimate(alpha=alpha, value=best[-1], unmasked=best[0])
     if pointwise:
         if mask is not None:
@@ -262,10 +277,9 @@ def estimate_seminorm(
 def _pointwise_seminorm(values, h, alpha, w):
     """The largest pair ratio through each point over pairs at most w steps long."""
     out = np.zeros_like(values, dtype=float)
-    for _, off in _offset_rings(values.ndim, w):
-        a, b = _offset_pair(values.shape, off)
+    for _, length, a, b in _pairs(values.shape, w):
         with np.errstate(invalid="ignore"):
-            ratio = np.abs(values[a] - values[b]) / (h * math.hypot(*off)) ** alpha
+            ratio = np.abs(values[a] - values[b]) / (h * length) ** alpha
         ratio = np.where(np.isnan(ratio), 0.0, ratio)
         for end in (a, b):
             region = out[end]
@@ -366,10 +380,10 @@ def check_slow_variation(r: ControlField, nu: float, fail_fast: bool = False) ->
     vals = r.values
     worst = 0.0
     with np.errstate(invalid="ignore"):
-        for dist, a, b in _pairs_within(r, nu):
+        for a, b, within in _pairs_within(r, nu):
             base, other = vals[a], vals[b]
-            # NaN bases and NaN partners both fail these comparisons
-            mask = (dist <= nu * base) & (np.abs(base - other) >= 0)
+            # NaN partners fail this comparison
+            mask = within & (np.abs(base - other) >= 0)
             if not mask.any():
                 continue
             ratios = np.abs(base[mask] - other[mask]) / base[mask]

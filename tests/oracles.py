@@ -61,8 +61,8 @@ from halfsquares.decompose import (
     _rescaled,
 )
 from halfsquares.cover import build_cover, partition_functions
-from halfsquares.finitediff import partial as fd_partial
-from halfsquares.holder import SampledFunction, check_slow_variation, control_field
+from halfsquares.finitediff import fd_noise, nabla_norm, partial as fd_partial
+from halfsquares.holder import _REACH_SLACK, SampledFunction, check_slow_variation, control_field
 from halfsquares.exactpoly import SparsePolynomial
 from halfsquares.multiindex import order
 
@@ -905,7 +905,7 @@ def loop_color_classes(balls):
     return colors
 
 
-def loop_partition_functions(field, balls, nu):
+def loop_partition_functions(field, balls):
     """``cover.partition_functions`` with one window of bumps and updates per ball.
 
     psi_j are separate arrays; the flat ``psi`` and the window table the
@@ -940,7 +940,6 @@ def loop_partition_functions(field, balls, nu):
     part = PartitionOfUnity(
         balls=cover_of(balls, len(shape)),
         sum_squares=total,
-        nu=nu,
         table=WindowTable(lo, hi, shape),
         psi=np.concatenate([p.ravel() for p in psis]) if psis else np.zeros(0),
     )
@@ -977,15 +976,19 @@ def cover_of(balls, n=1):
     )
 
 
-def half_space_offsets(n, max_steps):
-    """Pair offsets, first nonzero step positive, at most ``max_steps`` long, row by row."""
-    if n == 1:
-        return [(d,) for d in range(1, max_steps + 1)]
+def half_space_offsets(shape, reach):
+    """Pair offsets, first nonzero step positive, row by row, at most ``reach``
+    steps long (up to the pair walk's rounding slack) and capped by the grid
+    diagonal, beyond which no pair fits."""
+    reach = min(reach, math.hypot(*(s - 1 for s in shape))) + _REACH_SLACK
+    top = int(reach)
+    if len(shape) == 1:
+        return [(d,) for d in range(1, top + 1)]
     return [
         (di, dj)
-        for di in range(max_steps + 1)
-        for dj in range(-max_steps, max_steps + 1)
-        if (di > 0 or dj > 0) and di * di + dj * dj <= max_steps * max_steps
+        for di in range(top + 1)
+        for dj in range(-top, top + 1)
+        if (di > 0 or dj > 0) and math.hypot(di, dj) <= reach
     ]
 
 
@@ -1009,10 +1012,9 @@ def loop_check_slow_variation(r, nu, fail_fast=False):
     h, vals = r.spacing, r.values
     finite = np.isfinite(vals)
     rmax = float(vals[finite].max()) if finite.any() else 0.0
-    max_steps = min(int(nu * rmax / h + 1e-9), max(vals.shape) - 1)
     worst = 0.0
     with np.errstate(invalid="ignore"):
-        for off in half_space_offsets(r.n, max_steps):
+        for off in half_space_offsets(vals.shape, nu * rmax / h):
             a, b = shifted_views(vals, off)
             dist = h * (math.hypot(*off) if r.n == 2 else off[0])
             for base, other in ((a, b), (b, a)):
@@ -1025,27 +1027,29 @@ def loop_check_slow_variation(r, nu, fail_fast=False):
     return worst <= 0.25, worst
 
 
-def loop_calibrate_omega(f, cf, nu):
-    """``decompose._calibrate_omega`` with its pair probe one offset at a time in row order."""
+def _omega_gradient_probe(f, cf):
+    """``decompose._calibrate_omega``'s short-pair probe, before doubling."""
     from scipy.ndimage import maximum_filter, minimum_filter
 
-    from halfsquares.checks import fd_noise
-    from halfsquares.finitediff import gradient_norm
+    h, r = f.spacing, cf.values
+    grad = nabla_norm(f.values, h, 1)
+    grad = np.where(grad > fd_noise(f.values, h, 1), grad, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        probe = grad / r ** (cf.k + cf.alpha - 1.0)
+    low = minimum_filter(f.values, size=3, mode="nearest")
+    resolved = (low > 0) & (maximum_filter(f.values, size=3, mode="nearest") <= 2.0 * low)
+    ok = np.isfinite(probe) & (r > 0) & (grad > 0) & resolved
+    return float(probe[ok].max()) if ok.any() else 0.0
 
+
+def loop_calibrate_omega(f, cf, nu):
+    """``decompose._calibrate_omega`` with its pair probe one offset at a time in row order."""
     h, r = f.spacing, cf.values
     power = cf.k + cf.alpha
     finite = np.isfinite(r)
     rmax = float(r[finite].max()) if finite.any() else 0.0
-    grad = gradient_norm(f.values, h)
-    grad = np.where(grad > fd_noise(f.values, h, 1), grad, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        probe = grad / r ** (power - 1.0)
-    low = minimum_filter(f.values, size=3, mode="nearest")
-    resolved = (low > 0) & (maximum_filter(f.values, size=3, mode="nearest") <= 2.0 * low)
-    ok = np.isfinite(probe) & (r > 0) & (grad > 0) & resolved
-    best = float(probe[ok].max()) if ok.any() else 0.0
-    max_steps = min(int(nu * rmax / h + 1e-9), max(f.values.shape) - 1)
-    for off in half_space_offsets(f.n, max_steps):
+    best = _omega_gradient_probe(f, cf)
+    for off in half_space_offsets(f.shape, nu * rmax / h):
         fa, fb = shifted_views(f.values, off)
         ra, rb = shifted_views(r, off)
         dist = h * (math.hypot(*off) if f.n == 2 else off[0])
@@ -1059,12 +1063,12 @@ def loop_calibrate_omega(f, cf, nu):
 
 
 def loop_gradient_seminorm_2d(f, alpha):
-    """``checks._gradient_seminorm_2d`` over every offset up to the longest side, in row order."""
+    """``check_malgrange``'s 2D [grad f]_alpha over every pair of the grid, in row order."""
     h = f.spacing
     gx = fd_partial(f.values, h, (1, 0))
     gy = fd_partial(f.values, h, (0, 1))
     best = 0.0
-    for off in half_space_offsets(2, max(f.shape)):
+    for off in half_space_offsets(f.shape, math.inf):
         ax, bx = shifted_views(gx, off)
         ay, by = shifted_views(gy, off)
         gaps = np.hypot(ax - bx, ay - by)
@@ -1077,7 +1081,7 @@ def loop_gradient_seminorm_2d(f, alpha):
 def loop_pointwise_seminorm_2d(values, h, alpha, w):
     """One window of ``estimate_seminorm``'s 2D pointwise values: pairs through each point."""
     out = np.zeros_like(values, dtype=float)
-    for off in half_space_offsets(2, w):
+    for off in half_space_offsets(values.shape, w):
         a, b = shifted_views(values, off)
         with np.errstate(invalid="ignore"):
             ratio = np.abs(a - b) / (h * math.hypot(*off)) ** alpha
@@ -1099,7 +1103,6 @@ def single_scan_seminorm(f, alpha, derivative=None, window=None, mask=None) -> f
         values = np.where(mask, values, np.nan)
     if window is None:
         window = max((s - 1) * h for s in f.shape) * math.sqrt(f.n)
-    max_steps = int(window / h + 1e-9)
     best = 0.0
     finite_all = values[np.isfinite(values)]
     if finite_all.size == 0:
@@ -1107,7 +1110,7 @@ def single_scan_seminorm(f, alpha, derivative=None, window=None, mask=None) -> f
     gap_bound = float(finite_all.max() - finite_all.min())
     clean = finite_all.size == values.size
     # longest axis step first: a pair at least ``steps`` long cannot beat the bound
-    for off in sorted(half_space_offsets(f.n, max_steps), key=lambda o: max(map(abs, o))):
+    for off in sorted(half_space_offsets(f.shape, window / h), key=lambda o: max(map(abs, o))):
         steps = max(map(abs, off))
         if steps >= max(f.shape) or gap_bound / (h * steps) ** alpha <= best:
             break
@@ -1125,6 +1128,59 @@ def single_scan_seminorm(f, alpha, derivative=None, window=None, mask=None) -> f
             gap = float(np.max(gaps[finite]))
         best = max(best, gap / dist**alpha)
     return best
+
+
+def all_pairs(shape):
+    """Every unordered pair of cells (p, q), p first in row order, with the offset q - p."""
+    cells = list(np.ndindex(*shape))
+    for i, p in enumerate(cells):
+        for q in cells[i + 1:]:
+            yield p, q, tuple(b - a for a, b in zip(p, q))
+
+
+def all_pairs_sup_ratio(components, h, alpha, reach, mask=None):
+    """sup of gap / (h hypot(offset))^alpha over every pair of cells at most
+    ``reach`` steps apart, both ends finite in every component (and in
+    ``mask``); the gap is |dv| for one component, np.hypot of the
+    differences for two."""
+    best = 0.0
+    for p, q, off in all_pairs(components[0].shape):
+        length = math.hypot(*off)
+        ends = [c[x] for c in components for x in (p, q)]
+        if length > reach + _REACH_SLACK or not np.isfinite(ends).all():
+            continue
+        if mask is not None and not (mask[p] and mask[q]):
+            continue
+        diffs = [c[p] - c[q] for c in components]
+        gap = abs(diffs[0]) if len(diffs) == 1 else np.hypot(*diffs)
+        best = max(best, float(gap) / (h * length) ** alpha)
+    return best
+
+
+def all_pairs_slow_variation(r, nu):
+    """``check_slow_variation``'s worst ratio |r(x) - r(y)| / r(x) over every
+    ordered pair with h hypot(offset) <= nu r(x) and r finite at both ends."""
+    vals, worst = r.values, 0.0
+    for p, q, off in all_pairs(vals.shape):
+        dist = r.spacing * math.hypot(*off)
+        for x, y in ((p, q), (q, p)):
+            if np.isfinite(vals[y]) and dist <= nu * vals[x]:
+                worst = max(worst, float(abs(vals[x] - vals[y]) / vals[x]))
+    return worst
+
+
+def all_pairs_calibrate_omega(f, cf, nu):
+    """``decompose._calibrate_omega`` with the pair probe over every ordered
+    pair with h hypot(offset) <= nu r(x)."""
+    with np.errstate(invalid="ignore"):
+        den = nu * cf.values ** (cf.k + cf.alpha)
+    best = _omega_gradient_probe(f, cf)
+    for p, q, off in all_pairs(f.shape):
+        dist = f.spacing * math.hypot(*off)
+        for x, y in ((p, q), (q, p)):
+            if dist <= nu * cf.values[x]:
+                best = max(best, float(abs(f.values[x] - f.values[y]) / den[x]))
+    return 2.0 * best
 
 
 def loop_resolved_mask(d):
@@ -1166,7 +1222,7 @@ def loop_decompose(f, k, alpha, nu=None, omega=None):
 
 def _loop_decompose_at(f, cf, k, alpha, nu, omega):
     balls = build_cover(cf, nu)
-    part = partition_functions(cf, balls, nu)
+    part = partition_functions(cf, balls)
     threshold_scale = omega * nu
     per_ball_squares = []
     branch_info = []
@@ -1358,7 +1414,7 @@ def loop_partial_decompose(f, k, alpha, eps):
             continue
         omega = _calibrate_omega(unit, cf, nu)
         balls = build_cover(cf, nu)
-        part = partition_functions(cf, balls, nu)
+        part = partition_functions(cf, balls)
         bounded = [
             float(unit.values[ball.index]) >= omega * nu * ball.r ** (k + alpha)
             for ball in part.balls

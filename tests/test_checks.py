@@ -58,6 +58,18 @@ def test_malgrange_2d_paraboloid():
     assert report.max_ratio <= 1.05
 
 
+@pytest.mark.parametrize("points", [41, 101])
+def test_malgrange_2d_gradient_seminorm_reaches_the_interior_diagonal(points):
+    """grad(x^2 + y^2) = 2 (x, y), so [grad f]_alpha = 2 d^(1 - alpha), d the
+    diagonal of the cells where the gradient is defined; the worst ratio
+    no longer drifts with the grid."""
+    f = build_fixture("paraboloid", points=points)
+    report = check_malgrange(f, 0.5)
+    diagonal = math.hypot(*((s - 3) * f.spacing for s in f.shape))
+    assert report.seminorm == pytest.approx(2.0 * diagonal**0.5, rel=1e-12)
+    assert report.max_ratio == pytest.approx(0.52913368399, rel=1e-9)
+
+
 def test_derivative_control_parabola():
     f = grid(lambda x: x**2, -2.0, 2.0, 2001)
     report = check_derivative_control(f, 2, 1.0, 1)

@@ -58,7 +58,7 @@ def test_cover_of_constant_function():
     # greedy spacing: consecutive centers at most half a radius apart
     gaps = np.diff(centers)
     assert np.all(gaps <= 0.25 / 2 + 2e-3)
-    counts = overlap_counts(partition_functions(cf, balls, 0.25))
+    counts = overlap_counts(partition_functions(cf, balls))
     assert counts.max() <= 15
     # every interior positive point is covered by a half-radius ball
     half_covered = np.zeros_like(cf.values, dtype=bool)
@@ -73,7 +73,7 @@ def test_overlap_bound_on_fixtures():
         f = build_fixture(name, points=2001)
         cf = control_field(f, k, 1.0)
         balls = build_cover(cf, 0.01)
-        assert overlap_counts(partition_functions(cf, balls, 0.01)).max() <= 15
+        assert overlap_counts(partition_functions(cf, balls)).max() <= 15
 
 
 def test_color_classes_disjoint_and_chain():
@@ -146,7 +146,7 @@ def test_color_classes_decide_tangency_by_math_dist(a, b):
 def test_partition_of_unity_identity():
     cf = field_for(lambda x: np.ones_like(x), 0.0, 1.0, 1001)
     balls = build_cover(cf, 0.25)
-    part = partition_functions(cf, balls, 0.25)
+    part = partition_functions(cf, balls)
     positive = cf.positive_mask()
     assert np.max(np.abs(part.sum_squares[positive] - 1.0)) < 1e-12
     assert np.all(part.sum_squares[~positive & cf.valid] == 0.0)
@@ -160,7 +160,7 @@ def test_partition_identity_with_zero_set():
     while not check_slow_variation(cf, nu).ok:  # build_cover precondition
         nu /= 2
     balls = build_cover(cf, nu)
-    part = partition_functions(cf, balls, nu)
+    part = partition_functions(cf, balls)
     positive = cf.positive_mask()
     assert positive.any() and not positive.all()
     assert np.max(np.abs(part.sum_squares[positive] - 1.0)) < 1e-10
@@ -183,7 +183,7 @@ def test_two_dimensional_cover_and_partition():
     )
     cf = control_field(f, 2, 1.0)
     balls = build_cover(cf, 0.25)
-    part = partition_functions(cf, balls, 0.25)
+    part = partition_functions(cf, balls)
     positive = cf.positive_mask()
     assert np.max(np.abs(part.sum_squares[positive] - 1.0)) < 1e-12
     assert overlap_counts(part).max() <= 225
@@ -249,8 +249,8 @@ def test_cover_kernels_match_per_ball_loops(cf, halvings):
         assert got.dtype == expected.dtype and got.shape == expected.shape, name
         assert_array_equal(got, expected)
     assert color_classes(balls) == loop_color_classes(balls) == pairwise_color_classes(list(balls))
-    part = partition_functions(cf, balls, nu)
-    _assert_same_partition(part, loop_partition_functions(cf, balls, nu))
+    part = partition_functions(cf, balls)
+    _assert_same_partition(part, loop_partition_functions(cf, balls))
     assert_array_equal(overlap_counts(part), loop_overlap_counts(cf, balls))
     # the class sums of the squares rely on it: at most one nonzero psi per class and cell
     nonzero = part.psi != 0

@@ -733,11 +733,11 @@ def test_rejected_nu_frees_its_cover(monkeypatch, build, run):
     partition_functions = decompose_module.partition_functions
     covers = []
 
-    def recording(cf, balls, nu):
+    def recording(cf, balls):
         top = cf.values.shape == f.shape  # not a 2D fiber recursion
         if top:
             assert all(ref() is None for ref in covers), "a rejected cover is still alive"
-        part = partition_functions(cf, balls, nu)
+        part = partition_functions(cf, balls)
         if top:
             covers.append(weakref.ref(part))
         return part
@@ -852,8 +852,8 @@ def test_rejected_nu_builds_no_colors_windows_or_psis(monkeypatch):
     parts = []
     partition_functions = decompose_module.partition_functions
 
-    def recording(cf, balls, nu):
-        parts.append(partition_functions(cf, balls, nu))
+    def recording(cf, balls):
+        parts.append(partition_functions(cf, balls))
         return parts[-1]
 
     monkeypatch.setattr(cover_module, "color_classes", counting)
@@ -878,15 +878,15 @@ def test_rejected_2d_covers_are_never_colored(monkeypatch):
         return color_classes(cover)
 
     nus = []
-    partition_functions = decompose_module.partition_functions
+    build_cover = decompose_module.build_cover
 
-    def recording(cf, balls, nu):
+    def recording(cf, nu):
         if cf.n == 2:
             nus.append(nu)
-        return partition_functions(cf, balls, nu)
+        return build_cover(cf, nu)
 
     monkeypatch.setattr(cover_module, "color_classes", counting)
-    monkeypatch.setattr(decompose_module, "partition_functions", recording)
+    monkeypatch.setattr(decompose_module, "build_cover", recording)
     d = decompose(_corner_paraboloid(), 2, 1.0)
     assert nus == [0.25, 0.125, 0.0625, 0.03125] and d.nu == 0.03125
     assert [len(cover) for cover in colored if cover.index.shape[1] == 2] == [len(d.partition.balls)] == [504]

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from halfsquares import generate, ratmat
 from halfsquares.certificates import certify_nonnegative, certify_not_sos
+from halfsquares.errors import InputError
 from halfsquares.exactpoly import SparsePolynomial
 from halfsquares.generate import (
     CHOI_LAM,
@@ -191,6 +192,8 @@ def test_direct_search_bad_parameters():
         direct_search(2, 6, budget=-1)
     with pytest.raises(ValueError):
         direct_search(2, 6, max_hits=0)
+    with pytest.raises(InputError, match="single-zero"):
+        direct_search(3, 4, budget=50, single_zero_coeff=-1)
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 from halfsquares.checks import check_malgrange
 from halfsquares.decompose import _calibrate_omega, decompose, verify
 from halfsquares.fixtures import build_fixture
+from halfsquares.finitediff import partial as fd_partial
 from halfsquares.holder import (
+    _REACH_SLACK,
     SampledFunction,
     SampledFunctionFormatError,
+    _pairs,
     check_slow_variation,
     control_field,
     estimate_seminorm,
@@ -18,6 +21,9 @@ from halfsquares.holder import (
 )
 from numpy.testing import assert_array_equal
 from oracles import (
+    all_pairs_calibrate_omega,
+    all_pairs_slow_variation,
+    all_pairs_sup_ratio,
     loop_calibrate_omega,
     loop_check_slow_variation,
     loop_gradient_seminorm_2d,
@@ -326,3 +332,76 @@ def test_pair_walk_matches_loop_oracles(n, seed, k, alpha, nu, noise):
     masked = values if mask is None else np.where(mask, values, np.nan)
     for w, got in windows.items():
         assert_array_equal(got, loop_pointwise_seminorm_2d(masked, h, alpha, w))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 2), st.data())
+def test_pairs_yields_every_pair_within_reach_once(n, data):
+    """``_pairs`` gives every unordered pair of cells at most ``reach`` steps
+    apart exactly once and no other pair, ring by ring, each offset with its
+    own ring and length."""
+    shape = tuple(data.draw(st.integers(1, 12)) for _ in range(n))
+    reach = data.draw(st.floats(0.5, math.hypot(*(s - 1 for s in shape)) + 1.0))
+    index = np.arange(math.prod(shape)).reshape(shape)
+    seen, last_ring = [], 1
+    for ring, length, a, b in _pairs(shape, reach):
+        off = tuple(sb.start - sa.start for sa, sb in zip(a, b))
+        assert ring == max(map(abs, off)) >= last_ring and length == math.hypot(*off)
+        last_ring = ring
+        seen += [tuple(sorted(pair)) for pair in zip(index[a].ravel().tolist(), index[b].ravel().tolist())]
+    cells = list(np.ndindex(*shape))
+    want = {
+        (index[p], index[q])
+        for i, p in enumerate(cells)
+        for q in cells[i + 1:]
+        if math.hypot(*(y - x for x, y in zip(p, q))) <= reach + _REACH_SLACK
+    }
+    assert len(seen) == len(set(seen)) and set(seen) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3]),
+    st.sampled_from([0.5, 1.0]),
+    st.sampled_from([0.1, 0.25, 1.0, 4.0]),
+)
+def test_sampled_suprema_match_all_pairs(n, seed, k, alpha, nu):
+    """Every sampled supremum against a scan of all pairs of cells, bit for
+    bit: the default-window semi-norm with and without a mask (it reaches
+    every pair), the Malgrange gradient semi-norm, slow variation and omega."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(s) for s in rng.integers(5, 25 if n == 1 else 9, n))
+    h = 2.0 / (max(shape) - 1)
+    axes = np.meshgrid(*(h * np.arange(s) - 1.0 for s in shape), indexing="ij")
+    smooth = sum(c * x for c, x in zip(rng.normal(size=n), axes)) + rng.normal()
+    values = np.clip(smooth**2 + rng.uniform(-0.3, 0.3) + 0.1 * rng.random(shape), 0.0, None)
+    f = SampledFunction((-1.0,) * n, h, values)
+    mask = rng.random(shape) < 0.7
+    est = estimate_seminorm(f, alpha, mask=mask)
+    assert est.unmasked == all_pairs_sup_ratio((values,), h, alpha, math.inf)
+    assert est.value == all_pairs_sup_ratio((values,), h, alpha, math.inf, mask)
+    grads = [fd_partial(values, h, tuple(int(i == a) for i in range(n))) for a in range(n)]
+    assert check_malgrange(f, alpha).seminorm == all_pairs_sup_ratio(grads, h, alpha, math.inf)
+    cf = control_field(f, k, alpha)
+    assert check_slow_variation(cf, nu).worst_ratio == all_pairs_slow_variation(cf, nu)
+    assert _calibrate_omega(f, cf, nu) == all_pairs_calibrate_omega(f, cf, nu)
+
+
+def test_default_window_reaches_the_corner_pair():
+    """The ramp x + y on 5^2: the default window reaches the corner pair,
+    whose ratio 0.8 / (0.4 sqrt 2)^(1/2) is the supremum."""
+    f = SampledFunction.from_callable(lambda x, y: x + y, (0.0, 0.0), 0.1, (5, 5))
+    assert estimate_seminorm(f, 0.5).value == pytest.approx(0.8 / (0.4 * math.sqrt(2)) ** 0.5, rel=1e-12)
+
+
+def test_slow_variation_and_omega_reach_the_diagonal_neighbours():
+    """radial_bump-11^2, k = 2, alpha = 1, nu = 0.25: nu max r / h is 1.845
+    steps, so the diagonal neighbours, 1.414 steps apart, are inside the
+    reach and set the worst ratio."""
+    f = build_fixture("radial_bump", points=11)
+    cf = control_field(f, 2, 1.0)
+    assert 0.25 * np.nanmax(cf.values) / f.spacing == pytest.approx(1.845, abs=1e-3)
+    assert check_slow_variation(cf, 0.25).worst_ratio == pytest.approx(0.999934898, rel=1e-8)
+    assert _calibrate_omega(f, cf, 0.25) == pytest.approx(0.267659195, rel=1e-8)
