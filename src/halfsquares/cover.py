@@ -15,10 +15,11 @@ a time, overlap counts are read off psi, and sums over balls are unbuffered
 ``np.add.at`` calls, which add in table order and so give each cell the
 sum, in ball order, that a loop of window updates gives.  The grid and the
 re-evaluation of 1D squares off the grid share one ``normalize_bumps``.
-In 1D the greedy scan needs no grid mask: the cells before the current
-center are covered and coordinates are monotone, so a ball covers the run
-from its center to the last cell within half its radius, and the next
-center is the first cell of {r > 0} past that run.
+In 1D no grid mask is needed: the cells before the current center are
+covered and coordinates are monotone, so a ball covers the run from its
+center to the last cell within half its radius, and the next center is
+the first cell of {r > 0} past that run.  The runs of all cells are found
+at once, as arrays, and the scan walks the chain of next centers.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class WindowTable:
     @classmethod
     def around(cls, cover: Cover, field: ControlField) -> WindowTable:
         """The windows |i - index_j| <= radius_j / h + 1 of the balls, clipped to the grid."""
-        steps, shape = (cover.radius / field.spacing).astype(np.intp)[:, None] + 1, field.values.shape
+        shape = field.values.shape
+        steps = np.minimum(cover.radius / field.spacing, max(shape)).astype(np.intp)[:, None] + 1
         return cls(np.maximum(cover.index - steps, 0), np.minimum(cover.index + steps + 1, shape), shape)
 
     @property
@@ -153,7 +155,8 @@ def build_cover(field: ControlField, nu: float) -> Cover:
     floor is capped by half the distance to {r = 0} so that no ball ever
     touches the degenerate set and the zero branch of the partition
     identity stays exact.  A ball covers the cells within
-    radius / 2 (1 + 1e-12) of its center.
+    radius / 2 (1 + 1e-12) of its center.  A 1D run's end is guessed as
+    int(reach / h) cells on, then stepped forward and back until it stays.
     """
     if nu <= 0:
         raise ValueError("nu must be positive")
@@ -168,22 +171,25 @@ def build_cover(field: ControlField, nu: float) -> Cover:
 
     centers: list[int] = []  # flat grid index of each ball's center
     if field.n == 1:
-        size, coords, radii = positive.size, axes[0].tolist(), radius.tolist()
+        x, size, idx = axes[0], positive.size, np.flatnonzero(positive)
         # the first cell of {r > 0} at or after each index, size if none
         after = np.append(np.where(positive, np.arange(size), size), size)
-        next_positive = np.minimum.accumulate(after[::-1])[::-1].tolist()
-        i = next_positive[0]
+        next_positive = np.minimum.accumulate(after[::-1])[::-1]
+        # m: the last cell a ball on each cell idx covers; lengths are clipped before the cast
+        c, rad = x[idx], radius[idx]
+        reach = rad / 2.0 + 1e-12 * rad
+        last = np.minimum(size - 1, idx + np.minimum(rad / 2.0 / h, size).astype(np.intp) + 1)
+        m = np.minimum(last, idx + np.minimum(reach / h, size).astype(np.intp))
+        while (ahead := (m < last) & (np.abs(x[np.minimum(m + 1, last)] - c) <= reach)).any():
+            m += ahead
+        while (back := np.abs(x[m] - c) > reach).any():
+            m -= back
+        following = np.zeros(size, dtype=np.intp)  # the center after a ball on each cell
+        following[idx] = next_positive[m + 1]
+        following, i = following.tolist(), int(next_positive[0])
         while i < size:
             centers.append(i)
-            c, rad = coords[i], radii[i]
-            reach = rad / 2.0 + 1e-12 * rad
-            last = min(size - 1, i + int(rad / 2.0 / h) + 1)  # the window's edge
-            m = min(last, i + int(reach / h))
-            while m < last and abs(coords[m + 1] - c) <= reach:
-                m += 1
-            while abs(coords[m] - c) > reach:
-                m -= 1
-            i = next_positive[m + 1]
+            i = following[i]
     else:
         covered = ~positive
         flat = covered.ravel()

@@ -105,6 +105,7 @@ class Decomposition:
     square_labels: list[tuple[int, int]]  # (color class, slot)
     branch_info: list[tuple] = dataclass_field(default_factory=list)  # per ball
     scale: float = 1.0  # the sampled C^(k,alpha) norm f was divided by
+    _verified: np.ndarray | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -131,11 +132,13 @@ class Decomposition:
         return np.ldexp(total, -2 * s)
 
     def verified_mask(self) -> np.ndarray:
-        """{r > 0} with a one-cell margin shaved off around {r = 0}."""
-        from scipy.ndimage import binary_erosion
+        """{r > 0} with a one-cell margin shaved off around {r = 0}; built once, read-only."""
+        if self._verified is None:
+            from scipy.ndimage import binary_erosion
 
-        positive = self.control.positive_mask()
-        return binary_erosion(positive, structure=np.ones((3,) * self.n, dtype=bool))
+            self._verified = binary_erosion(self.control.positive_mask(), structure=np.ones((3,) * self.n, bool))
+            self._verified.flags.writeable = False
+        return self._verified
 
     def reconstruction_gap(self, f: SampledFunction) -> tuple[float, float]:
         """(gap, bound): sup |reconstruction - f| on the verified region, and

@@ -197,12 +197,18 @@ def _sup_ratio(components, h: float, alpha: float, reach: float, mask=None) -> l
     [sup over all pairs, sup over pairs with both ends in it], from one
     walk that ends when no longer pair can beat either: no gap exceeds
     max - min of one component, nor the norm of the component ranges
-    (given a relative margin for the rounding of np.hypot).
+    (given a relative margin for the rounding of np.hypot).  Only the pairs
+    with an end in the box around the nonzero samples are scanned: the
+    others have gap 0, and the suprema start at 0.
     """
     finite = np.logical_and.reduce([np.isfinite(c) for c in components])
     if not finite.any():
         raise ValueError("grid too small for the requested derivative")
     regions = [finite] if mask is None else [finite, finite & np.asarray(mask, dtype=bool)]
+    support = np.nonzero(finite & np.logical_or.reduce([c != 0 for c in components]))
+    if not support[0].size:
+        return [0.0] * len(regions)
+    lo, hi = [int(i.min()) for i in support], [int(i.max()) + 1 for i in support]
     bounds = [-math.inf] * len(regions)
     for k, region in enumerate(regions):
         if region.any():
@@ -215,6 +221,10 @@ def _sup_ratio(components, h: float, alpha: float, reach: float, mask=None) -> l
         live = [k for k, bound in enumerate(bounds) if bound / (h * steps) ** alpha > best[k]]
         if not live:
             break
+        # only the pairs (x, x + d) with x or x + d in the box lo <= i < hi
+        off = [sb.start - sa.start for sa, sb in zip(a, b)]
+        a = tuple(slice(max(s.start, l - max(d, 0)), min(s.stop, u - min(d, 0))) for s, d, l, u in zip(a, off, lo, hi))
+        b = tuple(slice(s.start + d, s.stop + d) for s, d in zip(a, off))
         if len(components) == 1:
             gaps = np.abs(components[0][a] - components[0][b])
         else:
@@ -225,8 +235,6 @@ def _sup_ratio(components, h: float, alpha: float, reach: float, mask=None) -> l
                 gap = float(np.max(gaps))
             else:
                 pairs = regions[k][a] & regions[k][b]
-                if not pairs.any():
-                    continue
                 gap = float(np.max(gaps, where=pairs, initial=-math.inf))
             best[k] = max(best[k], gap / dist**alpha)
     return best

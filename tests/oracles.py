@@ -18,7 +18,8 @@ diagonal, the windowed fiber search one ball at a time with a scalar
 descent, its parabola and the two fiber splines one ball at a time in
 Python floats, the windowed fiber search one block at a time (whose
 descent is the program's ``_descend`` over a padded table), the cover
-layer ball by ball (greedy scan over a grid mask, one window of bumps,
+layer ball by ball (greedy scan over a grid mask, the 1D scalar scan over
+covered runs, one window of bumps,
 overlap counts by distance and k-d tree query per ball), one
 Hoelder pair scan per semi-norm, the row-order pair loops of the slow
 variation, omega, Malgrange and 2D pointwise scans over offsets of their
@@ -865,6 +866,35 @@ def loop_build_cover(field, nu, min_radius_cells=4.0):
         dist = _distance_grid(field, win, center)
         covered[win] |= dist <= radius / 2.0 + 1e-12 * radius
         flat = covered.ravel()
+    return balls
+
+
+def run_scan_cover_1d(field, nu, min_radius_cells=4.0):
+    """``cover.build_cover`` in 1D by a scalar scan: from each center, step
+    to the last cell within half its radius, then on to the next cell of
+    {r > 0}; one ball per step, in Python floats."""
+    from scipy.ndimage import distance_transform_edt
+
+    h, positive = field.spacing, field.positive_mask()
+    size = positive.size
+    floor = np.minimum(min_radius_cells * h, 0.5 * distance_transform_edt(positive, sampling=h))
+    coords = (field.origin[0] + h * np.arange(size)).tolist()
+    radii = np.maximum(nu * field.values, floor).tolist()
+    # the first cell of {r > 0} at or after each index, size if none
+    after = np.append(np.where(positive, np.arange(size), size), size)
+    next_positive = np.minimum.accumulate(after[::-1])[::-1].tolist()
+    balls, i = [], next_positive[0]
+    while i < size:
+        c, rad = coords[i], radii[i]
+        balls.append(CoverBall((i,), (c,), float(field.values[i]), rad))
+        reach = rad / 2.0 + 1e-12 * rad
+        last = min(size - 1, i + int(rad / 2.0 / h) + 1)  # the window's edge
+        m = min(last, i + int(reach / h))
+        while m < last and abs(coords[m + 1] - c) <= reach:
+            m += 1
+        while abs(coords[m] - c) > reach:
+            m -= 1
+        i = next_positive[m + 1]
     return balls
 
 

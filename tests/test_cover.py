@@ -25,6 +25,7 @@ from oracles import (
     loop_overlap_counts,
     loop_partition_functions,
     pairwise_color_classes,
+    run_scan_cover_1d,
     windows,
 )
 
@@ -219,6 +220,65 @@ def control_fields(draw):
     return ControlField(k=2, alpha=1.0, spacing=h, origin=origin, values=values, valid=valid)
 
 
+def _assert_same_cover(cover, want):
+    for name in ("index", "center", "r", "radius"):
+        got, expected = getattr(cover, name), getattr(want, name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, name
+        assert_array_equal(got, expected)
+
+
+def test_1d_cover_corrective_steps_match_scalar_scan():
+    """Radii 2 k h (1 + rel), |rel| <= 1e-8, a million from the origin: x_j - x_i
+    rounds off (j - i) h by up to 1e-10, so int(reach / h) guesses the end
+    of a ball's run one cell short or one cell long, and the array scan
+    takes forward and backward steps where the scalar scan does."""
+    rng = np.random.default_rng(0)
+    h, size = 0.01, 3000
+    k = rng.integers(2, 12, size)
+    rel = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-13, -8, size)
+    cf = ControlField(k=2, alpha=1.0, spacing=h, origin=(1e6,), values=2 * k * h * (1 + rel),
+                      valid=np.ones(size, dtype=bool))
+    cover = build_cover(cf, 1.0)
+    _assert_same_cover(cover, cover_of(loop_build_cover(cf, 1.0)))
+    _assert_same_cover(cover, cover_of(run_scan_cover_1d(cf, 1.0)))
+    # every cell is positive, so ball j's run ends just before center j + 1
+    first = cover.index[:, 0]
+    end = np.append(first[1:], size) - 1
+    reach = cover.radius / 2.0 + 1e-12 * cover.radius
+    last = np.minimum(size - 1, first + (cover.radius / 2.0 / h).astype(np.intp) + 1)
+    guess = np.minimum(last, first + (reach / h).astype(np.intp))
+    assert (end > guess).sum() == 53 and (end < guess).sum() == 112
+
+
+def test_huge_nu_cover_is_one_ball():
+    """A radius far past the grid is clipped before it becomes a cell count:
+    at nu = 1e300 one ball covers the parabola, as the scalar scan has it."""
+    cf = control_field(build_fixture("parabola", points=201), 2, 1.0)
+    cover = build_cover(cf, 1e300)
+    _assert_same_cover(cover, cover_of(run_scan_cover_1d(cf, 1e300)))
+    assert cover.index.tolist() == [[1]] and cover.radius.tolist() == [1e300 * cf.values[1]]
+    table = WindowTable.around(cover, cf)
+    assert table.lo.tolist() == [[0]] and table.hi.tolist() == [[201]]
+    # in 2D a radius past the intp range clips to the whole grid
+    flat = ControlField(k=2, alpha=1.0, spacing=0.1, origin=(0.0, 0.0), values=np.full((9, 7), 4.0),
+                        valid=np.ones((9, 7), dtype=bool))
+    cover = build_cover(flat, 1e300)
+    assert cover.index.tolist() == [[0, 0]] and cover.radius.tolist() == [4e300]
+    table = WindowTable.around(cover, flat)
+    assert table.lo.tolist() == [[0, 0]] and table.hi.tolist() == [[9, 7]]
+
+
+@pytest.mark.parametrize("nu", [1e17, 1e300])
+def test_huge_nu_decomposes_as_at_moderate_nu(nu):
+    f = build_fixture("constant", points=101)
+    want, got = decompose(f, 2, 1.0, nu=1e3), decompose(f, 2, 1.0, nu=nu)
+    assert got.square_count == want.square_count == 1
+    for a, b in zip(got.squares, want.squares):
+        assert_array_equal(a, b)
+    assert_array_equal(got.residual, want.residual)
+    assert verify(got, f).ok
+
+
 def _window_cells(shape, windows):
     grid = np.arange(int(np.prod(shape))).reshape(shape)
     return np.concatenate([grid[win].ravel() for win in windows] + [np.zeros(0, dtype=int)])
@@ -243,11 +303,9 @@ def test_cover_kernels_match_per_ball_loops(cf, halvings):
     balls = build_cover(cf, nu)
     assert list(balls) == loop_build_cover(cf, nu)
     # the arrays themselves, dtype and shape included, empty covers too
-    want = cover_of(loop_build_cover(cf, nu), cf.n)
-    for name in ("index", "center", "r", "radius"):
-        got, expected = getattr(balls, name), getattr(want, name)
-        assert got.dtype == expected.dtype and got.shape == expected.shape, name
-        assert_array_equal(got, expected)
+    _assert_same_cover(balls, cover_of(loop_build_cover(cf, nu), cf.n))
+    if cf.n == 1:
+        _assert_same_cover(balls, cover_of(run_scan_cover_1d(cf, nu)))
     assert color_classes(balls) == loop_color_classes(balls) == pairwise_color_classes(list(balls))
     part = partition_functions(cf, balls)
     _assert_same_partition(part, loop_partition_functions(cf, balls))

@@ -45,6 +45,18 @@ def test_parabola_reconstruction_exact():
     assert np.max(np.abs(recon - f.values)[mask]) <= 1e-12
 
 
+def test_verified_mask_is_built_once_and_read_only():
+    from scipy.ndimage import binary_erosion
+
+    d = decompose(build_fixture("bony", points=401), 3, 1.0)
+    mask = d.verified_mask()
+    assert mask is d.verified_mask() and not mask.flags.writeable
+    np.testing.assert_array_equal(mask, binary_erosion(d.control.positive_mask(), structure=np.ones(3, dtype=bool)))
+    assert 0 < mask.sum() < d.control.positive_mask().sum()
+    with pytest.raises(ValueError):
+        mask[0] = True
+
+
 def test_perturbed_square_fails_verification():
     f = build_fixture("parabola", points=401)
     d = decompose(f, 2, 1.0)

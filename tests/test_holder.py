@@ -359,26 +359,42 @@ def test_pairs_yields_every_pair_within_reach_once(n, data):
     assert len(seen) == len(set(seen)) and set(seen) == want
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 2),
     st.integers(0, 2**32 - 1),
     st.sampled_from([2, 3]),
     st.sampled_from([0.5, 1.0]),
     st.sampled_from([0.1, 0.25, 1.0, 4.0]),
+    st.sampled_from(["grid", "box", "edge box", "cell", "none"]),
+    st.booleans(),
 )
-def test_sampled_suprema_match_all_pairs(n, seed, k, alpha, nu):
+def test_sampled_suprema_match_all_pairs(n, seed, k, alpha, nu, support, disjoint):
     """Every sampled supremum against a scan of all pairs of cells, bit for
     bit: the default-window semi-norm with and without a mask (it reaches
-    every pair), the Malgrange gradient semi-norm, slow variation and omega."""
+    every pair), the Malgrange gradient semi-norm, slow variation and omega.
+    The samples are zero outside a random box (one touching the grid's
+    edge, a single cell, or none at all) when ``support`` says so, and the
+    mask avoids that box when ``disjoint`` is set."""
     rng = np.random.default_rng(seed)
     shape = tuple(int(s) for s in rng.integers(5, 25 if n == 1 else 9, n))
     h = 2.0 / (max(shape) - 1)
     axes = np.meshgrid(*(h * np.arange(s) - 1.0 for s in shape), indexing="ij")
     smooth = sum(c * x for c, x in zip(rng.normal(size=n), axes)) + rng.normal()
     values = np.clip(smooth**2 + rng.uniform(-0.3, 0.3) + 0.1 * rng.random(shape), 0.0, None)
+    box = np.ones(shape, dtype=bool)
+    if support != "grid":
+        lo = [int(rng.integers(0, s)) for s in shape]
+        hi = [int(rng.integers(a + 1, s + 1)) for a, s in zip(lo, shape)]
+        if support == "edge box":
+            hi[-1] = shape[-1]
+        elif support == "cell":
+            hi = [a + 1 for a in lo]
+        box[:] = False
+        box[tuple(slice(a, b) for a, b in zip(lo, hi))] = support != "none"
+        values = np.where(box, values + 0.5, 0.0)
     f = SampledFunction((-1.0,) * n, h, values)
-    mask = rng.random(shape) < 0.7
+    mask = (rng.random(shape) < 0.7) & ~(box & disjoint)
     est = estimate_seminorm(f, alpha, mask=mask)
     assert est.unmasked == all_pairs_sup_ratio((values,), h, alpha, math.inf)
     assert est.value == all_pairs_sup_ratio((values,), h, alpha, math.inf, mask)
