@@ -52,7 +52,7 @@ def check_malgrange(f: SampledFunction, alpha: float) -> MalgrangeReport:
         raise ValueError("not non-negative")
     h = f.spacing
     grads = [finitediff.partial(f.values, h, tuple(int(i == axis) for i in range(f.n))) for axis in range(f.n)]
-    sn = _sup_ratio(grads, h, alpha, math.inf)[0]
+    sn = _sup_ratio(grads, h, alpha, math.inf)
     grad = np.abs(grads[0]) if f.n == 1 else finitediff.nabla_norm(f.values, h, 1)
     constant = (alpha + 1.0) / alpha ** (alpha / (1.0 + alpha))
     fx = np.clip(f.values, 0.0, None)

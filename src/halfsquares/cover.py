@@ -30,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InputError
 from .holder import ControlField
 
 OVERLAP_BOUND_BASE = 15  # N_n = 15^n
@@ -158,8 +159,8 @@ def build_cover(field: ControlField, nu: float) -> Cover:
     radius / 2 (1 + 1e-12) of its center.  A 1D run's end is guessed as
     int(reach / h) cells on, then stepped forward and back until it stays.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise InputError("nu must be positive and finite")
     from scipy.ndimage import distance_transform_edt
 
     h = field.spacing

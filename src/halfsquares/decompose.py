@@ -712,7 +712,6 @@ class VerifyReport:
     partition_deviation: float
     half_exponent: float
     derivative_seminorms: list[float]  # per square, on the resolved region
-    derivative_seminorms_full: list[float]  # per square, everywhere
     resolved_fraction: float  # share of the verified region that is resolved
     value_constant: float  # sup |g| / r^((k+alpha)/2), g and r both of f / M
     derivative_constant: float  # sup |g'| / r^((k+alpha)/2 - 1), likewise
@@ -739,11 +738,10 @@ def square_count_bound(n: int) -> int:
 def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None = None) -> VerifyReport:
     """Reconstruction error, regularity estimates and count/overlap checks.
 
-    Derivative semi-norms are reported twice: over the sub-region where
-    every contributing ball has physical radius nu r_j of at least three
-    cells (the grid genuinely resolves the partition functions there),
-    and over the whole grid.  Regularity below grid resolution is not
-    measurable, so the resolved figures are the meaningful ones.
+    Derivative semi-norms are measured over the sub-region where every
+    contributing ball has physical radius nu r_j of at least three cells
+    (the grid genuinely resolves the partition functions there):
+    regularity below grid resolution is not measurable.
     """
     err, err_bound = d.reconstruction_gap(f)
     mask = d.verified_mask()
@@ -761,39 +759,30 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
 
     k, alpha = d.k, d.alpha
     half_exp = alpha / 2.0 if k % 2 == 0 else (1.0 + alpha) / 2.0
+    axes = [tuple(1 if i == axis else 0 for i in range(d.n)) for axis in range(d.n)]
     derivative_seminorms = []
-    derivative_seminorms_full = []
     for g in d.squares:
         gf = SampledFunction(d.origin, d.spacing, g)
-        best_resolved = 0.0
-        best_full = 0.0
-        for axis in range(d.n):
-            beta = tuple(1 if i == axis else 0 for i in range(d.n))
-            est = estimate_seminorm(
-                gf, half_exp, derivative=beta, window=seminorm_window, mask=resolved
-            )
-            best_full = max(best_full, est.unmasked)
-            best_resolved = max(best_resolved, est.value)
-        derivative_seminorms.append(best_resolved)
-        derivative_seminorms_full.append(best_full)
+        derivative_seminorms.append(max(
+            estimate_seminorm(gf, half_exp, derivative=beta, window=seminorm_window, mask=resolved).value
+            for beta in axes
+        ))
 
-    r = d.control.values
+    r = d.control.values[mask]
     power = (k + alpha) / 2.0
     value_constant = 0.0
     deriv_constant = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
+        value_den, deriv_den = r**power, r ** (power - 1.0)
         for g in d.squares:
             g = g / math.sqrt(d.scale)  # the square of f / M, like r
             num = np.abs(g)[mask]
-            den = r[mask] ** power
-            ratios = np.where(den > 0, num / den, np.where(num > 1e-12, np.inf, 0.0))
+            ratios = np.where(value_den > 0, num / value_den, np.where(num > 1e-12, np.inf, 0.0))
             value_constant = max(value_constant, float(np.max(ratios, initial=0.0)))
             gnorm = nabla_norm(g, d.spacing, 1)[mask]
-            den = r[mask] ** (power - 1.0)
             ok = np.isfinite(gnorm)
-            ratios = np.where(
-                den[ok] > 0, gnorm[ok] / den[ok], np.where(gnorm[ok] > 1e-9, np.inf, 0.0)
-            )
+            den = deriv_den[ok]
+            ratios = np.where(den > 0, gnorm[ok] / den, np.where(gnorm[ok] > 1e-9, np.inf, 0.0))
             deriv_constant = max(deriv_constant, float(np.max(ratios, initial=0.0)))
 
     pou = d.partition.sum_squares
@@ -815,7 +804,6 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
         partition_deviation=deviation,
         half_exponent=half_exp,
         derivative_seminorms=derivative_seminorms,
-        derivative_seminorms_full=derivative_seminorms_full,
         resolved_fraction=resolved_fraction,
         value_constant=value_constant,
         derivative_constant=deriv_constant,

@@ -7,8 +7,9 @@ Every sup over sampled pairs in the package walks them the same way.
 ``_pairs`` is the one walker: it turns a real reach, in grid steps, into
 the half-space offsets no longer than it, ring by ring, each with the
 two equal-shape blocks it joins.  ``_sup_ratio`` is the one stopping
-kernel on it, for the semi-norms of one component and the Malgrange
-gradient semi-norm of two; ``_pairs_within`` gives both orientations of
+kernel on it: one supremum per walk, over the pairs inside an optional
+mask, for the semi-norms of one component and the Malgrange gradient
+semi-norm of two; ``_pairs_within`` gives both orientations of
 every pair at most nu * max r apart, with the mask |x - y| <= nu r(x)
 that the slow variation of r and the decomposition's omega read.
 """
@@ -130,14 +131,14 @@ def validate_alpha(alpha: float) -> None:
 class HolderEstimate:
     """Empirical [f]_alpha over sampled pairs, optionally pointwise.
 
-    With a mask, ``value`` is the supremum over pairs inside it and
-    ``unmasked`` the supremum over all pairs; without one they agree.
+    ``value`` is the supremum over the pairs inside the mask, or over all
+    pairs without one; ``pointwise_windows`` maps each window, in grid
+    steps, to the pointwise values, the shortest window (3) approximating
+    the local semi-norm.
     """
 
     alpha: float
     value: float
-    unmasked: float = 0.0
-    pointwise: np.ndarray | None = None
     pointwise_windows: dict = field(default_factory=dict)
 
 
@@ -187,39 +188,34 @@ def _pairs_within(r: ControlField, nu: float):
             yield base, partner, within
 
 
-def _sup_ratio(components, h: float, alpha: float, reach: float, mask=None) -> list[float]:
+def _sup_ratio(components, h: float, alpha: float, reach: float, mask=None) -> float:
     """sup of gap / |x - y|^alpha over pairs of cells at most ``reach`` steps apart.
 
     The gap is |v(x) - v(y)| for one component and the Euclidean norm of
-    the component differences for two; cells where a component is not
-    finite (a derivative's margin) are ignored, and a ValueError says
-    when that leaves none.  Returns [sup over all pairs], or with a ``mask``
-    [sup over all pairs, sup over pairs with both ends in it], from one
-    walk that ends when no longer pair can beat either: no gap exceeds
-    max - min of one component, nor the norm of the component ranges
+    the component differences for two.  Only pairs whose two ends are
+    finite in every component (not in a derivative's margin) and, with a
+    ``mask``, inside it count; a ValueError says when no cell is finite.
+    The walk ends when no longer pair can win: no gap exceeds max - min of
+    one component over those cells, nor the norm of the component ranges
     (given a relative margin for the rounding of np.hypot).  Only the pairs
-    with an end in the box around the nonzero samples are scanned: the
-    others have gap 0, and the suprema start at 0.
+    with an end in the box around the counted nonzero samples are scanned:
+    the others have gap 0, and the supremum starts at 0.
     """
     finite = np.logical_and.reduce([np.isfinite(c) for c in components])
     if not finite.any():
         raise ValueError("grid too small for the requested derivative")
-    regions = [finite] if mask is None else [finite, finite & np.asarray(mask, dtype=bool)]
-    support = np.nonzero(finite & np.logical_or.reduce([c != 0 for c in components]))
+    region = finite if mask is None else finite & np.asarray(mask, dtype=bool)
+    support = np.nonzero(region & np.logical_or.reduce([c != 0 for c in components]))
     if not support[0].size:
-        return [0.0] * len(regions)
+        return 0.0
     lo, hi = [int(i.min()) for i in support], [int(i.max()) + 1 for i in support]
-    bounds = [-math.inf] * len(regions)
-    for k, region in enumerate(regions):
-        if region.any():
-            spans = [float(c[region].max() - c[region].min()) for c in components]
-            bounds[k] = spans[0] if len(spans) == 1 else math.hypot(*spans) * (1.0 + 1e-12)
-    clean = [bool(region.all()) for region in regions]
-    best = [0.0] * len(regions)
+    spans = [float(c[region].max() - c[region].min()) for c in components]
+    bound = spans[0] if len(spans) == 1 else math.hypot(*spans) * (1.0 + 1e-12)
+    clean = bool(region.all())
+    best = 0.0
     for steps, length, a, b in _pairs(finite.shape, reach):
         # a supremum that no pair of this ring or beyond can beat is final
-        live = [k for k, bound in enumerate(bounds) if bound / (h * steps) ** alpha > best[k]]
-        if not live:
+        if bound / (h * steps) ** alpha <= best:
             break
         # only the pairs (x, x + d) with x or x + d in the box lo <= i < hi
         off = [sb.start - sa.start for sa, sb in zip(a, b)]
@@ -229,14 +225,11 @@ def _sup_ratio(components, h: float, alpha: float, reach: float, mask=None) -> l
             gaps = np.abs(components[0][a] - components[0][b])
         else:
             gaps = np.hypot(*(c[a] - c[b] for c in components))
-        dist = h * length
-        for k in live:
-            if clean[k]:
-                gap = float(np.max(gaps))
-            else:
-                pairs = regions[k][a] & regions[k][b]
-                gap = float(np.max(gaps, where=pairs, initial=-math.inf))
-            best[k] = max(best[k], gap / dist**alpha)
+        if clean:
+            gap = float(np.max(gaps))
+        else:
+            gap = float(np.max(gaps, where=region[a] & region[b], initial=-math.inf))
+        best = max(best, gap / (h * length) ** alpha)
     return best
 
 
@@ -253,11 +246,11 @@ def estimate_seminorm(
     ``derivative`` is an optional multi-index applied by central
     differences first, and ``mask`` optionally restricts the pair scan to
     a sub-region (cells outside it are ignored).  The default window
-    reaches every pair of the grid.  One ``_sup_ratio`` walk gives both
-    the masked and the unmasked supremum.  The pointwise variant takes, at
-    each point, the largest ratio over the pairs through it at most 9, 5
-    and 3 grid steps long and reports the shortest, approximating the
-    limsup-based local semi-norm.
+    reaches every pair of the grid; a caller that wants the supremum over
+    all pairs passes no mask.  The pointwise variant takes, at each point,
+    the largest ratio over the pairs through it at most 9, 5 and 3 grid
+    steps long; the shortest approximates the limsup-based local
+    semi-norm.
     """
     validate_alpha(alpha)
     h = f.spacing
@@ -269,16 +262,11 @@ def estimate_seminorm(
     if window / h + _REACH_SLACK < 1:
         raise ValueError("window is smaller than one grid step")
 
-    best = _sup_ratio((values,), h, alpha, window / h, mask)
-    estimate = HolderEstimate(alpha=alpha, value=best[-1], unmasked=best[0])
+    estimate = HolderEstimate(alpha=alpha, value=_sup_ratio((values,), h, alpha, window / h, mask))
     if pointwise:
         if mask is not None:
             values = np.where(mask, values, np.nan)
-        windows = {}
-        for w in (9, 5, 3):
-            windows[w] = _pointwise_seminorm(values, h, alpha, w)
-        estimate.pointwise = windows[3]
-        estimate.pointwise_windows = windows
+        estimate.pointwise_windows = {w: _pointwise_seminorm(values, h, alpha, w) for w in (9, 5, 3)}
     return estimate
 
 
@@ -358,6 +346,7 @@ def holder_norm(f: SampledFunction, k: int, alpha: float) -> float:
     their stencils fit and over all sampled pairs.  f / norm is the
     normalized function on which the control field is a length.
     """
+    validate_alpha(alpha)
     best = float(np.max(np.abs(f.values), initial=0.0))
     for j in range(1, k + 1):
         for _, beta in directional_expand(j, f.n):
@@ -367,7 +356,7 @@ def holder_norm(f: SampledFunction, k: int, alpha: float) -> float:
                 continue
             best = max(best, float(np.max(np.abs(dj[finite]))))
             if j == k:
-                best = max(best, estimate_seminorm(f, alpha, derivative=beta).value)
+                best = max(best, _sup_ratio((dj,), f.spacing, alpha, math.inf))
     return best
 
 

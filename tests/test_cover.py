@@ -16,6 +16,7 @@ from halfsquares.cover import (
     partition_functions,
 )
 from halfsquares.decompose import decompose, partial_decompose, verify
+from halfsquares.errors import InputError
 from halfsquares.fixtures import build_fixture
 from halfsquares.holder import ControlField, SampledFunction, control_field
 from oracles import (
@@ -193,9 +194,12 @@ def test_two_dimensional_cover_and_partition():
 
 
 def test_invalid_nu():
-    cf = field_for(lambda x: np.ones_like(x), 0.0, 1.0, 101)
-    with pytest.raises(ValueError):
-        build_cover(cf, 0.0)
+    line = field_for(lambda x: np.ones_like(x), 0.0, 1.0, 101)
+    plane = control_field(SampledFunction((0.0, 0.0), 0.1, np.ones((9, 7))), 2, 1.0)
+    for cf in (line, plane):
+        for nu in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(InputError, match="nu must be positive and finite"):
+                build_cover(cf, nu)
 
 
 @st.composite

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfsquares import holder
 from halfsquares.checks import check_malgrange
 from halfsquares.decompose import _calibrate_omega, decompose, verify
 from halfsquares.fixtures import build_fixture
@@ -118,11 +119,11 @@ def test_pointwise_seminorm_windows():
     f = grid(lambda x: np.abs(x) ** 0.5, -1.0, 1.0, 2001)
     est = estimate_seminorm(f, 0.5, pointwise=True)
     i0 = 1000
-    assert est.pointwise is not None
-    assert est.pointwise[i0] == pytest.approx(1.0, rel=0.05)
-    # away from the cusp the local ratio is far smaller
-    assert est.pointwise[200] < 0.5
     assert set(est.pointwise_windows) == {3, 5, 9}
+    local = est.pointwise_windows[3]
+    assert local[i0] == pytest.approx(1.0, rel=0.05)
+    # away from the cusp the local ratio is far smaller
+    assert local[200] < 0.5
 
 
 def test_sub_product_rule_empirical():
@@ -246,7 +247,8 @@ def test_fixture_values():
     st.sampled_from([None, 2, 5]),
 )
 def test_one_scan_gives_masked_and_unmasked_seminorms(n, seed, alpha, derivative, keep, window_steps):
-    """Both suprema equal separate scans, with NaN derivative margins and any mask."""
+    """The masked and the unmasked supremum equal separate scans, with NaN
+    derivative margins and any mask."""
     rng = np.random.default_rng(seed)
     shape = tuple(int(s) for s in rng.integers(3, 60 if n == 1 else 14, n))
     f = SampledFunction((0.0,) * n, 0.1, rng.standard_normal(shape).cumsum(axis=0))
@@ -263,8 +265,8 @@ def test_one_scan_gives_masked_and_unmasked_seminorms(n, seed, alpha, derivative
     except ValueError:  # the grid is too small for the derivative
         return
     assert est.value == single_scan_seminorm(f, alpha, beta, window, mask=mask)
-    assert est.unmasked == single_scan_seminorm(f, alpha, beta, window)
-    assert estimate_seminorm(f, alpha, derivative=beta, window=window).value == est.unmasked
+    unmasked = estimate_seminorm(f, alpha, derivative=beta, window=window).value
+    assert unmasked == single_scan_seminorm(f, alpha, beta, window)
 
 
 @pytest.mark.parametrize("name, points, k, window_cells", [
@@ -281,14 +283,12 @@ def test_verify_seminorms_match_separate_scans(name, points, k, window_cells):
     resolved = loop_resolved_mask(d)
     assert rep.resolved_fraction == float(resolved.sum()) / float(d.verified_mask().sum())
     axes = [tuple(int(i == a) for i in range(d.n)) for a in range(d.n)]
-    full, masked = [], []
+    masked = []
     for g in d.squares:
         gf = SampledFunction(d.origin, d.spacing, g)
-        full.append(max(single_scan_seminorm(gf, rep.half_exponent, b, window) for b in axes))
         masked.append(
             max(single_scan_seminorm(gf, rep.half_exponent, b, window, mask=resolved) for b in axes)
         )
-    assert rep.derivative_seminorms_full == full
     assert rep.derivative_seminorms == masked
 
 
@@ -395,14 +395,36 @@ def test_sampled_suprema_match_all_pairs(n, seed, k, alpha, nu, support, disjoin
         values = np.where(box, values + 0.5, 0.0)
     f = SampledFunction((-1.0,) * n, h, values)
     mask = (rng.random(shape) < 0.7) & ~(box & disjoint)
-    est = estimate_seminorm(f, alpha, mask=mask)
-    assert est.unmasked == all_pairs_sup_ratio((values,), h, alpha, math.inf)
-    assert est.value == all_pairs_sup_ratio((values,), h, alpha, math.inf, mask)
+    assert estimate_seminorm(f, alpha).value == all_pairs_sup_ratio((values,), h, alpha, math.inf)
+    masked = estimate_seminorm(f, alpha, mask=mask).value
+    assert masked == all_pairs_sup_ratio((values,), h, alpha, math.inf, mask)
     grads = [fd_partial(values, h, tuple(int(i == a) for i in range(n))) for a in range(n)]
     assert check_malgrange(f, alpha).seminorm == all_pairs_sup_ratio(grads, h, alpha, math.inf)
     cf = control_field(f, k, alpha)
     assert check_slow_variation(cf, nu).worst_ratio == all_pairs_slow_variation(cf, nu)
     assert _calibrate_omega(f, cf, nu) == all_pairs_calibrate_omega(f, cf, nu)
+
+
+def test_masked_walk_stops_when_the_masked_supremum_is_final(monkeypatch):
+    """A ramp masked to three adjacent cells: the masked bound 2h over
+    (3h)^(1/2) falls below the ring-2 ratio (2h)^(1/2) at ring 3, so the
+    walk ends there, though the unmasked supremum needs the whole grid."""
+    f = grid(lambda x: x, 0.0, 1.0, 101)
+    mask = np.zeros(f.shape, dtype=bool)
+    mask[40:43] = True
+    rings, walk = [], holder._pairs
+
+    def counted(shape, reach):
+        for item in walk(shape, reach):
+            rings.append(item[0])
+            yield item
+
+    monkeypatch.setattr(holder, "_pairs", counted)
+    assert estimate_seminorm(f, 0.5, mask=mask).value == single_scan_seminorm(f, 0.5, mask=mask)
+    assert rings == [1, 2, 3]
+    rings.clear()
+    assert estimate_seminorm(f, 0.5).value == pytest.approx(1.0, rel=1e-12)
+    assert rings == list(range(1, 101))
 
 
 def test_default_window_reaches_the_corner_pair():
