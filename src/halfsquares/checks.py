@@ -1,8 +1,10 @@
 """Empirical inequality checkers for sampled non-negative functions.
 
 Each checker evaluates both sides of a pointwise inequality from grid
-samples and reports the worst ratio or empirical constant; inequalities
-hold up to a fixed discretization slack.  The Malgrange checker's
+samples and reports the worst ratio or empirical constant, one
+``_max_ratio`` over the cells where both sides are measured; a grid too
+small for the stencils measures nothing and fails.  Inequalities hold up
+to a fixed discretization slack.  The Malgrange checker's
 [grad f]_alpha is a ``holder._sup_ratio`` scan over every pair of the
 grid, in one and two dimensions.
 """
@@ -23,19 +25,26 @@ INTERPOLATION_SLACK = 0.02
 REFINEMENT_FACTOR = 1.5
 
 
-def _ratio(num: np.ndarray, den: np.ndarray, noise: float = 0.0) -> np.ndarray:
-    """num/den with numerators below ``noise`` zeroed and x/0 -> inf."""
-    num = np.where(num > noise, num, 0.0)
-    out = np.zeros_like(num, dtype=float)
+def _max_ratio(num: np.ndarray, den: np.ndarray, noise: float) -> float:
+    """max num/den over the cells where both are finite, at least 0.
+
+    Numerators at most ``noise`` count as 0, and x/0 is inf for x > 0.  A
+    ValueError says when no cell is finite: the grid is too small for the
+    stencils.
+    """
+    both = np.isfinite(num) & np.isfinite(den)
+    if not both.any():
+        raise ValueError("grid too small for the requested derivative")
+    num = np.where(num[both] > noise, num[both], 0.0)
+    den = den[both]
     pos = den > 0
-    out[pos] = num[pos] / den[pos]
-    out[~pos & (num > 0)] = np.inf
-    return out
+    if np.any(num[~pos] > 0):
+        return math.inf
+    return float(np.max(num[pos] / den[pos], initial=0.0))
 
 
 @dataclass
 class MalgrangeReport:
-    alpha: float
     constant: float  # (alpha+1)/alpha^(alpha/(1+alpha)), used verbatim
     seminorm: float  # empirical [f']_alpha (or [grad f]_alpha)
     max_ratio: float
@@ -57,22 +66,12 @@ def check_malgrange(f: SampledFunction, alpha: float) -> MalgrangeReport:
     constant = (alpha + 1.0) / alpha ** (alpha / (1.0 + alpha))
     fx = np.clip(f.values, 0.0, None)
     rhs = constant * sn ** (1.0 / (1.0 + alpha)) * fx ** (alpha / (1.0 + alpha))
-    finite = np.isfinite(grad)
-    ratios = _ratio(np.where(finite, grad, 0.0), rhs, noise=finitediff.fd_noise(f.values, h, 1))
-    ratios[~finite] = 0.0
-    return MalgrangeReport(
-        alpha=alpha,
-        constant=constant,
-        seminorm=sn,
-        max_ratio=float(np.max(ratios)),
-    )
+    max_ratio = _max_ratio(grad, rhs, finitediff.fd_noise(f.values, h, 1))
+    return MalgrangeReport(constant=constant, seminorm=sn, max_ratio=max_ratio)
 
 
 @dataclass
 class DerivativeControlReport:
-    k: int
-    alpha: float
-    ell: int
     constant: float
 
     @property
@@ -99,17 +98,11 @@ def check_derivative_control(f: SampledFunction, k: int, alpha: float, ell: int)
             dj = np.clip(finitediff.max_directional_derivative(f.values, h, j), 0.0, None)
         powered = dj ** ((k - ell + alpha) / (k - j + alpha))
         den = powered if den is None else np.fmax(den, powered)
-    mask = np.isfinite(num) & np.isfinite(den)
-    ratios = _ratio(num[mask], den[mask], noise=finitediff.fd_noise(f.values, h, ell))
-    constant = float(np.max(ratios)) if ratios.size else 0.0
-    return DerivativeControlReport(k=k, alpha=alpha, ell=ell, constant=constant)
+    return DerivativeControlReport(_max_ratio(num, den, finitediff.fd_noise(f.values, h, ell)))
 
 
 @dataclass
 class InterpolationReport:
-    alpha: float
-    gamma: float
-    beta: float
     lhs: float  # [f]_gamma^(beta - alpha)
     rhs: float  # [f]_alpha^(beta - gamma) [f]_beta^(gamma - alpha)
 
@@ -125,22 +118,13 @@ def check_interpolation(f: SampledFunction, alpha: float, gamma: float, beta: fl
     sa = estimate_seminorm(f, alpha).value
     sg = estimate_seminorm(f, gamma).value
     sb = estimate_seminorm(f, beta).value
-    return InterpolationReport(
-        alpha=alpha,
-        gamma=gamma,
-        beta=beta,
-        lhs=sg ** (beta - alpha),
-        rhs=sa ** (beta - gamma) * sb ** (gamma - alpha),
-    )
+    return InterpolationReport(lhs=sg ** (beta - alpha), rhs=sa ** (beta - gamma) * sb ** (gamma - alpha))
 
 
 @dataclass
 class InducReport:
     """Empirical constants of the higher-order decomposition hypotheses."""
 
-    k: int
-    alpha: float
-    eta: float
     constants: dict  # level -> empirical constant (2 uses exponent eta)
 
     @property
@@ -163,33 +147,19 @@ def check_induc(f: SampledFunction, k: int, alpha: float, eta: float) -> InducRe
         raise ValueError("not non-negative")
     h = f.spacing
     fx = np.clip(f.values, 0.0, None)
-    constants = {}
-    levels = [(2, eta)] + [
-        (ell, (k - ell + alpha) / (k + alpha)) for ell in range(4, k + 1, 2)
-    ]
-    for ell, exponent in levels:
-        num = finitediff.nabla_norm(f.values, h, ell)
-        mask = np.isfinite(num)
-        ratios = _ratio(num[mask], fx[mask] ** exponent, noise=finitediff.fd_noise(f.values, h, ell))
-        constants[ell] = float(np.max(ratios)) if ratios.size else 0.0
-    return InducReport(k=k, alpha=alpha, eta=eta, constants=constants)
+    levels = [(2, eta)] + [(ell, (k - ell + alpha) / (k + alpha)) for ell in range(4, k + 1, 2)]
+    return InducReport({
+        ell: _max_ratio(finitediff.nabla_norm(f.values, h, ell), fx**exponent, finitediff.fd_noise(f.values, h, ell))
+        for ell, exponent in levels
+    })
 
 
-@dataclass
-class StabilityReport:
-    coarse: float
-    fine: float
-
-    @property
-    def ok(self) -> bool:
-        if not (math.isfinite(self.coarse) and math.isfinite(self.fine)):
-            return False
-        lo, hi = sorted((self.coarse, self.fine))
-        if hi == 0.0:
-            return True
-        return lo > 0.0 and hi / lo <= REFINEMENT_FACTOR
-
-
-def refinement_stability(coarse: float, fine: float) -> StabilityReport:
-    """Compare an empirical constant across one grid refinement."""
-    return StabilityReport(coarse=coarse, fine=fine)
+def refinement_stability(coarse: float, fine: float) -> bool:
+    """Whether an empirical constant is stable across one grid refinement:
+    both finite, and both 0 or within REFINEMENT_FACTOR of each other."""
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        return False
+    lo, hi = sorted((coarse, fine))
+    if hi == 0.0:
+        return True
+    return lo > 0.0 and hi / lo <= REFINEMENT_FACTOR

@@ -17,8 +17,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .certificates import (
     AmgmCertificate,
@@ -233,13 +231,11 @@ def cmd_check(args) -> int:
         report = check_slow_variation(cf, NU_START if args.nu is None else args.nu)
         payload = {"worst_ratio": report.worst_ratio, "ok": report.ok}
     elif kind == "derivative-control":
-        coarse = check_derivative_control(f, args.k, args.alpha, args.ell).constant
-        if args.infile:
-            payload = {"constant": coarse, "ok": bool(np.isfinite(coarse))}
-        else:
-            fine_f = _fixture(args, 2 * f.shape[0] - 1)
-            fine = check_derivative_control(fine_f, args.k, args.alpha, args.ell).constant
-            payload = {"constant": coarse, "refined_constant": fine, "ok": refinement_stability(coarse, fine).ok}
+        report = check_derivative_control(f, args.k, args.alpha, args.ell)
+        payload = {"constant": report.constant, "ok": report.ok}
+        if not args.infile:
+            fine = check_derivative_control(_fixture(args, 2 * f.shape[0] - 1), args.k, args.alpha, args.ell).constant
+            payload.update(refined_constant=fine, ok=refinement_stability(report.constant, fine))
     elif kind == "interpolation":
         report = check_interpolation(f, args.alpha, args.gamma, args.beta)
         payload = {"lhs": report.lhs, "rhs": report.rhs, "ok": report.ok}

@@ -137,7 +137,6 @@ class HolderEstimate:
     the local semi-norm.
     """
 
-    alpha: float
     value: float
     pointwise_windows: dict = field(default_factory=dict)
 
@@ -262,7 +261,7 @@ def estimate_seminorm(
     if window / h + _REACH_SLACK < 1:
         raise ValueError("window is smaller than one grid step")
 
-    estimate = HolderEstimate(alpha=alpha, value=_sup_ratio((values,), h, alpha, window / h, mask))
+    estimate = HolderEstimate(_sup_ratio((values,), h, alpha, window / h, mask))
     if pointwise:
         if mask is not None:
             values = np.where(mask, values, np.nan)

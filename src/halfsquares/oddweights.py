@@ -1,9 +1,11 @@
 """Exact node/weight systems killing odd moments below a top order.
 
-For odd ell and s = (ell+1)/2, nodes eta_1..eta_s and positive weights
-w_1..w_s satisfy sum w_k eta_k^j = 0 for odd j < ell and = 1 for j = ell.
-The canonical nodes are eta_k = (-1)^(s+k) k, for which the weights have
-the closed form w_k = 1 / (eta_k * prod_{i != k} (eta_k^2 - eta_i^2)).
+For odd ell and s = (ell+1)/2, nodes eta_1..eta_s and weights w_1..w_s
+satisfy sum w_k eta_k^j = 0 for odd j < ell and = 1 for j = ell.  For any
+nonzero nodes with distinct |eta| the unique weights have the closed form
+w_k = 1 / (eta_k * prod_{i != k} (eta_k^2 - eta_i^2)), by Lagrange
+interpolation in eta^2.  The canonical nodes eta_k = (-1)^(s+k) k make
+every weight positive.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ratmat
 from .errors import InputError
 
 
@@ -66,23 +67,20 @@ def det_product_formula(nodes) -> Fraction:
 
 
 def weights_for_nodes(nodes) -> list[Fraction]:
-    """Exact solution of M w = e_s for arbitrary distinct-|eta| nodes.
+    """The exact solution of M w = e_s for nonzero distinct-|eta| nodes.
 
     Weights may have any sign here; positivity requires the alternating
     node pattern used by ``solve``.
     """
     nodes = [int(e) for e in nodes]
+    if not nodes:
+        raise InputError("need at least one node")
     if any(e == 0 for e in nodes):
         raise InputError("nodes must be nonzero")
     mags = [abs(e) for e in nodes]
     if len(set(mags)) != len(mags):
         raise InputError("repeated |eta|: two linearly dependent columns")
-    s = len(nodes)
-    rhs = [0] * (s - 1) + [1]
-    solution = ratmat.solve_rectangular(moment_matrix(nodes), rhs)
-    if solution is None:
-        raise ValueError("singular moment matrix")
-    return solution
+    return closed_form_weights(nodes)
 
 
 def closed_form_weights(nodes) -> list[Fraction]:

@@ -181,7 +181,8 @@ def test_criterion_04_odd_weight_identities():
         assert system.moment(ell) == 1
     for ell in range(1, 15, 2):
         nodes = ow.solve(ell).nodes
-        assert ow.weights_for_nodes(nodes) == list(ow.solve(ell).weights)
+        linear_solve = ratmat.solve_rectangular(ow.moment_matrix(nodes), [0] * (len(nodes) - 1) + [1])
+        assert ow.weights_for_nodes(nodes) == list(ow.solve(ell).weights) == linear_solve
     emit("4", True, "exact moment identities for odd ell <= 19; closed form == linear solve for ell <= 13")
 
 

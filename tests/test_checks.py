@@ -76,7 +76,7 @@ def test_derivative_control_parabola():
     assert report.ok
     assert 0 < report.constant <= 2.0
     fine = check_derivative_control(grid(lambda x: x**2, -2.0, 2.0, 4001), 2, 1.0, 1)
-    assert refinement_stability(report.constant, fine.constant).ok
+    assert refinement_stability(report.constant, fine.constant)
 
 
 def test_derivative_control_zero_function():
@@ -88,7 +88,20 @@ def test_derivative_control_bony_finite_and_stable():
     coarse = check_derivative_control(build_fixture("bony", points=2001), 3, 1.0, 1)
     fine = check_derivative_control(build_fixture("bony", points=4001), 3, 1.0, 1)
     assert math.isfinite(coarse.constant) and math.isfinite(fine.constant)
-    assert refinement_stability(coarse.constant, fine.constant).ok
+    assert refinement_stability(coarse.constant, fine.constant)
+
+
+@pytest.mark.parametrize("fixture", ["parabola", "paraboloid"])
+def test_derivative_control_on_two_points_fails(fixture):
+    with pytest.raises(ValueError, match="grid too small"):
+        check_derivative_control(build_fixture(fixture, points=2), 2, 1.0, 1)
+
+
+@pytest.mark.parametrize("coarse, fine, ok", [
+    (1.0, 1.2, True), (1.0, 2.0, False), (0.0, 0.0, True), (0.0, 1.0, False), (math.inf, 1.0, False),
+])
+def test_refinement_stability_rule(coarse, fine, ok):
+    assert refinement_stability(coarse, fine) is ok
 
 
 def test_interpolation_power_function():
@@ -145,6 +158,12 @@ def test_induc_flags_parabola():
     report = check_induc(f, 4, 1.0, 0.5)
     assert report.constants[2] == math.inf
     assert not report.ok
+
+
+def test_induc_on_a_grid_too_small_for_a_level_fails():
+    # four points carry second differences but no fourth-order stencil
+    with pytest.raises(ValueError, match="grid too small"):
+        check_induc(build_fixture("parabola", points=4), 4, 1.0, 0.5)
 
 
 def test_induc_parameter_validation():

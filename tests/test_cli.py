@@ -443,8 +443,12 @@ def test_command_line_syntax_error_exits_2(capsys, argv):
     ["check", "--kind", "malgrange", "--points", "2"],
     ["check", "--kind", "slowvar", "--in", "HUGE_STEP"],
     ["check", "--kind", "malgrange", "--fixture", "paraboloid", "--points", "2"],
+    ["check", "--kind", "derivative-control", "--points", "2"],
+    ["check", "--kind", "derivative-control", "--fixture", "paraboloid", "--points", "2"],
+    ["check", "--kind", "induc", "--k", "4", "--points", "4"],
 ], ids=["malgrange-negative", "induc-negative", "slowvar-two-points", "malgrange-two-points", "slowvar-overflow",
-        "malgrange-2d-two-points"])
+        "malgrange-2d-two-points", "derivative-control-two-points", "derivative-control-2d-two-points",
+        "induc-level-4-on-four-points"])
 def test_check_that_cannot_run_on_its_data_fails(tmp_path, capsys, argv):
     changes = {"NEG": {"values": [-1.0] * 101}, "HUGE_STEP": {"spacing": 1e300}}
     argv = [_sampled_file(tmp_path, **changes[a]) if a in changes else a for a in argv]

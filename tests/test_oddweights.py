@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfsquares import ratmat
+from halfsquares.errors import InputError
 from halfsquares.oddweights import (
     closed_form_weights,
     det_product_formula,
@@ -43,10 +45,21 @@ def test_identities_exact_through_19(ell):
     assert all(w > 0 for w in system.weights)
 
 
+def exact_solve(nodes):
+    """The weights by exact elimination of the moment system M w = e_s."""
+    return ratmat.solve_rectangular(moment_matrix(nodes), [0] * (len(nodes) - 1) + [1])
+
+
 @pytest.mark.parametrize("ell", range(1, 15, 2))
 def test_closed_form_matches_linear_solve(ell):
     nodes = solve(ell).nodes
-    assert weights_for_nodes(nodes) == closed_form_weights(nodes)
+    assert closed_form_weights(nodes) == exact_solve(nodes)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.integers(-60, 60).filter(bool), min_size=1, max_size=8, unique_by=abs))
+def test_closed_form_matches_linear_solve_on_any_valid_nodes(nodes):
+    assert weights_for_nodes(nodes) == exact_solve(nodes)
 
 
 @pytest.mark.parametrize("s", range(1, 7))
@@ -58,6 +71,11 @@ def test_determinant_product_formula(s):
 def test_non_alternating_nodes_give_a_negative_weight():
     weights = weights_for_nodes([1, 2])
     assert any(w < 0 for w in weights)
+
+
+def test_empty_node_list_rejected():
+    with pytest.raises(InputError, match="at least one node"):
+        weights_for_nodes([])
 
 
 def test_repeated_magnitude_rejected():
