@@ -137,9 +137,11 @@ def check_induc(f: SampledFunction, k: int, alpha: float, eta: float) -> InducRe
 
     ell runs over the even orders in (2, k].  An infinite constant (a
     point where f vanishes but the derivative does not) is a failure.
+    Every level needs a stencil, which bounds k before any is computed.
     """
-    if k < 4:
-        raise InputError("need k >= 4")
+    top = max(finitediff.STENCILS)
+    if not 4 <= k - k % 2 <= top:
+        raise InputError(f"need k in {{4, {top + 1}}}: the stencils reach order {top}")
     validate_alpha(alpha)
     if not 0 < eta < (k - 2 + alpha) / (k + alpha):
         raise InputError("eta out of range")

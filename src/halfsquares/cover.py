@@ -15,11 +15,9 @@ a time, overlap counts are read off psi, and sums over balls are unbuffered
 ``np.add.at`` calls, which add in table order and so give each cell the
 sum, in ball order, that a loop of window updates gives.  The grid and the
 re-evaluation of 1D squares off the grid share one ``normalize_bumps``.
-In 1D no grid mask is needed: the cells before the current center are
-covered and coordinates are monotone, so a ball covers the run from its
-center to the last cell within half its radius, and the next center is
-the first cell of {r > 0} past that run.  The runs of all cells are found
-at once, as arrays, and the scan walks the chain of next centers.
+The cover is scanned a grid row at a time, a 1D grid as one row: the runs
+balls cover in a row are found for all its open cells at once, as arrays,
+and each center marks what it covers of the rows below on a window table.
 """
 
 from __future__ import annotations
@@ -34,8 +32,11 @@ from .errors import InputError
 from .holder import ControlField
 
 OVERLAP_BOUND_BASE = 15  # N_n = 15^n
-# balls per window table or k-d tree query: one table of a whole 2D cover
-# holds megabytes of temporaries, and their heap fragments raise peak memory
+# balls per window table, k-d tree query or block of 2D main squares: one
+# table of a whole 2D cover holds megabytes of temporaries, and their heap
+# fragments raise peak memory (a decompose of radial_bump-121^2 peaks at
+# 9.2 MB of traced allocations with its 957 branch-B balls' main squares in
+# one block, 5.3 MB in blocks of 128 or 64)
 BATCH = 128
 # the least ball radius in grid cells, unless {r = 0} is nearer (see build_cover)
 MIN_RADIUS_CELLS = 4.0
@@ -148,6 +149,18 @@ class WindowTable:
         return (np.cumsum(depth[:-1]) > 0).reshape(self.shape)
 
 
+def entry_distances(table: WindowTable, center: np.ndarray, field: ControlField) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's flat grid cell and distance from its ball's center, at origin + h * index as the centers."""
+    h, origin, cells = field.spacing, field.origin, table.cells()
+    if len(table.shape) == 1:
+        return cells, np.abs((origin[0] + h * cells) - table.per_entry(center[:, 0]))
+    ball, first, length = table.runs()
+    row = first // table.shape[1]
+    du = np.repeat((origin[0] + h * row) - center[ball, 0], length)
+    col = cells - np.repeat(row * table.shape[1], length)
+    return cells, np.hypot(du, (origin[1] + h * col) - table.per_entry(center[:, 1]))
+
+
 def build_cover(field: ControlField, nu: float) -> Cover:
     """Greedy half-radius cover of {r > 0}, scanning in row-major order.
 
@@ -156,61 +169,56 @@ def build_cover(field: ControlField, nu: float) -> Cover:
     floor is capped by half the distance to {r = 0} so that no ball ever
     touches the degenerate set and the zero branch of the partition
     identity stays exact.  A ball covers the cells within
-    radius / 2 (1 + 1e-12) of its center.  A 1D run's end is guessed as
+    radius / 2 (1 + 1e-12) of its center.  A grid row's open cells are
+    those of {r > 0} that no ball of an earlier row covers; in its row a
+    ball covers a run, as hypot(0, t) = |t|, whose end is guessed as
     int(reach / h) cells on, then stepped forward and back until it stays.
     """
     if not 0 < nu < math.inf:
         raise InputError("nu must be positive and finite")
     from scipy.ndimage import distance_transform_edt
 
-    h = field.spacing
-    positive = field.positive_mask()
-    shape = positive.shape
+    h, positive, shape = field.spacing, field.positive_mask(), field.values.shape
     axes = [field.origin[axis] + h * np.arange(size) for axis, size in enumerate(shape)]
     floor = np.minimum(MIN_RADIUS_CELLS * h, 0.5 * distance_transform_edt(positive, sampling=h))
-    radius = np.maximum(nu * field.values, floor).ravel()  # of a ball centered on each cell
-
-    centers: list[int] = []  # flat grid index of each ball's center
-    if field.n == 1:
-        x, size, idx = axes[0], positive.size, np.flatnonzero(positive)
-        # the first cell of {r > 0} at or after each index, size if none
-        after = np.append(np.where(positive, np.arange(size), size), size)
-        next_positive = np.minimum.accumulate(after[::-1])[::-1]
-        # m: the last cell a ball on each cell idx covers; lengths are clipped before the cast
-        c, rad = x[idx], radius[idx]
+    radius = np.maximum(nu * field.values, floor)  # of a ball centered on each cell
+    covered = ~positive.reshape(-1, shape[-1])  # a 1D grid is one row
+    rows, width, x = len(covered), shape[-1], axes[-1]
+    centers = []  # flat grid indices of the balls' centers, a row at a time
+    for u, (row, radii) in enumerate(zip(covered, radius.reshape(covered.shape))):
+        idx = np.flatnonzero(~row)
+        if not idx.size:
+            continue
+        # the first open cell at or after each index, width if none
+        after = np.append(np.where(row, width, np.arange(width)), width)
+        next_open = np.minimum.accumulate(after[::-1])[::-1]
+        # m: the last cell a ball on each open cell covers; lengths are clipped before the cast
+        c, rad = x[idx], radii[idx]
         reach = rad / 2.0 + 1e-12 * rad
-        last = np.minimum(size - 1, idx + np.minimum(rad / 2.0 / h, size).astype(np.intp) + 1)
-        m = np.minimum(last, idx + np.minimum(reach / h, size).astype(np.intp))
+        last = np.minimum(width - 1, idx + np.minimum(rad / 2.0 / h, width).astype(np.intp) + 1)
+        m = np.minimum(last, idx + np.minimum(reach / h, width).astype(np.intp))
         while (ahead := (m < last) & (np.abs(x[np.minimum(m + 1, last)] - c) <= reach)).any():
             m += ahead
         while (back := np.abs(x[m] - c) > reach).any():
             m -= back
-        following = np.zeros(size, dtype=np.intp)  # the center after a ball on each cell
-        following[idx] = next_positive[m + 1]
-        following, i = following.tolist(), int(next_positive[0])
-        while i < size:
-            centers.append(i)
-            i = following[i]
-    else:
-        covered = ~positive
-        flat = covered.ravel()
-        pos = 0
-        while pos < flat.size:
-            pos += int(np.argmin(flat[pos:]))
-            if flat[pos]:
-                break
-            centers.append(pos)
-            rad = float(radius[pos])
-            steps = int(rad / 2.0 / h) + 1
-            cell = divmod(pos, shape[1])
-            win = tuple(slice(max(0, i - steps), min(s, i + steps + 1)) for i, s in zip(cell, shape))
-            du, dv = (axis[sl] - axis[i] for axis, sl, i in zip(axes, win, cell))
-            reach = rad / 2.0 + 1e-12 * rad
-            covered[win] |= np.hypot(du[:, None], dv[None, :]) <= reach
-    flat_index = np.array(centers, dtype=np.intp)
+        following = np.zeros(width, dtype=np.intp)  # the center after a ball on each cell
+        following[idx] = next_open[m + 1]
+        following, v, cols = following.tolist(), int(next_open[0]), []
+        while v < width:
+            cols.append(v)
+            v = following[v]
+        cols = np.array(cols, dtype=np.intp)
+        centers.append(u * width + cols)
+        if u + 1 < rows:  # the row's balls mark the cells of the rows below within their reach
+            index, rad = np.column_stack((np.full_like(cols, u), cols)), radii[cols]
+            steps = np.minimum(rad / 2.0 / h, max(shape)).astype(np.intp)[:, None] + 1
+            table = WindowTable(np.maximum(index - steps, (u + 1, 0)), np.minimum(index + steps + 1, shape), shape)
+            cells, dist = entry_distances(table, np.column_stack((np.full(len(cols), axes[0][u]), x[cols])), field)
+            covered.flat[cells[dist <= table.per_entry(rad / 2.0 + 1e-12 * rad)]] = True
+    flat_index = np.concatenate([np.zeros(0, dtype=np.intp), *centers])
     index = np.column_stack(np.unravel_index(flat_index, shape))
     center = np.column_stack([axis[i] for axis, i in zip(axes, index.T)])
-    return Cover(index, center, field.values.ravel()[flat_index], radius[flat_index])
+    return Cover(index, center, field.values.ravel()[flat_index], radius.ravel()[flat_index])
 
 
 def color_classes(cover: Cover) -> list[int]:
@@ -299,26 +307,17 @@ def partition_functions(field: ControlField, cover: Cover) -> PartitionOfUnity:
     """Normalize per-ball bumps by the root of their summed squares.
 
     The bumps are taken on the window table ``BATCH`` balls at a time, at
-    each entry's distance from its ball's center.  Coordinates are
-    origin + spacing * index, the centers' own formula, so each distance
-    is the float that a per-window coordinate grid gives.
+    each entry's ``entry_distances`` from its ball's center.
     """
     shape, table = field.values.shape, WindowTable.around(cover, field)
     if not len(cover):  # as most covers of the 2D fiber recursion are: skip the table's fixed cost
         return PartitionOfUnity(cover, np.zeros(shape), table, np.zeros(0))
-    h, origin, cells, psi = field.spacing, field.origin, [], []
+    cells, psi = [], []
     for first in range(0, len(cover), BATCH):
         batch = slice(first, first + BATCH)
-        part, center = table.select(batch), cover.center[batch]
-        cells.append(part.cells())
-        if len(shape) == 1:
-            dist = np.abs((origin[0] + h * cells[-1]) - part.per_entry(center[:, 0]))
-        else:
-            ball, first_cells, length = part.runs()
-            row = first_cells // shape[1]
-            du = np.repeat((origin[0] + h * row) - center[ball, 0], length)
-            col = cells[-1] - np.repeat(row * shape[1], length)
-            dist = np.hypot(du, (origin[1] + h * col) - part.per_entry(center[:, 1]))
+        part = table.select(batch)
+        part_cells, dist = entry_distances(part, cover.center[batch], field)
+        cells.append(part_cells)
         psi.append(bump(dist / part.per_entry(cover.radius[batch])))
     cells, psi = np.concatenate(cells), np.concatenate(psi)
     denom = normalize_bumps(psi, cells, field.values.size)

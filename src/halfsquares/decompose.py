@@ -17,7 +17,7 @@ finds the minima of both: the 1D windows' on the grid, and in two
 dimensions the fiber rows of all branch-B balls of a cover, which descend
 together and evaluate only the samples they read, one ``spline.ev`` call
 per round.  The fiber curves come from one cubic spline per u-grid
-length, and the main squares are taken SQUARE_BLOCK balls at a time, in
+length, and the main squares are taken BATCH balls at a time, in
 ball order, on the window entries of all the block's balls at once.
 Squares from balls of one color class have disjoint supports and are
 summed, which keeps the final square count bounded by the dimensional
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
-from .cover import (OVERLAP_BOUND_BASE, PartitionOfUnity, WindowTable, bump, build_cover, normalize_bumps,
+from .cover import (BATCH, OVERLAP_BOUND_BASE, PartitionOfUnity, WindowTable, bump, build_cover, normalize_bumps,
                     overlap_counts, partition_functions)
 from .errors import InputError
 from .finitediff import DIRECTIONS, fd_noise, nabla_norm, partial as fd_partial
@@ -59,12 +59,6 @@ NU_FLOOR = 1e-6
 # partial_decompose searches no minimizers, so its nu may shrink far below
 # the full decomposition's working range; this floor only ends the loop.
 PARTIAL_NU_FLOOR = 1e-12
-# The main squares of a 2D cover's branch-B balls are taken this many balls
-# at a time, and nothing of a block but its squares outlives it.  On
-# radial_bump-121^2 all 957 balls in one block peak at 9.2 MB of traced
-# allocations; blocks of 64 and blocks of one ball both peak at 5.3 MB,
-# the peak of the cover's one fiber search.
-SQUARE_BLOCK = 64
 # Largest sup |sum g^2 - f| / max |f| that verify accepts.  The fixtures
 # reach 2.5e-9 (radial_bump-121^2); times their max |f| (7.8 at most) it is
 # below criterion 8's absolute 1e-6 and criterion 9's 1e-4.
@@ -481,7 +475,7 @@ def _branch_b_2d(f, part, bounded, k, alpha):
     sampled argmax of the second directional derivative at x_j; F and its
     minimizer are interpolated by cubic splines in u.  A cover has one
     fiber search (``_block_fiber_minima``) and one CubicSpline per u-grid
-    length; main squares are taken SQUARE_BLOCK balls at a time, and only
+    length; main squares are taken BATCH balls at a time, and only
     a ball whose cutoff curve is not zero recurses on its own.  When a
     fiber crossing some ball has no interior minimum, the balls before it
     still get their squares, recursion included, in ball order, before
@@ -521,8 +515,8 @@ def _branch_b_2d(f, part, bounded, k, alpha):
     curve = np.clip(bump(u / np.repeat(width, 2 * n_us + 1)) * f_min, 0.0, None)
     recurse = np.logical_or.reduceat(curve != 0, starts)
     squares, clamp = [], 0.0
-    for first in range(0, done, SQUARE_BLOCK):
-        block = np.arange(first, min(first + SQUARE_BLOCK, done))  # positions among the branch-B balls
+    for first in range(0, done, BATCH):
+        block = np.arange(first, min(first + BATCH, done))  # positions among the branch-B balls
         # the main squares, on the window entries of all the block's balls
         table = part.table.select(members[block])
         ball, cells, ends = table.per_entry(block), table.cells(), np.cumsum(table.sizes)

@@ -15,7 +15,7 @@ from .errors import InputError
 from .multiindex import directional_expand
 
 # offsets are symmetric around 0; coefficients divide by h^order
-_STENCILS = {
+STENCILS = {
     0: ((0,), (1.0,)),
     1: ((-1, 0, 1), (-0.5, 0.0, 0.5)),
     2: ((-1, 0, 1), (1.0, -2.0, 1.0)),
@@ -27,9 +27,9 @@ DIRECTIONS = np.array([(math.cos(math.pi * i / 64), math.sin(math.pi * i / 64)) 
 
 
 def stencil_reach(order: int) -> int:
-    if order not in _STENCILS:
+    if order not in STENCILS:
         raise InputError(f"no stencil for derivative order {order}")
-    return max(abs(o) for o in _STENCILS[order][0])
+    return max(abs(o) for o in STENCILS[order][0])
 
 
 def diff_axis(values: np.ndarray, h: float, order: int, axis: int = 0) -> np.ndarray:
@@ -37,7 +37,7 @@ def diff_axis(values: np.ndarray, h: float, order: int, axis: int = 0) -> np.nda
     if order == 0:
         return values.astype(float, copy=True)
     reach = stencil_reach(order)
-    offsets, coeffs = _STENCILS[order]
+    offsets, coeffs = STENCILS[order]
     out = np.full_like(values, np.nan, dtype=float)
     n = values.shape[axis]
     if n < 2 * reach + 1:

@@ -821,8 +821,9 @@ def windowed_block_fiber_minima(f, spline, balls, eu, ev, u_grids):
 
 
 def _window(shape, index, steps):
+    """The cells within ``steps`` of ``index``, in Python ints, which hold any step count."""
     return tuple(
-        slice(max(0, i - steps), min(s, i + steps + 1)) for i, s in zip(index, shape)
+        slice(max(0, int(i) - steps), min(s, int(i) + steps + 1)) for i, s in zip(index, shape)
     )
 
 
@@ -1224,6 +1225,34 @@ def loop_resolved_mask(d):
     if resolved.any() and not resolved.all():
         resolved = binary_erosion(resolved, structure=np.ones((3,) * d.n, dtype=bool), iterations=3)
     return resolved
+
+
+def _ratio_or_inf(num, den, noise):
+    """num / den where den > 0, else inf for num > noise and 0 for the rest."""
+    if den > 0:
+        return num / den
+    return math.inf if num > noise else 0.0
+
+
+def loop_verify_constants(d):
+    """``verify``'s value_constant and derivative_constant square by square and
+    cell by cell: sup |g| / r^p and sup |grad g| / r^(p - 1), p = (k + alpha) / 2,
+    over the verified cells, for every square g of f / M; |grad g| is the central
+    difference, and cells where it is undefined are skipped.  The powers are
+    ``np.power``'s, which squares where the exponent is 2, not libm's pow."""
+    mask, power = d.verified_mask(), (d.k + d.alpha) / 2.0
+    cells = list(zip(*np.nonzero(mask)))
+    value = derivative = 0.0
+    for g in d.squares:
+        g = g / math.sqrt(d.scale)
+        grad = nabla_norm(g, d.spacing, 1)
+        for cell in cells:
+            r = d.control.values[cell]
+            value = max(value, _ratio_or_inf(abs(float(g[cell])), float(np.power(r, power)), 1e-12))
+            if math.isfinite(grad[cell]):
+                den = float(np.power(r, power - 1.0))
+                derivative = max(derivative, _ratio_or_inf(float(grad[cell]), den, 1e-9))
+    return value, derivative
 
 
 def loop_decompose(f, k, alpha, nu=None, omega=None):

@@ -455,6 +455,19 @@ def test_check_that_cannot_run_on_its_data_fails(tmp_path, capsys, argv):
     _fails_with_message(capsys, argv, "check failed")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--kind", "induc", "--k", "6", "--points", "4"],
+    ["check", "--kind", "induc", "--k", "6", "--points", "101"],
+    ["check", "--kind", "induc", "--k", "7", "--points", "101"],
+], ids=["k6-four-points", "k6", "k7"])
+def test_induc_k_past_the_stencils_is_input_error(capsys, argv):
+    """k = 6 and 7 need a sixth-order stencil: bad input on any grid, before
+    a level is computed."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error: need k in {4, 5}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("terms, message", [
     ([], "polynomial is zero"),
     ([{"exp": [0, 0], "num": "1", "den": "1"}, {"exp": [2, 2], "num": "-3", "den": "1"},

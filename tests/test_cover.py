@@ -254,6 +254,50 @@ def test_1d_cover_corrective_steps_match_scalar_scan():
     assert (end > guess).sum() == 53 and (end < guess).sum() == 112
 
 
+def test_2d_cover_corrective_steps_match_per_ball_loop():
+    """The 2D row scan on the radii of the 1D test above, a million from the
+    origin on both axes: in rows below the first, where earlier rows' balls
+    leave the open cells, int(reach / h) still guesses runs one cell short
+    and one cell long, and every later-row window decides its cells as the
+    per-ball loop's hypot test does."""
+    rng = np.random.default_rng(0)
+    h, shape = 0.01, (30, 400)
+    k = rng.integers(2, 12, shape)
+    rel = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-13, -8, shape)
+    cf = ControlField(k=2, alpha=1.0, spacing=h, origin=(1e6, 1e6), values=2 * k * h * (1 + rel),
+                      valid=np.ones(shape, dtype=bool))
+    cover = build_cover(cf, 1.0)
+    _assert_same_cover(cover, cover_of(loop_build_cover(cf, 1.0), 2))
+    x = 1e6 + h * np.arange(shape[1])
+    short = long = 0
+    for (u, v), rad in zip(cover.index.tolist(), cover.radius.tolist()):
+        reach = rad / 2.0 + 1e-12 * rad
+        last = min(shape[1] - 1, v + int(rad / 2.0 / h) + 1)
+        guess = min(last, v + int(reach / h))
+        end = max(m for m in range(v, last + 1) if x[m] - x[v] <= reach)
+        short += u > 0 and end > guess
+        long += u > 0 and end < guess
+    assert (len(cover), short, long) == (242, 26, 53)
+
+
+@pytest.mark.parametrize("shape", [(40, 7), (7, 40)], ids=["tall", "wide"])
+@pytest.mark.parametrize("nu", [0.25, 1.0, 1e300])
+def test_tall_and_wide_covers_match_per_ball_loop(shape, nu):
+    """At nu = 1 half a radius spans 5 to 20 cells, more than the tall grid's
+    rows are wide and than the wide grid has rows; at nu = 1e300 one ball
+    covers the grid."""
+    rng = np.random.default_rng(1)
+    h = 0.1
+    values = h * rng.uniform(10.0, 40.0, shape)
+    values[rng.random(shape) < 0.1] = 0.0
+    cf = ControlField(k=2, alpha=1.0, spacing=h, origin=(-0.3, 2.0), values=values,
+                      valid=np.ones(shape, dtype=bool))
+    cover = build_cover(cf, nu)
+    _assert_same_cover(cover, cover_of(loop_build_cover(cf, nu), 2))
+    if nu == 1e300:
+        assert len(cover) == 1
+
+
 def test_huge_nu_cover_is_one_ball():
     """A radius far past the grid is clipped before it becomes a cell count:
     at nu = 1e300 one ball covers the parabola, as the scalar scan has it."""
@@ -302,6 +346,14 @@ def _assert_same_partition(part, want):
 # at distance exactly its radius, which neither psi nor the overlap counts hold
 @example(ControlField(k=2, alpha=1.0, spacing=1.0, origin=(0.0,), values=np.full(41, 8.0),
                       valid=np.ones(41, dtype=bool)), 1)
+# 1e5 from the origin, the reach of the ball at cell 0 is x_3 - x_0 exactly
+# while int(reach / h) is 2: only the forward step's <= reaches cell 3
+@example(ControlField(k=2, alpha=1.0, spacing=0.01, origin=(1e5,), values=np.full(40, 0.05999999999755169),
+                      valid=np.ones(40, dtype=bool)), 0)
+# half a radius of 9.99999999998 plus its 1e-12 slack is 5.0 exactly: the ball at
+# the origin covers (0, 5), (3, 4), (4, 3) and (5, 0) only at tangency, and only it does
+@example(ControlField(k=2, alpha=1.0, spacing=1.0, origin=(0.0, 0.0), values=np.full((12, 6), 9.99999999998),
+                      valid=np.ones((12, 6), dtype=bool)), 0)
 def test_cover_kernels_match_per_ball_loops(cf, halvings):
     nu = 0.5**halvings
     balls = build_cover(cf, nu)

@@ -57,6 +57,20 @@ def test_verified_mask_is_built_once_and_read_only():
         mask[0] = True
 
 
+@pytest.mark.parametrize("name,points", [
+    ("parabola", 401), ("smooth_bump", 1501), ("paraboloid", 41), ("radial_bump", 41), ("radial_bump", 121),
+])
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_constants_match_per_square_loop(name, points, k):
+    """value_constant and derivative_constant are, bit for bit, the per-square,
+    per-cell loop's sup |g| / r^p and sup |grad g| / r^(p - 1), p = (k + alpha) / 2.
+    This pins their definitions, not a bound on them."""
+    f = build_fixture(name, points=points)
+    d = decompose(f, k, 1.0)
+    report = verify(d, f)
+    assert (report.value_constant, report.derivative_constant) == oracles.loop_verify_constants(d)
+
+
 def test_perturbed_square_fails_verification():
     f = build_fixture("parabola", points=401)
     d = decompose(f, 2, 1.0)
@@ -354,7 +368,7 @@ def _traced_peak(run):
 def test_block_fiber_search_memory_stays_near_per_ball_search():
     """The traced peak of a decompose of radial_bump-121^2 stays within 1 MB
     of the per-ball oracle's, so neither the cover's one fiber search nor a
-    block of SQUARE_BLOCK balls' main squares holds too much at once.  (The
+    block of BATCH balls' main squares holds too much at once.  (The
     main squares of all 957 branch-B balls in one block peak about 2.6 MB
     higher.)"""
     f = build_fixture("radial_bump", points=121)
@@ -580,7 +594,7 @@ def test_decompose_matches_two_loop_oracle(monkeypatch, name, points, k):
     assert zero_inputs["core"] == 0
     if name == "radial_bump":
         assert zero_inputs["oracle"] > 0
-        assert got.branch_b > decompose_module.SQUARE_BLOCK
+        assert got.branch_b > decompose_module.BATCH
     if name == "corner_paraboloid":
         assert got.nu < decompose_module.NU_START
     if f.n == 2:
@@ -591,7 +605,7 @@ def test_decompose_matches_two_loop_oracle(monkeypatch, name, points, k):
             searches.append((minima[2], len(args[2])))
             return minima
 
-        monkeypatch.setattr(decompose_module, "SQUARE_BLOCK", 3)
+        monkeypatch.setattr(decompose_module, "BATCH", 3)
         monkeypatch.setattr(decompose_module, "_block_fiber_minima", recording)
         _assert_same_decomposition(decompose_module.decompose(f, k, 1.0), want)
         assert zero_inputs["core"] == 0
@@ -663,7 +677,7 @@ def test_failed_fiber_recursion_wins_over_a_later_fiber_rejection(monkeypatch):
 
     def last_ball_rejects(f, spline, balls, eu, ev, u_grids):
         x_min, f_min, done = search(f, spline, balls, eu, ev, u_grids)
-        assert done == len(balls) > decompose_module.SQUARE_BLOCK
+        assert done == len(balls) > decompose_module.BATCH
         rows = x_min.size - len(u_grids[-1])
         return x_min[:rows], f_min[:rows], done - 1
 
@@ -702,7 +716,7 @@ def test_2d_cover_makes_one_fiber_search_and_one_spline_per_u_grid_length(monkey
         monkeypatch.setattr(decompose_module, name, counted(getattr(decompose_module, name), calls, record))
     d = decompose(build_fixture("radial_bump", points=121), 2, 1.0)
     assert len(covers) == len(searches) == 1
-    assert covers[0] == d.branch_b > decompose_module.SQUARE_BLOCK
+    assert covers[0] == d.branch_b > decompose_module.BATCH
     assert sorted(fits) == searches[0]
 
 

@@ -1,4 +1,5 @@
-"""The benchmark's traced run wraps program attributes by name.
+"""The benchmark's traced run wraps program attributes by name, and the
+package declares what the suite imports.
 
 ``perfbench/spans.py`` replaces module and class attributes of halfsquares
 with timing wrappers and puts the originals back.  A refactor that renames
@@ -6,11 +7,38 @@ or drops one of those attributes breaks the traced run, so the names are
 checked here, with the tracer loaded from its file as the benchmark runs it.
 """
 
+import ast
 import importlib
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+
+
+def test_test_extra_names_every_package_the_suite_imports():
+    """pyproject's ``test`` extra is the third-party packages that the tests
+    import beyond the program's own dependencies."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in requirements}
+
+    imported = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    local = {path.stem for path in (ROOT / "tests").glob("*.py")} | {"halfsquares"}
+    third_party = imported - set(sys.stdlib_module_names) - local - names(project["dependencies"])
+    assert third_party == names(project["optional-dependencies"]["test"]) == {"pytest", "hypothesis"}
 
 
 def _load_spans():
