@@ -6,7 +6,8 @@ overlap by 15^n, and a greedy coloring of the intersection graph yields
 at most that many classes of pairwise disjoint balls.
 
 A ``Cover`` holds the balls as arrays, ball j in row j; ``cover[j]`` is a
-``CoverBall`` view.  The partition's colors are built on first read, so a
+``CoverBall`` view.  The partition's colors are built on first read, from
+ranges of the centers sorted by y in 1D and by (column, y) in 2D, so a
 cover the decomposition rejects is never colored.
 The per-ball arithmetic runs on one flat *window table*: the cells of all
 balls' windows, ball after ball, each window in row-major order.  Bumps
@@ -32,11 +33,11 @@ from .errors import InputError
 from .holder import ControlField
 
 OVERLAP_BOUND_BASE = 15  # N_n = 15^n
-# balls per window table, k-d tree query or block of 2D main squares: one
-# table of a whole 2D cover holds megabytes of temporaries, and their heap
-# fragments raise peak memory (a decompose of radial_bump-121^2 peaks at
-# 9.2 MB of traced allocations with its 957 branch-B balls' main squares in
-# one block, 5.3 MB in blocks of 128 or 64)
+# balls per window table or block of 2D main squares (and BATCH^2 candidate
+# pairs per coloring batch): one table of a whole 2D cover holds megabytes of
+# temporaries, and their heap fragments raise peak memory (a decompose of
+# radial_bump-121^2 peaks at 9.2 MB of traced allocations with its 957
+# branch-B balls' main squares in one block, 5.3 MB in blocks of 128 or 64)
 BATCH = 128
 # the least ball radius in grid cells, unless {r = 0} is nearer (see build_cover)
 MIN_RADIUS_CELLS = 4.0
@@ -224,39 +225,45 @@ def build_cover(field: ControlField, nu: float) -> Cover:
 def color_classes(cover: Cover) -> list[int]:
     """Greedy coloring of the intersection graph in ball-index order.
 
-    Balls i and j intersect when |x_i - x_j| < r_i + r_j, so ball j can
-    only meet balls whose centers lie within r_j + max r of its own.  For
-    ``BATCH`` balls at a time, a k-d tree (Bentley 1975) of the batch matched
-    against one of all balls lists those as arrays, with slack in the query
-    radius for rounding, and the exact test decides the batch's pairs at once.  ``np.hypot`` and ``math.dist`` are each within
-    an ulp of a distance but may differ in the last bit, so ``math.dist``
-    decides the pairs within a few ulps of tangency.  Each ball takes the
-    least color no earlier intersecting ball holds, as the plain scan over
-    all earlier balls would.
+    Balls i and j intersect when |x_i - x_j| < r_i + r_j, so ball j can only
+    meet balls whose centers lie within r_j + max r of its own.  Sorted by y
+    in 1D, and in 2D by (column, y) with columns as wide as the longest such
+    reach, those centers lie in one range of the order, or three: the ball's
+    column and the two beside it.  ``np.searchsorted`` finds the ranges, with
+    slack for rounding, and their pairs i < j are tested about BATCH * BATCH
+    at a time.  |x_i - x_j|^2 / (r_i + r_j)^2 is within a few ulps, so it
+    decides all but the pairs within 1e-12 of tangency, which ``math.dist``
+    decides.  Each ball takes the least color no earlier intersecting ball
+    holds, as the plain scan over all earlier balls with ``math.dist`` would.
     """
     if not len(cover):
         return []
-    from scipy.spatial import cKDTree
-
-    centers, radii = cover.center, cover.radius
-    slack = 1e-9 * float(np.abs(centers).max())  # rounding of far-off centers
-    tree = cKDTree(centers)
+    centers, radii, (balls, n) = cover.center, cover.radius, cover.center.shape
+    reach = (radii + float(radii.max())) * (1.0 + 1e-9) + 1e-9 * float(np.abs(centers).max())  # slack: rounding
+    column = np.floor((centers[:, 0] - centers[:, 0].min()) / float(reach.max())) if n == 2 else np.zeros(balls)
+    # (column, y) as one float, column * lap + y: lap exceeds a column's span of y, and rounding keeps the order
+    lap, y = 3.0 * float(np.ptp(centers[:, -1])) or 1.0, centers[:, -1]
+    order = np.argsort(key := column * lap + y)
+    columns = (column[:, None] + ([-1.0, 0.0, 1.0] if n == 2 else [0.0])) * lap  # those a ball's partners are in
+    lo, hi = (np.searchsorted(key[order], columns + (y + sign * reach)[:, None], side)
+              for side, sign in (("left", -1.0), ("right", 1.0)))
+    found = (hi - lo).sum(axis=1)
+    # a new batch of balls wherever another BATCH * BATCH of their candidate pairs begins
+    edges = [*np.flatnonzero(np.diff((np.cumsum(found) - found) // (BATCH * BATCH), prepend=-1)).tolist(), balls]
     colors: list[int] = []
-    for first in range(0, len(cover), BATCH):
-        batch = centers[first : first + BATCH]
-        reach = (float(radii[first : first + BATCH].max()) + float(radii.max())) * (1.0 + 1e-9) + slack
-        found = cKDTree(batch).sparse_distance_matrix(tree, reach, output_type="ndarray")
-        j, i = found["i"] + first, found["j"]
+    for first, last in zip(edges, edges[1:]):
+        batch = slice(first, last)
+        width = (hi - lo)[batch].ravel()
+        i = order[np.arange(width.sum()) + np.repeat(lo[batch].ravel() - (np.cumsum(width) - width), width)]
+        j = np.repeat(np.arange(first, last), found[batch])
         i, j = i[i < j], j[i < j]
-        gap, sum_radii = centers[j] - centers[i], radii[j] + radii[i]
-        gap = np.hypot(gap[:, 0], gap[:, 1]) if gap.shape[1] == 2 else np.abs(gap[:, 0])
-        meet = gap < sum_radii
-        tangent = np.abs(gap - sum_radii) <= 8 * np.spacing(sum_radii)
-        pairs = zip(centers[j[tangent]].tolist(), centers[i[tangent]].tolist(), sum_radii[tangent].tolist())
-        meet[tangent] = [math.dist(a, b) < total for a, b, total in pairs]
-        i, j = i[meet], j[meet]
-        near = i[np.argsort(j, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(j - first, minlength=len(batch))).tolist()
+        total = radii[j] + radii[i]
+        ratio = sum(((axis[j] - axis[i]) / total) ** 2 for axis in centers.T)
+        meet, tangent = ratio < 1.0, np.abs(ratio - 1.0) <= 1e-12
+        pairs = zip(centers[j[tangent]].tolist(), centers[i[tangent]].tolist(), total[tangent].tolist())
+        meet[tangent] = [math.dist(a, b) < t for a, b, t in pairs]
+        near = i[meet].tolist()  # grouped by j, as the ranges were expanded
+        ends = np.cumsum(np.bincount(j[meet] - first, minlength=last - first)).tolist()
         for start, end in zip([0] + ends, ends):
             taken = {colors[x] for x in near[start:end]}
             color = 0

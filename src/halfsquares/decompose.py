@@ -188,8 +188,13 @@ def _calibrate_omega(f: SampledFunction, cf: ControlField, nu: float) -> float:
     a cell.  Elsewhere (near a zero that falls between grid points, or on
     an essential cliff) the central difference reports the jump across
     the cell, not the gradient, and one such cell would set omega for the
-    whole cover.
+    whole cover.  The nu search takes the probe and r^(k+alpha) once.
     """
+    return _omega_calibration(f, cf)(nu)
+
+
+def _omega_calibration(f: SampledFunction, cf: ControlField):
+    """nu -> ``_calibrate_omega(f, cf, nu)``, the parts free of nu computed once."""
     from scipy.ndimage import maximum_filter, minimum_filter
 
     h = f.spacing
@@ -202,14 +207,17 @@ def _calibrate_omega(f: SampledFunction, cf: ControlField, nu: float) -> float:
     low = minimum_filter(f.values, size=3, mode="nearest")
     resolved = (low > 0) & (maximum_filter(f.values, size=3, mode="nearest") <= 2.0 * low)
     ok = np.isfinite(probe) & (r > 0) & (grad > 0) & resolved
-    best = float(probe[ok].max()) if ok.any() else 0.0
+    best, powered = (float(probe[ok].max()) if ok.any() else 0.0), r**power
 
-    for a, b, within in _pairs_within(cf, nu):
-        if not within.any():
-            continue
-        ratios = np.abs(f.values[a][within] - f.values[b][within]) / (nu * r[a][within] ** power)
-        best = max(best, float(ratios.max()))
-    return 2.0 * best
+    def calibrate(nu: float) -> float:
+        omega = best
+        for a, b, within in _pairs_within(cf, nu):
+            if within.any():
+                ratios = np.abs(f.values[a][within] - f.values[b][within]) / (nu * powered[a][within])
+                omega = max(omega, float(ratios.max()))
+        return 2.0 * omega
+
+    return calibrate
 
 
 def decompose(
@@ -287,8 +295,10 @@ def _search_nu(f, k, alpha, attempt, floor, nu=None, omega=None) -> Decompositio
 
     nu is halved from NU_START, down to ``floor``, until the control field
     of f / M varies slowly at nu and ``attempt(f / M, M, cf, nu, omega)``
-    returns instead of raising _NuTooLarge.  A given nu is the only one
-    tried, even below ``floor``; a given omega replaces the calibration.
+    returns instead of raising _NuTooLarge; slow variation is walked only
+    until it first passes, as its pairs at nu / 2 are among those at nu.  A
+    given nu is the only one tried, even below ``floor``; a given omega
+    replaces the calibration.
     Of a rejected attempt only the reason is kept: its exception's
     traceback would hold the rejected cover's arrays through the next
     attempt.
@@ -296,12 +306,13 @@ def _search_nu(f, k, alpha, attempt, floor, nu=None, omega=None) -> Decompositio
     unit, scale = _normalized(f, k, alpha)
     cf = control_field(unit, k, alpha)
     current = NU_START if nu is None else nu
+    calibrate = None  # set once slow variation passes, as it then does at every smaller nu
     while True:
-        report = check_slow_variation(cf, current, fail_fast=True)
-        if report.ok:
-            w = _calibrate_omega(unit, cf, current) if omega is None else omega
+        if calibrate is None and (report := check_slow_variation(cf, current, fail_fast=True)).ok:
+            calibrate = _omega_calibration(unit, cf) if omega is None else lambda _: omega
+        if calibrate is not None:
             try:
-                return _rescaled(attempt(unit, scale, cf, current, w), scale)
+                return _rescaled(attempt(unit, scale, cf, current, calibrate(current)), scale)
             except _NuTooLarge as err:
                 reason = str(err)
         else:

@@ -23,7 +23,8 @@ covered runs, one window of bumps,
 overlap counts by distance and k-d tree query per ball), one
 Hoelder pair scan per semi-norm, the row-order pair loops of the slow
 variation, omega, Malgrange and 2D pointwise scans over offsets of their
-own, and the decomposition with a nu loop of
+own, the nu search walking slow variation and calibrating omega at every
+nu, and the decomposition with a nu loop of
 its own for each entry point and the branch squares written out where
 each path builds them (grid balls, partial squares, re-evaluation at
 arbitrary points), recursing on every 2D fiber curve, zero or not.
@@ -1277,6 +1278,29 @@ def loop_decompose(f, k, alpha, nu=None, omega=None):
             raise DecompositionError(f"decomposition failed at fixed nu={nu}: {last_err}")
         current /= 2.0
     raise DecompositionError(f"nu underflowed {NU_FLOOR} ({last_err})")
+
+
+def every_nu_search(f, k, alpha, attempt, floor, nu=None, omega=None):
+    """``decompose._search_nu`` with slow variation walked and omega calibrated
+    afresh at every nu tried, not only until the walk first passes."""
+    unit, scale = _normalized(f, k, alpha)
+    cf = control_field(unit, k, alpha)
+    current = NU_START if nu is None else nu
+    while True:
+        report = check_slow_variation(cf, current, fail_fast=True)
+        if report.ok:
+            w = _calibrate_omega(unit, cf, current) if omega is None else omega
+            try:
+                return _rescaled(attempt(unit, scale, cf, current, w), scale)
+            except _NuTooLarge as err:
+                reason = str(err)
+        else:
+            reason = f"slow variation fails at nu={current}: ratio {report.worst_ratio:.3f}"
+        if nu is not None:
+            raise DecompositionError(f"decomposition failed at fixed nu={nu}: {reason}")
+        current /= 2.0
+        if current < floor:
+            raise DecompositionError(f"nu underflowed {floor} ({reason})")
 
 
 def _loop_decompose_at(f, cf, k, alpha, nu, omega):

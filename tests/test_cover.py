@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_array_equal
 
 from halfsquares.cover import (
+    Cover,
     CoverBall,
     WindowTable,
     build_cover,
@@ -17,7 +19,7 @@ from halfsquares.cover import (
 )
 from halfsquares.decompose import decompose, partial_decompose, verify
 from halfsquares.errors import InputError
-from halfsquares.fixtures import build_fixture
+from halfsquares.fixtures import FIXTURES, build_fixture
 from halfsquares.holder import ControlField, SampledFunction, control_field
 from oracles import (
     cover_of,
@@ -143,6 +145,49 @@ def test_color_classes_decide_tangency_by_math_dist(a, b):
         balls = [_ball(a, total / 2), _ball(b, total / 2)]
         want = [0, 1] if gap < total else [0, 0]
         assert color_classes(cover_of(balls)) == pairwise_color_classes(balls) == want
+
+
+@pytest.mark.parametrize("name, points", [(name, None) for name, spec in FIXTURES.items() if spec.n == 1]
+                         + [(name, points) for name, spec in FIXTURES.items() if spec.n == 2 for points in (41, 121)])
+def test_color_classes_match_oracles_on_fixture_covers(name, points):
+    """The covers of every shipped 1D fixture and of the 2D ones up to 121^2,
+    built as the decomposition builds them on f / M, at k = 2 and 3 and
+    nu = 2^-6, 2^-4 and 2^-2: colored as the per-ball k-d tree oracle colors
+    them, and, where the cover is small, as the scan over all earlier balls."""
+    f = build_fixture(name, points=points, **({"alpha": 0.5} if name == "power_alpha" else {}))
+    for k in (2, 3):
+        unit, _ = decompose_module._normalized(f, k, 1.0)
+        cf = control_field(unit, k, 1.0)
+        for nu in (2.0**-6, 2.0**-4, 2.0**-2):
+            cover = build_cover(cf, nu)
+            colors = color_classes(cover)
+            assert colors == loop_color_classes(cover)
+            if len(cover) <= 400:
+                assert colors == pairwise_color_classes(list(cover))
+
+
+def test_color_classes_memory_with_one_ball_reaching_the_whole_line():
+    """5,000 balls at unit spacing, radius 1.5, but ball 0 reaches the whole
+    line, so every ball's search range holds every other ball: 25 million
+    candidate pairs, tested about BATCH^2 at a time.  The traced peak, 1.6
+    MB, stays at or below the 36.41 MB (36,411,616 bytes) that the batched
+    k-d tree queries this coloring replaced peak at on the same cover; one
+    unbatched query of all pairs within the largest reach would hold
+    gigabytes."""
+    n = 5000
+    radius = np.full(n, 1.5)
+    radius[0] = float(n)
+    cover = Cover(np.arange(n)[:, None], np.arange(n, dtype=float)[:, None], radius, radius)
+    color_classes(cover.select(slice(0, 50)))  # imports and caches that a first run allocates
+    tracemalloc.start()
+    try:
+        colors = color_classes(cover)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36_411_616, peak
+    # ball j > 0 meets ball 0 and balls j - 1 and j - 2; ball j - 3 is tangent
+    assert colors == [0] + [(j - 1) % 3 + 1 for j in range(1, n)]
 
 
 def test_partition_of_unity_identity():

@@ -891,6 +891,35 @@ def test_rejected_nu_builds_no_colors_windows_or_psis(monkeypatch):
         assert "colors" not in vars(part)
 
 
+def test_nu_search_walks_slow_variation_once(monkeypatch):
+    """partial_decompose(bony-4001, k=3, eps=1e-4) tries five nu, and slow
+    variation passes at the first: it is walked once and the omega gradient
+    probe built once.  A search that walks and calibrates afresh at every nu
+    returns the same nu, omega, labels, squares and residual, bit for bit."""
+    calls = {"walks": 0, "probes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (decompose_module, oracles):
+        monkeypatch.setattr(module, "check_slow_variation", counted("walks", module.check_slow_variation))
+    monkeypatch.setattr(decompose_module, "nabla_norm", counted("probes", decompose_module.nabla_norm))
+    f = build_fixture("bony", points=4001)
+    d = partial_decompose(f, 3, 1.0, 1e-4)
+    assert calls == {"walks": 1, "probes": 1}
+    monkeypatch.setattr(decompose_module, "_search_nu", oracles.every_nu_search)
+    want = partial_decompose(f, 3, 1.0, 1e-4)
+    assert calls == {"walks": 6, "probes": 6}
+    assert (d.nu, d.omega, d.square_labels) == (want.nu, want.omega, want.square_labels)
+    assert len(d.squares) == len(want.squares)
+    for got, expected in zip(d.squares + [d.residual], want.squares + [want.residual]):
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_rejected_2d_covers_are_never_colored(monkeypatch):
     """decompose(corner_paraboloid-41) rejects the top-level covers at
     nu = 0.25, 0.125 and 0.0625 in the fiber search: of its 2D covers only

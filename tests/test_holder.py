@@ -292,19 +292,9 @@ def test_verify_seminorms_match_separate_scans(name, points, k, window_cells):
     assert rep.derivative_seminorms == masked
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 2),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([2, 3]),
-    st.sampled_from([0.5, 1.0]),
-    st.sampled_from([0.02, 0.1, 0.25, 1.0, 4.0, 50.0]),
-    st.sampled_from([0.0, 1e-3, 0.3]),
-)
-def test_pair_walk_matches_loop_oracles(n, seed, k, alpha, nu, noise):
-    """The one pair walk against the row-order loops it replaced, bit for bit:
-    slow variation (full scan and fail-fast verdict), omega, the Malgrange
-    gradient semi-norm and the 2D pointwise windows."""
+def _random_field(n, seed, k, alpha, noise):
+    """A clipped random quadratic plus noise on a random 1D or 2D grid, its
+    control field, and the generator for further draws."""
     rng = np.random.default_rng(seed)
     shape = tuple(int(s) for s in rng.integers(8, 80 if n == 1 else 17, n))
     h = 2.0 / (max(shape) - 1)
@@ -312,7 +302,25 @@ def test_pair_walk_matches_loop_oracles(n, seed, k, alpha, nu, noise):
     smooth = sum(c * x for c, x in zip(rng.normal(size=n), axes)) + rng.normal()
     values = np.clip(smooth**2 + rng.uniform(-0.3, 0.3) + noise * rng.random(shape), 0.0, None)
     f = SampledFunction((-1.0,) * n, h, values)
-    cf = control_field(f, k, alpha)
+    return f, control_field(f, k, alpha), rng
+
+
+RANDOM_FIELDS = (
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3]),
+    st.sampled_from([0.5, 1.0]),
+)
+NOISE = st.sampled_from([0.0, 1e-3, 0.3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(*RANDOM_FIELDS, st.sampled_from([0.02, 0.1, 0.25, 1.0, 4.0, 50.0]), NOISE)
+def test_pair_walk_matches_loop_oracles(n, seed, k, alpha, nu, noise):
+    """The one pair walk against the row-order loops it replaced, bit for bit:
+    slow variation (full scan and fail-fast verdict), omega, the Malgrange
+    gradient semi-norm and the 2D pointwise windows."""
+    f, cf, rng = _random_field(n, seed, k, alpha, noise)
 
     report = check_slow_variation(cf, nu)
     assert (report.ok, report.worst_ratio) == loop_check_slow_variation(cf, nu)
@@ -327,11 +335,26 @@ def test_pair_walk_matches_loop_oracles(n, seed, k, alpha, nu, noise):
         assert seminorm == single_scan_seminorm(f, alpha, (1,))
         return
     assert seminorm == loop_gradient_seminorm_2d(f, alpha)
-    mask = None if noise == 0.0 else rng.random(shape) < 0.8
+    mask = None if noise == 0.0 else rng.random(f.shape) < 0.8
     windows = estimate_seminorm(f, alpha, pointwise=True, mask=mask).pointwise_windows
-    masked = values if mask is None else np.where(mask, values, np.nan)
+    masked = f.values if mask is None else np.where(mask, f.values, np.nan)
     for w, got in windows.items():
-        assert_array_equal(got, loop_pointwise_seminorm_2d(masked, h, alpha, w))
+        assert_array_equal(got, loop_pointwise_seminorm_2d(masked, f.spacing, alpha, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(*RANDOM_FIELDS, NOISE)
+def test_slow_variation_that_passes_at_nu_passes_below_it(n, seed, k, alpha, noise):
+    """The premise of the nu search's single walk: fl(nu r / 2) = fl(nu r) / 2
+    and the reach rule is monotone, so the pairs walked at nu / 2 are among
+    those at nu.  Down a halving chain the full walk's worst ratio never
+    rises, and a fail-fast pass stays a pass."""
+    _, cf, _ = _random_field(n, seed, k, alpha, noise)
+    nus = [64.0 * 0.5**i for i in range(20)]
+    worst = [check_slow_variation(cf, nu).worst_ratio for nu in nus]
+    assert worst == sorted(worst, reverse=True)
+    passes = [check_slow_variation(cf, nu, fail_fast=True).ok for nu in nus]
+    assert passes == sorted(passes)
 
 
 @settings(max_examples=300)
