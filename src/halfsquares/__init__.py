@@ -36,7 +36,6 @@ from .generate import (
 )
 from .holder import (
     ControlField,
-    HolderEstimate,
     SampledFunction,
     check_slow_variation,
     control_field,
@@ -55,7 +54,6 @@ __all__ = [
     "DecompositionError",
     "GeneralPolytope",
     "GeneratorInstance",
-    "HolderEstimate",
     "InputError",
     "MOTZKIN",
     "NotSosWitness",

@@ -251,7 +251,6 @@ class NotSosWitness:
     monomial: MultiIndex
     coefficient: Fraction
     half_lattice: tuple[MultiIndex, ...]
-    generators: tuple[MultiIndex, ...]
 
     def __post_init__(self):
         if self.coefficient >= 0:
@@ -279,7 +278,6 @@ def certify_not_sos(P: SparsePolynomial) -> NotSosWitness:
                 monomial=m,
                 coefficient=P.terms[m],
                 half_lattice=tuple(hull.half_lattice_points()),
-                generators=hull.generators,
             )
         pairs[m] = pair
     raise SosCriterionInconclusive(pairs)

@@ -62,7 +62,8 @@ def check_malgrange(f: SampledFunction, alpha: float) -> MalgrangeReport:
     h = f.spacing
     grads = [finitediff.partial(f.values, h, tuple(int(i == axis) for i in range(f.n))) for axis in range(f.n)]
     sn = _sup_ratio(grads, h, alpha, math.inf)
-    grad = np.abs(grads[0]) if f.n == 1 else finitediff.nabla_norm(f.values, h, 1)
+    # nabla_norm's sum in its order, (0, 1) first, from the partials at hand
+    grad = np.abs(grads[0]) if f.n == 1 else np.sqrt(grads[1] ** 2 + grads[0] ** 2)
     constant = (alpha + 1.0) / alpha ** (alpha / (1.0 + alpha))
     fx = np.clip(f.values, 0.0, None)
     rhs = constant * sn ** (1.0 / (1.0 + alpha)) * fx ** (alpha / (1.0 + alpha))
@@ -115,9 +116,7 @@ def check_interpolation(f: SampledFunction, alpha: float, gamma: float, beta: fl
     """Semi-norm interpolation [f]_gamma^(b-a) <= [f]_alpha^(b-g) [f]_beta^(g-a)."""
     if not 0 < alpha < gamma < beta <= 1:
         raise InputError("need 0 < alpha < gamma < beta <= 1")
-    sa = estimate_seminorm(f, alpha).value
-    sg = estimate_seminorm(f, gamma).value
-    sb = estimate_seminorm(f, beta).value
+    sa, sg, sb = (estimate_seminorm(f, exponent) for exponent in (alpha, gamma, beta))
     return InterpolationReport(lhs=sg ** (beta - alpha), rhs=sa ** (beta - gamma) * sb ** (gamma - alpha))
 
 

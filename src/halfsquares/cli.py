@@ -224,8 +224,7 @@ def cmd_check(args) -> int:
         report = check_malgrange(f, args.alpha)
         payload = {"max_ratio": report.max_ratio, "constant": report.constant, "ok": report.ok}
     elif kind == "seminorm":
-        est = estimate_seminorm(f, args.alpha)
-        payload = {"estimate": est.value, "ok": True}
+        payload = {"estimate": estimate_seminorm(f, args.alpha), "ok": True}
     elif kind == "slowvar":
         cf = control_field(f, args.k, args.alpha)
         report = check_slow_variation(cf, NU_START if args.nu is None else args.nu)

@@ -104,7 +104,8 @@ class WindowTable:
     def around(cls, cover: Cover, field: ControlField) -> WindowTable:
         """The windows |i - index_j| <= radius_j / h + 1 of the balls, clipped to the grid."""
         shape = field.values.shape
-        steps = np.minimum(cover.radius / field.spacing, max(shape)).astype(np.intp)[:, None] + 1
+        with np.errstate(over="ignore"):  # a radius past the float range reaches the whole grid
+            steps = np.minimum(cover.radius / field.spacing, max(shape)).astype(np.intp)[:, None] + 1
         return cls(np.maximum(cover.index - steps, 0), np.minimum(cover.index + steps + 1, shape), shape)
 
     @property
@@ -196,8 +197,9 @@ def build_cover(field: ControlField, nu: float) -> Cover:
         # m: the last cell a ball on each open cell covers; lengths are clipped before the cast
         c, rad = x[idx], radii[idx]
         reach = rad / 2.0 + 1e-12 * rad
-        last = np.minimum(width - 1, idx + np.minimum(rad / 2.0 / h, width).astype(np.intp) + 1)
-        m = np.minimum(last, idx + np.minimum(reach / h, width).astype(np.intp))
+        with np.errstate(over="ignore"):  # lengths past the float range are clipped as inf
+            last = np.minimum(width - 1, idx + np.minimum(rad / 2.0 / h, width).astype(np.intp) + 1)
+            m = np.minimum(last, idx + np.minimum(reach / h, width).astype(np.intp))
         while (ahead := (m < last) & (np.abs(x[np.minimum(m + 1, last)] - c) <= reach)).any():
             m += ahead
         while (back := np.abs(x[m] - c) > reach).any():
@@ -212,7 +214,8 @@ def build_cover(field: ControlField, nu: float) -> Cover:
         centers.append(u * width + cols)
         if u + 1 < rows:  # the row's balls mark the cells of the rows below within their reach
             index, rad = np.column_stack((np.full_like(cols, u), cols)), radii[cols]
-            steps = np.minimum(rad / 2.0 / h, max(shape)).astype(np.intp)[:, None] + 1
+            with np.errstate(over="ignore"):
+                steps = np.minimum(rad / 2.0 / h, max(shape)).astype(np.intp)[:, None] + 1
             table = WindowTable(np.maximum(index - steps, (u + 1, 0)), np.minimum(index + steps + 1, shape), shape)
             cells, dist = entry_distances(table, np.column_stack((np.full(len(cols), axes[0][u]), x[cols])), field)
             covered.flat[cells[dist <= table.per_entry(rad / 2.0 + 1e-12 * rad)]] = True
@@ -239,7 +242,8 @@ def color_classes(cover: Cover) -> list[int]:
     if not len(cover):
         return []
     centers, radii, (balls, n) = cover.center, cover.radius, cover.center.shape
-    reach = (radii + float(radii.max())) * (1.0 + 1e-9) + 1e-9 * float(np.abs(centers).max())  # slack: rounding
+    with np.errstate(over="ignore"):  # a reach past the float range is inf and finds every ball
+        reach = (radii + float(radii.max())) * (1.0 + 1e-9) + 1e-9 * float(np.abs(centers).max())  # slack: rounding
     column = np.floor((centers[:, 0] - centers[:, 0].min()) / float(reach.max())) if n == 2 else np.zeros(balls)
     # (column, y) as one float, column * lap + y: lap exceeds a column's span of y, and rounding keeps the order
     lap, y = 3.0 * float(np.ptp(centers[:, -1])) or 1.0, centers[:, -1]

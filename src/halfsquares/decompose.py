@@ -175,8 +175,8 @@ def _parabolic_min(x0, h, fm, f0, fp):
     return np.where(flat, x0, x0 + shift * h), np.where(flat, f0, np.minimum(f_star, f0))
 
 
-def _calibrate_omega(f: SampledFunction, cf: ControlField, nu: float) -> float:
-    """omega = 2 * empirical constant of |f(x)-f(y)| <= C nu r(x)^(k+alpha)
+def _omega_calibration(f: SampledFunction, cf: ControlField):
+    """nu -> omega = 2 * empirical constant of |f(x)-f(y)| <= C nu r(x)^(k+alpha)
     over pairs with |x - y| <= nu r(x).
 
     The short-pair limit of that constant is |grad f(x)| / r(x)^(k-1+alpha),
@@ -188,13 +188,9 @@ def _calibrate_omega(f: SampledFunction, cf: ControlField, nu: float) -> float:
     a cell.  Elsewhere (near a zero that falls between grid points, or on
     an essential cliff) the central difference reports the jump across
     the cell, not the gradient, and one such cell would set omega for the
-    whole cover.  The nu search takes the probe and r^(k+alpha) once.
+    whole cover.  The probe and r^(k+alpha) are free of nu and taken once,
+    so the nu search calibrates each nu it tries by the pair probe alone.
     """
-    return _omega_calibration(f, cf)(nu)
-
-
-def _omega_calibration(f: SampledFunction, cf: ControlField):
-    """nu -> ``_calibrate_omega(f, cf, nu)``, the parts free of nu computed once."""
     from scipy.ndimage import maximum_filter, minimum_filter
 
     h = f.spacing
@@ -279,7 +275,7 @@ def partial_decompose(f: SampledFunction, k: int, alpha: float, eps: float) -> D
             raise _NuTooLarge(f"residual {worst:.3g} exceeds eps={eps}")
         residual = residual.reshape(unit.values.shape)
         branch = [("A",) if a else ("B",) for a in bounded]  # branch B leaves h, no squares
-        return _assembled(unit, cf, nu, omega, part, branch, residual, branch_info=[])
+        return _assembled(unit, cf, nu, omega, part, branch, residual)
 
     return _search_nu(f, k, alpha, attempt, PARTIAL_NU_FLOOR)
 
@@ -370,13 +366,14 @@ def _decompose_at(f, scale, cf, nu, omega) -> Decomposition:
         windowed, clamp = _branch_b_2d(f, part, bounded, cf.k, cf.alpha)
         branch = [("A",) if a else ("B2",) for a in bounded]
     residual = np.zeros_like(f.values, dtype=float)
-    return _assembled(f, cf, nu, omega, part, branch, residual, branch_info=branch, windowed=windowed, clamp=clamp)
+    return _assembled(f, cf, nu, omega, part, branch, residual, windowed=windowed, clamp=clamp)
 
 
-def _assembled(f, cf, nu, omega, part, branch, residual, branch_info, windowed=(), clamp=0.0):
+def _assembled(f, cf, nu, omega, part, branch, residual, windowed=(), clamp=0.0):
     """The decomposition of f from each ball's ``branch`` (see ``_square_sums``),
-    the (balls, slot, square on their window entries) of ``windowed``, added
-    per class in ball order, and their largest clipped value ``clamp``.
+    kept as ``branch_info``, the (balls, slot, square on their window
+    entries) of ``windowed``, added per class in ball order, and their
+    largest clipped value ``clamp``.
     Colors are read only here, once nu is accepted, so a rejected cover is
     never colored."""
     shape, colors = f.values.shape, np.asarray(part.colors)
@@ -406,7 +403,7 @@ def _assembled(f, cf, nu, omega, part, branch, residual, branch_info, windowed=(
         residual=residual,
         clamp_max=max(clamp_max, clamp),
         square_labels=labels,
-        branch_info=branch_info,
+        branch_info=branch,
     )
 
 
@@ -769,7 +766,7 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
     for g in d.squares:
         gf = SampledFunction(d.origin, d.spacing, g)
         derivative_seminorms.append(max(
-            estimate_seminorm(gf, half_exp, derivative=beta, window=seminorm_window, mask=resolved).value
+            estimate_seminorm(gf, half_exp, derivative=beta, window=seminorm_window, mask=resolved)
             for beta in axes
         ))
 

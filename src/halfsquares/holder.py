@@ -9,16 +9,19 @@ the half-space offsets no longer than it, ring by ring, each with the
 two equal-shape blocks it joins.  ``_sup_ratio`` is the one stopping
 kernel on it: one supremum per walk, over the pairs inside an optional
 mask, for the semi-norms of one component and the Malgrange gradient
-semi-norm of two; ``_pairs_within`` gives both orientations of
-every pair at most nu * max r apart, with the mask |x - y| <= nu r(x)
-that the slow variation of r and the decomposition's omega read.
+semi-norm of two.  ``estimate_seminorm`` returns that supremum as a
+float; ``pointwise_seminorms`` keeps, instead, the largest ratio through
+each point in three short windows.  ``_pairs_within`` gives both
+orientations of every pair at most nu * max r apart, with the mask
+|x - y| <= nu r(x) that the slow variation of r and the decomposition's
+omega read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,20 +130,6 @@ def validate_alpha(alpha: float) -> None:
         raise InputError("alpha must lie in (0, 1]")
 
 
-@dataclass
-class HolderEstimate:
-    """Empirical [f]_alpha over sampled pairs, optionally pointwise.
-
-    ``value`` is the supremum over the pairs inside the mask, or over all
-    pairs without one; ``pointwise_windows`` maps each window, in grid
-    steps, to the pointwise values, the shortest window (3) approximating
-    the local semi-norm.
-    """
-
-    value: float
-    pointwise_windows: dict = field(default_factory=dict)
-
-
 # rounding slack, in grid steps, of every reach: window / h may land an ulp below a whole step count
 _REACH_SLACK = 1e-9
 
@@ -182,7 +171,7 @@ def _pairs_within(r: ControlField, nu: float):
     rmax = float(r.values[finite].max()) if finite.any() else 0.0
     for _, length, a, b in _pairs(r.values.shape, nu * rmax / r.spacing):
         for base, partner in ((a, b), (b, a)):
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):  # nu r overflowing to inf reaches all
                 within = r.spacing * length <= nu * r.values[base]
             yield base, partner, within
 
@@ -210,7 +199,6 @@ def _sup_ratio(components, h: float, alpha: float, reach: float, mask=None) -> f
     lo, hi = [int(i.min()) for i in support], [int(i.max()) + 1 for i in support]
     spans = [float(c[region].max() - c[region].min()) for c in components]
     bound = spans[0] if len(spans) == 1 else math.hypot(*spans) * (1.0 + 1e-12)
-    clean = bool(region.all())
     best = 0.0
     for steps, length, a, b in _pairs(finite.shape, reach):
         # a supremum that no pair of this ring or beyond can beat is final
@@ -224,49 +212,43 @@ def _sup_ratio(components, h: float, alpha: float, reach: float, mask=None) -> f
             gaps = np.abs(components[0][a] - components[0][b])
         else:
             gaps = np.hypot(*(c[a] - c[b] for c in components))
-        if clean:
-            gap = float(np.max(gaps))
-        else:
-            gap = float(np.max(gaps, where=region[a] & region[b], initial=-math.inf))
+        gap = float(np.max(gaps, where=region[a] & region[b], initial=-math.inf))
         best = max(best, gap / (h * length) ** alpha)
     return best
 
 
 def estimate_seminorm(
-    f: SampledFunction,
-    alpha: float,
-    derivative=None,
-    window: float | None = None,
-    pointwise: bool = False,
-    mask: np.ndarray | None = None,
-) -> HolderEstimate:
+    f: SampledFunction, alpha: float, derivative=None, window: float | None = None, mask: np.ndarray | None = None
+) -> float:
     """sup over sampled pairs with |x - y| <= window of |df|/|x - y|^alpha.
 
     ``derivative`` is an optional multi-index applied by central
     differences first, and ``mask`` optionally restricts the pair scan to
-    a sub-region (cells outside it are ignored).  The default window
-    reaches every pair of the grid; a caller that wants the supremum over
-    all pairs passes no mask.  The pointwise variant takes, at each point,
-    the largest ratio over the pairs through it at most 9, 5 and 3 grid
-    steps long; the shortest approximates the limsup-based local
-    semi-norm.
+    a sub-region (cells outside it are ignored).  With no window every
+    pair of the grid counts; a caller that wants the supremum over all
+    pairs passes no mask.
     """
     validate_alpha(alpha)
     h = f.spacing
     values = f.values
     if derivative is not None and order(tuple(derivative)) > 0:
         values = finitediff.partial(values, h, tuple(derivative))
-    if window is None:
-        window = max((s - 1) * h for s in f.shape) * math.sqrt(f.n)
-    if window / h + _REACH_SLACK < 1:
+    reach = math.inf if window is None else window / h
+    if reach + _REACH_SLACK < 1:
         raise ValueError("window is smaller than one grid step")
+    return _sup_ratio((values,), h, alpha, reach, mask)
 
-    estimate = HolderEstimate(_sup_ratio((values,), h, alpha, window / h, mask))
-    if pointwise:
-        if mask is not None:
-            values = np.where(mask, values, np.nan)
-        estimate.pointwise_windows = {w: _pointwise_seminorm(values, h, alpha, w) for w in (9, 5, 3)}
-    return estimate
+
+def pointwise_seminorms(f: SampledFunction, alpha: float, mask: np.ndarray | None = None) -> dict:
+    """{w: the largest ratio |f(x) - f(y)| / |x - y|^alpha through each point
+    over the pairs at most w grid steps long} for w = 9, 5 and 3.
+
+    The shortest window approximates the limsup-based local semi-norm.
+    Cells outside ``mask`` are NaN and join no pair.
+    """
+    validate_alpha(alpha)
+    values = f.values if mask is None else np.where(mask, f.values, np.nan)
+    return {w: _pointwise_seminorm(values, f.spacing, alpha, w) for w in (9, 5, 3)}
 
 
 def _pointwise_seminorm(values, h, alpha, w):

@@ -56,10 +56,10 @@ from halfsquares.decompose import (
     Decomposition,
     DecompositionError,
     _NuTooLarge,
-    _calibrate_omega,
     _descend,
     _parabolic_min,
     _normalized,
+    _omega_calibration,
     _rescaled,
 )
 from halfsquares.cover import build_cover, partition_functions
@@ -1060,7 +1060,7 @@ def loop_check_slow_variation(r, nu, fail_fast=False):
 
 
 def _omega_gradient_probe(f, cf):
-    """``decompose._calibrate_omega``'s short-pair probe, before doubling."""
+    """``decompose._omega_calibration``'s short-pair probe, before doubling."""
     from scipy.ndimage import maximum_filter, minimum_filter
 
     h, r = f.spacing, cf.values
@@ -1075,7 +1075,7 @@ def _omega_gradient_probe(f, cf):
 
 
 def loop_calibrate_omega(f, cf, nu):
-    """``decompose._calibrate_omega`` with its pair probe one offset at a time in row order."""
+    """``decompose._omega_calibration(f, cf)(nu)`` with its pair probe one offset at a time in row order."""
     h, r = f.spacing, cf.values
     power = cf.k + cf.alpha
     finite = np.isfinite(r)
@@ -1111,7 +1111,7 @@ def loop_gradient_seminorm_2d(f, alpha):
 
 
 def loop_pointwise_seminorm_2d(values, h, alpha, w):
-    """One window of ``estimate_seminorm``'s 2D pointwise values: pairs through each point."""
+    """One window of ``holder.pointwise_seminorms`` in 2D: pairs through each point."""
     out = np.zeros_like(values, dtype=float)
     for off in half_space_offsets(values.shape, w):
         a, b = shifted_views(values, off)
@@ -1124,7 +1124,7 @@ def loop_pointwise_seminorm_2d(values, h, alpha, w):
 
 
 def single_scan_seminorm(f, alpha, derivative=None, window=None, mask=None) -> float:
-    """``holder.estimate_seminorm(...).value`` by its own pair scan, masked or not."""
+    """``holder.estimate_seminorm`` by its own pair scan, masked or not."""
     from halfsquares import finitediff
 
     h = f.spacing
@@ -1202,7 +1202,7 @@ def all_pairs_slow_variation(r, nu):
 
 
 def all_pairs_calibrate_omega(f, cf, nu):
-    """``decompose._calibrate_omega`` with the pair probe over every ordered
+    """``decompose._omega_calibration(f, cf)(nu)`` with the pair probe over every ordered
     pair with h hypot(offset) <= nu r(x)."""
     with np.errstate(invalid="ignore"):
         den = nu * cf.values ** (cf.k + cf.alpha)
@@ -1265,7 +1265,7 @@ def loop_decompose(f, k, alpha, nu=None, omega=None):
     while current >= NU_FLOOR:
         report = check_slow_variation(cf, current, fail_fast=True)
         if report.ok:
-            w = _calibrate_omega(unit, cf, current) if omega is None else omega
+            w = _omega_calibration(unit, cf)(current) if omega is None else omega
             try:
                 return _rescaled(_loop_decompose_at(unit, cf, k, alpha, current, w), scale)
             except _NuTooLarge as err:
@@ -1289,7 +1289,7 @@ def every_nu_search(f, k, alpha, attempt, floor, nu=None, omega=None):
     while True:
         report = check_slow_variation(cf, current, fail_fast=True)
         if report.ok:
-            w = _calibrate_omega(unit, cf, current) if omega is None else omega
+            w = _omega_calibration(unit, cf)(current) if omega is None else omega
             try:
                 return _rescaled(attempt(unit, scale, cf, current, w), scale)
             except _NuTooLarge as err:
@@ -1464,7 +1464,7 @@ def pointwise_evaluate_1d_squares(d, points, f_of_u):
                 psi * np.sign(points - x_min) * np.sqrt(np.clip(fu - f_min, 0.0, None)),
             )
             add((color, 1), psi * math.sqrt(f_min))
-        else:
+        elif info[0] != "B":  # a partial decomposition's branch B leaves no square
             raise ValueError(f"cannot re-evaluate branch {info[0]}")
     return [acc.get(label, np.zeros_like(points)) for label in d.square_labels]
 
@@ -1485,7 +1485,8 @@ def _loop_recombine(shape, part, per_ball_squares):
 
 
 def loop_partial_decompose(f, k, alpha, eps):
-    """``partial_decompose`` by its own nu loop, cover and branch test."""
+    """``partial_decompose`` by its own nu loop, cover and branch test; each
+    ball's branch is recorded as ("A",) or ("B",)."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     unit, scale = _normalized(f, k, alpha)
@@ -1495,7 +1496,7 @@ def loop_partial_decompose(f, k, alpha, eps):
         if not check_slow_variation(cf, nu, fail_fast=True).ok:
             nu /= 2.0
             continue
-        omega = _calibrate_omega(unit, cf, nu)
+        omega = _omega_calibration(unit, cf)(nu)
         balls = build_cover(cf, nu)
         part = partition_functions(cf, balls)
         bounded = [
@@ -1531,6 +1532,7 @@ def loop_partial_decompose(f, k, alpha, eps):
                 branch_b=len(bounded) - branch_a,
                 clamp_max=0.0,
                 square_labels=labels,
+                branch_info=[("A",) if a else ("B",) for a in bounded],
             ), scale)
         nu /= 2.0
     raise DecompositionError(f"nu underflowed 1e-12 before the residual reached {eps}")

@@ -284,9 +284,9 @@ def test_criterion_05_chain_rule_fidelity():
 
 def test_criterion_06_seminorm_calibration():
     sqrt_abs = build_fixture("power_alpha", alpha=0.5, points=4001)
-    est = estimate_seminorm(sqrt_abs, 0.5).value
-    cantor = estimate_seminorm(build_fixture("cantor"), LOG32).value
-    const = estimate_seminorm(build_fixture("constant"), 0.5).value
+    est = estimate_seminorm(sqrt_abs, 0.5)
+    cantor = estimate_seminorm(build_fixture("cantor"), LOG32)
+    const = estimate_seminorm(build_fixture("constant"), 0.5)
     ok = 0.95 <= est <= 1.05 and cantor <= 1.02 and const == 0.0
     emit(
         "6",

@@ -179,6 +179,22 @@ def test_decompose_and_partial_subcommands(tmp_path, capsys):
     assert json.loads(out)["residual_max"] <= 1e-3
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_nu_runs_without_warnings(tmp_path, capsys):
+    """nu = 1e308 overflows lengths to inf, which the program reads as reaching
+    the whole grid; nothing is printed to stderr."""
+    source = tmp_path / "f.json"
+    source.write_text(build_fixture("constant", points=101).dumps())
+    commands = [
+        ["decompose", "--in", str(source), "--k", "2", "--alpha", "1.0", "--nu", "1e308", "--out", os.devnull],
+        ["check", "--kind", "slowvar", "--fixture", "parabola", "--points", "101", "--nu", "1e308"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["ok"] is True and captured.err == ""
+
+
 def test_decompose_bad_input(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")

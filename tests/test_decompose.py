@@ -749,6 +749,40 @@ def test_evaluate_1d_squares_matches_pointwise_oracle(name, points, k):
         np.testing.assert_array_equal(g, w)
 
 
+def test_partial_decomposition_squares_re_evaluate():
+    """A partial decomposition keeps each ball's branch, ("A",) or ("B",), so
+    its squares re-evaluate: at the grid to the stored ones, and at random
+    points to the pointwise oracle's, bit for bit."""
+    f = build_fixture("bony", points=1001)
+    d = partial_decompose(f, 3, 1.0, 1e-3)
+    assert len(d.branch_info) == len(d.partition.balls)
+    assert set(d.branch_info) == {("A",), ("B",)}
+    coords = f.axis_coords(0)
+    fn = lambda u: np.interp(u, coords, f.values)
+    at_grid = evaluate_1d_squares(d, coords, fn)
+    assert len(at_grid) == len(d.squares)
+    for g, stored in zip(at_grid, d.squares):
+        np.testing.assert_allclose(g, stored, rtol=0.0, atol=1e-15)
+    points = np.random.default_rng(3).uniform(coords[0], coords[-1], 3000)
+    for g, w in zip(evaluate_1d_squares(d, points, fn), oracles.pointwise_evaluate_1d_squares(d, points, fn)):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", [
+    build_fixture("constant", points=101),
+    SampledFunction((0.0, 0.0), 0.1, np.full((21, 21), 2.0)),
+], ids=["constant-101", "constant-21^2"])
+def test_huge_nu_gives_the_large_nu_result_without_warnings(f):
+    """At nu = 1e308 the cover's lengths in grid steps overflow to inf, which
+    every clip and comparison reads as reaching the whole grid: the
+    decomposition is that of nu = 1e3, bit for bit, and numpy warns of
+    nothing."""
+    want, got = decompose(f, 2, 1.0, nu=1e3), decompose(f, 2, 1.0, nu=1e308)
+    want.nu = got.nu  # the one field that differs
+    _assert_same_decomposition(got, want)
+
+
 @pytest.mark.parametrize("build,run", [
     (lambda: build_fixture("bony", points=2001), lambda f: partial_decompose(f, 3, 1.0, 1e-4)),
     (_corner_paraboloid, lambda f: decompose(f, 2, 1.0)),
@@ -854,13 +888,12 @@ def test_square_path_matches_loop_oracles(coeffs, c, points, k, eps, seed):
             continue
         got = run()
         _assert_same_decomposition(got, want)
-        if got.branch_info:
-            at = np.random.default_rng(seed).uniform(-1.2, 1.2, (points, 2))
-            fn = lambda u: np.interp(u, x, f.values)
-            evaluated = evaluate_1d_squares(got, at, fn)
-            assert len(evaluated) == len(got.squares)
-            for g, w in zip(evaluated, oracles.pointwise_evaluate_1d_squares(got, at, fn)):
-                np.testing.assert_array_equal(g, w)
+        at = np.random.default_rng(seed).uniform(-1.2, 1.2, (points, 2))
+        fn = lambda u: np.interp(u, x, f.values)
+        evaluated = evaluate_1d_squares(got, at, fn)
+        assert len(evaluated) == len(got.squares)
+        for g, w in zip(evaluated, oracles.pointwise_evaluate_1d_squares(got, at, fn)):
+            np.testing.assert_array_equal(g, w)
 
 
 def test_rejected_nu_builds_no_colors_windows_or_psis(monkeypatch):

@@ -1,5 +1,5 @@
-"""The benchmark's traced run wraps program attributes by name, and the
-package declares what the suite imports.
+"""The benchmark's traced run wraps program attributes by name, the
+package declares what the suite imports, and its exports resolve.
 
 ``perfbench/spans.py`` replaces module and class attributes of halfsquares
 with timing wrappers and puts the originals back.  A refactor that renames
@@ -39,6 +39,17 @@ def test_test_extra_names_every_package_the_suite_imports():
     local = {path.stem for path in (ROOT / "tests").glob("*.py")} | {"halfsquares"}
     third_party = imported - set(sys.stdlib_module_names) - local - names(project["dependencies"])
     assert third_party == names(project["optional-dependencies"]["test"]) == {"pytest", "hypothesis"}
+
+
+def test_package_exports_resolve():
+    """``halfsquares.__all__`` names each export once, every name resolves, and
+    a star import succeeds, so a removed name cannot linger in it."""
+    package = importlib.import_module("halfsquares")
+    assert len(package.__all__) == len(set(package.__all__))
+    assert all(hasattr(package, name) for name in package.__all__)
+    namespace = {}
+    exec("from halfsquares import *", namespace)
+    assert set(package.__all__) <= set(namespace)
 
 
 def _load_spans():
