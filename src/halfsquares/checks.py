@@ -62,8 +62,11 @@ def check_malgrange(f: SampledFunction, alpha: float) -> MalgrangeReport:
     h = f.spacing
     grads = [finitediff.partial(f.values, h, tuple(int(i == axis) for i in range(f.n))) for axis in range(f.n)]
     sn = _sup_ratio(grads, h, alpha, math.inf)
-    # nabla_norm's sum in its order, (0, 1) first, from the partials at hand
-    grad = np.abs(grads[0]) if f.n == 1 else np.sqrt(grads[1] ** 2 + grads[0] ** 2)
+    # nabla_norm's sum in its order, (0, 1) first, from the partials at hand; np.hypot where it overflows
+    with np.errstate(over="ignore"):
+        grad = np.abs(grads[0]) if f.n == 1 else np.sqrt(grads[1] ** 2 + grads[0] ** 2)
+    over = np.isinf(grad) & np.isfinite(grads[0]) & np.isfinite(grads[-1])
+    grad[over] = np.hypot(grads[-1][over], grads[0][over])
     constant = (alpha + 1.0) / alpha ** (alpha / (1.0 + alpha))
     fx = np.clip(f.values, 0.0, None)
     rhs = constant * sn ** (1.0 / (1.0 + alpha)) * fx ** (alpha / (1.0 + alpha))

@@ -135,9 +135,9 @@ class WindowTable:
         row = np.arange(len(ball)) - np.repeat(np.cumsum(heights) - heights, heights)
         return ball, (row + self.lo[ball, 0]) * self.shape[1] + self.lo[ball, 1], width[ball]
 
-    def cells(self) -> np.ndarray:
-        """The flat grid index of every entry."""
-        _, first, length = self.runs()
+    def cells(self, runs=None) -> np.ndarray:
+        """The flat grid index of every entry, from ``runs()`` or the given runs."""
+        _, first, length = self.runs() if runs is None else runs
         cells = np.arange(length.sum())
         cells += np.repeat(first - (np.cumsum(length) - length), length)
         return cells
@@ -153,10 +153,10 @@ class WindowTable:
 
 def entry_distances(table: WindowTable, center: np.ndarray, field: ControlField) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's flat grid cell and distance from its ball's center, at origin + h * index as the centers."""
-    h, origin, cells = field.spacing, field.origin, table.cells()
+    h, origin, runs = field.spacing, field.origin, table.runs()
+    (ball, first, length), cells = runs, table.cells(runs)
     if len(table.shape) == 1:
         return cells, np.abs((origin[0] + h * cells) - table.per_entry(center[:, 0]))
-    ball, first, length = table.runs()
     row = first // table.shape[1]
     du = np.repeat((origin[0] + h * row) - center[ball, 0], length)
     col = cells - np.repeat(row * table.shape[1], length)

@@ -603,11 +603,11 @@ def _block_fiber_minima(f, spline, balls, eu, ev, u_grids):
     owner = np.repeat(np.arange(len(balls)), sizes)
     u = np.concatenate(u_grids)
     interior_needed = np.abs(u) <= balls.radius[owner] + h
+    origin, step = balls.center[owner] + u[:, None] * eu[owner], ev[owner]  # row r is origin_r + v step_r
 
     def inside(rows, i):
         """The points of samples i of ``rows`` and whether each lies in the domain."""
-        j = owner[rows]
-        pts = balls.center[j] + u[rows][..., None] * eu[j] + v_grid[n_v + np.clip(i, -n_v, n_v)][..., None] * ev[j]
+        pts = origin[rows] + v_grid[n_v + np.clip(i, -n_v, n_v)][..., None] * step[rows]
         return pts, (np.abs(i) <= n_v) & np.all((pts >= lo - 1e-12) & (pts <= hi + 1e-12), axis=-1)
 
     def sample(rows, i):
@@ -743,7 +743,10 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
     Derivative semi-norms are measured over the sub-region where every
     contributing ball has physical radius nu r_j of at least three cells
     (the grid genuinely resolves the partition functions there):
-    regularity below grid resolution is not measurable.
+    regularity below grid resolution is not measurable.  Each square's
+    partials and pair scans cover that region's box, one cell wider, and
+    nothing if it is empty; its value and derivative constants read only
+    the verified cells where it or an axis neighbour is nonzero.
     """
     err, err_bound = d.reconstruction_gap(f)
     mask = d.verified_mask()
@@ -762,29 +765,40 @@ def verify(d: Decomposition, f: SampledFunction, seminorm_window: float | None =
     k, alpha = d.k, d.alpha
     half_exp = alpha / 2.0 if k % 2 == 0 else (1.0 + alpha) / 2.0
     axes = [tuple(1 if i == axis else 0 for i in range(d.n)) for axis in range(d.n)]
+    # resolved cells are never on the grid's edge; with none, a corner as wide as the stencil scans no pair
+    box = tuple(slice(int(i.min()) - 1, int(i.max()) + 2) if i.size else slice(0, 3) for i in np.nonzero(resolved))
     derivative_seminorms = []
     for g in d.squares:
-        gf = SampledFunction(d.origin, d.spacing, g)
+        gf = SampledFunction(d.origin, d.spacing, g[box])
         derivative_seminorms.append(max(
-            estimate_seminorm(gf, half_exp, derivative=beta, window=seminorm_window, mask=resolved)
+            estimate_seminorm(gf, half_exp, derivative=beta, window=seminorm_window, mask=resolved[box])
             for beta in axes
         ))
 
-    r = d.control.values[mask]
-    power = (k + alpha) / 2.0
-    value_constant = 0.0
-    deriv_constant = 0.0
+    r, flat = d.control.values[mask], mask.ravel()
+    power, root, h = (k + alpha) / 2.0, math.sqrt(d.scale), d.spacing
+    strides = [math.prod(mask.shape[axis + 1:]) for axis in range(d.n)]  # of the flat grid's axes
+    value_constant = deriv_constant = 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        value_den, deriv_den = r**power, r ** (power - 1.0)
+        value_den, deriv_den = np.zeros(mask.size), np.zeros(mask.size)  # read on verified cells only
+        value_den[flat], deriv_den[flat] = r**power, r ** (power - 1.0)
         for g in d.squares:
-            g = g / math.sqrt(d.scale)  # the square of f / M, like r
-            num = np.abs(g)[mask]
-            ratios = np.where(value_den > 0, num / value_den, np.where(num > 1e-12, np.inf, 0.0))
+            g, nonzero = g.ravel(), g.ravel() != 0
+            near = nonzero.copy()
+            for s in strides:
+                near[s:] |= nonzero[:-s]
+                near[:-s] |= nonzero[s:]
+            cells = np.flatnonzero(near & flat)
+            num = np.abs(g[cells] / root)  # the square of f / M, like r
+            # diff_axis's central differences, which a verified cell never takes past the grid's edge
+            sq = [(((0.0 + -0.5 * (g[cells - s] / root)) + 0.5 * (g[cells + s] / root)) / h) ** 2 for s in strides]
+            gnorm = np.sqrt(sum(sq[1:], sq[0]))  # nabla_norm's sum
+            gnorm[~np.isfinite(gnorm)] = 0.0  # not measured
+            den = value_den[cells]
+            ratios = np.where(den > 0, num / den, np.where(num > 1e-12, np.inf, 0.0))
             value_constant = max(value_constant, float(np.max(ratios, initial=0.0)))
-            gnorm = nabla_norm(g, d.spacing, 1)[mask]
-            ok = np.isfinite(gnorm)
-            den = deriv_den[ok]
-            ratios = np.where(den > 0, gnorm[ok] / den, np.where(gnorm[ok] > 1e-9, np.inf, 0.0))
+            den = deriv_den[cells]
+            ratios = np.where(den > 0, gnorm / den, np.where(gnorm > 1e-9, np.inf, 0.0))
             deriv_constant = max(deriv_constant, float(np.max(ratios, initial=0.0)))
 
     pou = d.partition.sum_squares

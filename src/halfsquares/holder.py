@@ -225,17 +225,21 @@ def estimate_seminorm(
     ``derivative`` is an optional multi-index applied by central
     differences first, and ``mask`` optionally restricts the pair scan to
     a sub-region (cells outside it are ignored).  With no window every
-    pair of the grid counts; a caller that wants the supremum over all
-    pairs passes no mask.
+    pair of the grid counts.  An empty mask holds no pair: 0, with no
+    partial taken, unless the grid is too small for the stencil.
     """
     validate_alpha(alpha)
     h = f.spacing
-    values = f.values
-    if derivative is not None and order(tuple(derivative)) > 0:
-        values = finitediff.partial(values, h, tuple(derivative))
     reach = math.inf if window is None else window / h
     if reach + _REACH_SLACK < 1:
         raise ValueError("window is smaller than one grid step")
+    values, beta = f.values, (0,) * f.n if derivative is None else tuple(derivative)
+    if mask is not None and not np.any(mask) and len(beta) == f.n:  # a malformed beta fails in the partial
+        if any(n <= 2 * finitediff.stencil_reach(o) for n, o in zip(values.shape, beta) if o):
+            raise ValueError("grid too small for the requested derivative")
+        return 0.0
+    if order(beta) > 0:
+        values = finitediff.partial(values, h, beta)
     return _sup_ratio((values,), h, alpha, reach, mask)
 
 

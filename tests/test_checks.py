@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from halfsquares.checks import (
     check_malgrange,
     refinement_stability,
 )
+from halfsquares.cli import main
 from halfsquares.fixtures import build_fixture
 from halfsquares.holder import SampledFunction
 
@@ -172,3 +174,19 @@ def test_induc_parameter_validation():
         check_induc(f, 3, 1.0, 0.5)
     with pytest.raises(ValueError):
         check_induc(f, 4, 1.0, 0.99)
+
+
+@pytest.mark.filterwarnings("error")
+def test_malgrange_2d_measures_gradients_whose_squares_overflow(tmp_path, capsys):
+    """paraboloid-21^2 times 1e200: the squared partials pass the float
+    range, so |grad f| is np.hypot's there, and the ratio is the unscaled
+    one up to rounding, as in 1D; the command line prints only its JSON."""
+    f = build_fixture("paraboloid", points=21)
+    big = SampledFunction(f.origin, f.spacing, f.values * 1e200)
+    report = check_malgrange(big, 0.5)
+    assert math.isfinite(report.max_ratio) and report.max_ratio == pytest.approx(check_malgrange(f, 0.5).max_ratio)
+    path = tmp_path / "big.json"
+    path.write_text(big.dumps())
+    assert main(["check", "--kind", "malgrange", "--in", str(path), "--alpha", "0.5"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["max_ratio"] == report.max_ratio

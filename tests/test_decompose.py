@@ -1,4 +1,5 @@
 import importlib
+import math
 import tracemalloc
 import weakref
 
@@ -979,3 +980,105 @@ def test_rejected_2d_covers_are_never_colored(monkeypatch):
     assert nus == [0.25, 0.125, 0.0625, 0.03125] and d.nu == 0.03125
     assert [len(cover) for cover in colored if cover.index.shape[1] == 2] == [len(d.partition.balls)] == [504]
     assert len(colored) > 1
+
+
+def test_verify_takes_no_seminorm_partial_where_nothing_is_resolved(monkeypatch):
+    """radial_bump-121^2 at k = 2 resolves no cell (every nu r_j is under three
+    cells), so verify differences no square for its semi-norms, which are 0."""
+    finitediff = importlib.import_module("halfsquares.finitediff")
+    f = build_fixture("radial_bump", points=121)
+    d = decompose(f, 2, 1.0)
+    taken, partial = [], finitediff.partial
+
+    def counted(values, h, beta):
+        taken.append(beta)
+        return partial(values, h, beta)
+
+    monkeypatch.setattr(finitediff, "partial", counted)
+    rep = verify(d, f, seminorm_window=20 * f.spacing)
+    assert rep.resolved_fraction == 0.0 and taken == []
+    assert rep.derivative_seminorms == [0.0] * d.square_count == [0.0] * 26
+
+
+def test_verify_seminorms_on_a_mostly_resolved_grid_match_separate_scans():
+    """paraboloid-121^2 at k = 3 resolves 90% of its verified cells: the scans
+    on the resolved box equal the whole-grid scan of every square and, for
+    every fourth square, ``single_scan_seminorm``."""
+    from halfsquares.holder import estimate_seminorm
+
+    f = build_fixture("paraboloid", points=121)
+    d = decompose(f, 3, 1.0)
+    rep = verify(d, f)
+    resolved = oracles.loop_resolved_mask(d)
+    assert rep.resolved_fraction > 0.9
+    axes = [(1, 0), (0, 1)]
+    whole = [max(estimate_seminorm(SampledFunction(d.origin, d.spacing, g), rep.half_exponent, b, mask=resolved)
+                 for b in axes) for g in d.squares]
+    assert rep.derivative_seminorms == whole and max(whole) > 0
+    for g, got in list(zip(d.squares, rep.derivative_seminorms))[::4]:
+        gf = SampledFunction(d.origin, d.spacing, g)
+        assert got == max(oracles.single_scan_seminorm(gf, rep.half_exponent, b, mask=resolved) for b in axes)
+
+
+_VERIFY_BASES = {}
+
+
+def _verify_base(n):
+    """A small decomposition to graft random squares on: parabola-101 or paraboloid-31^2, k = 2."""
+    if n not in _VERIFY_BASES:
+        f = build_fixture("parabola", points=101) if n == 1 else build_fixture("paraboloid", points=31)
+        _VERIFY_BASES[n] = f, decompose(f, 2, 1.0)
+    return _VERIFY_BASES[n]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # squares of f / M past the float range
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.0, 0.02, 0.15, 0.6, 1.0]),
+    count=st.integers(1, 4),
+    scale=st.sampled_from([1e-300, 1e-6, 0.25, 1.0, 8.0, 1e250]),
+    nu_factor=st.sampled_from([1.0, 1e3]),
+    holes=st.sampled_from([0.0, 0.05, 0.3]),
+    window_steps=st.sampled_from([None, 1, 3.5]),
+    spike=st.booleans(),
+)
+def test_verify_on_supports_matches_whole_grid_oracles(n, seed, density, count, scale, nu_factor, holes,
+                                                        window_steps, spike):
+    """On random sparse squares, some touching the grid's edge, some all zero
+    or holding -0.0 or a spike whose differences square past the float
+    range, with NaN control cells, control values whose powers underflow to
+    0, and scales on both sides of 1, verify's constants are the per-cell
+    loop's and its semi-norms the whole-grid masked scans of the resolved
+    region."""
+    from dataclasses import replace
+
+    from halfsquares.finitediff import partial
+    from halfsquares.holder import _sup_ratio
+
+    f, base = _verify_base(n)
+    rng = np.random.default_rng(seed)
+    shape = base.residual.shape
+    squares = []
+    for _ in range(count):
+        g = np.where(rng.random(shape) < density, rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 5), 0.0)
+        edge = (slice(0, 1),) if n == 1 else (slice(None), slice(-1, None))
+        g[edge] = rng.standard_normal(g[edge].shape) if rng.random() < 0.5 else g[edge]
+        g[(g == 0) & (rng.random(shape) < 0.5)] = -0.0
+        squares.append(g)
+    if spike:
+        squares[0][tuple(int(i) for i in rng.integers(1, np.array(shape) - 1))] = 1e300
+    values = base.control.values.copy()
+    values[rng.random(shape) < holes] = np.nan
+    values[rng.random(shape) < holes / 2] = 1e-300
+    control = replace(base.control, values=values, valid=base.control.valid & np.isfinite(values))
+    d = replace(base, squares=squares, control=control, scale=scale, nu=base.nu * nu_factor,
+                square_labels=[(0, i) for i in range(count)])
+    rep = verify(d, f, seminorm_window=None if window_steps is None else window_steps * f.spacing)
+    assert (rep.value_constant, rep.derivative_constant) == oracles.loop_verify_constants(d)
+    resolved, reach = oracles.loop_resolved_mask(d), math.inf if window_steps is None else window_steps
+    axes = [tuple(int(i == a) for i in range(n)) for a in range(n)]
+    whole = [max(_sup_ratio((partial(g, f.spacing, b),), f.spacing, rep.half_exponent, reach, resolved) for b in axes)
+             for g in squares]
+    assert rep.derivative_seminorms == whole

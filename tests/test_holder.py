@@ -478,3 +478,46 @@ def test_slow_variation_at_a_huge_nu(name, points, k):
     cf = control_field(build_fixture(name, points=points), k, 1.0)
     want = check_slow_variation(cf, 1e300)
     assert check_slow_variation(cf, 1e308) == want == check_slow_variation(cf, sys.float_info.max)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, "first", "last", "second", "mixed", "too long"]),
+    st.sampled_from([None, 0.5, 1.0, 3.0]),
+)
+def test_an_empty_mask_scans_nothing_and_fails_as_the_whole_grid_does(n, seed, derivative, window_steps):
+    """With an empty mask estimate_seminorm takes no partial and returns 0,
+    or raises the ValueError the whole-grid scan raises: a window under one
+    step, a grid too small for the stencil or a multi-index of the wrong
+    length (which only the partial rejects)."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(s) for s in rng.integers(1, 7, n))
+    f = SampledFunction((0.0,) * n, 0.1, rng.standard_normal(shape))
+    beta = {
+        None: None,
+        "first": (1,) + (0,) * (n - 1),
+        "last": (0,) * (n - 1) + (1,),
+        "second": (2,) + (0,) * (n - 1),
+        "mixed": (1,) * n,
+        "too long": (1,) * (n + 1),
+    }[derivative]
+    window = None if window_steps is None else window_steps * f.spacing
+    try:
+        if window_steps is not None and window_steps < 1:
+            raise ValueError("window is smaller than one grid step")
+        values = f.values if beta is None else fd_partial(f.values, f.spacing, beta)
+        expected = holder._sup_ratio((values,), f.spacing, 0.5, math.inf, np.zeros(shape, bool))
+    except ValueError as err:
+        expected = str(err)
+    taken = []
+    partial = holder.finitediff.partial
+    holder.finitediff.partial = lambda *args: taken.append(args) or partial(*args)
+    try:
+        got = estimate_seminorm(f, 0.5, derivative=beta, window=window, mask=np.zeros(shape, bool))
+    except ValueError as err:
+        got = str(err)
+    finally:
+        holder.finitediff.partial = partial
+    assert got == expected and (taken == [] or derivative == "too long")
